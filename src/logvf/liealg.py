@@ -19,6 +19,7 @@ rejected up front.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,19 +65,87 @@ def _rational_roots(coeffs: List[Fraction]) -> Dict[Fraction, int]:
 
 
 def _find_rational_root(coeffs: List[Fraction]) -> Optional[Fraction]:
-    # candidates are p/q with p dividing the constant, q the lead, after
-    # clearing denominators
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+    """The rational root a/b (lowest terms) with the least |a|, then the
+    least b, the positive one first; None when there is none.  The
+    constant coefficient must be nonzero.
+
+    This is the root that trying +-p/q, p over the divisors of the constant
+    and q over those of the lead after clearing denominators, meets first.
+    It is found without listing divisors, since trial division takes time
+    proportional to the square root of the constant: y = lead * x turns
+    the rational roots into the integer roots of a monic integer
+    polynomial, which bisection on its Sturm sequence locates in time
+    that grows with the bit length of the coefficients.
+    """
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    lead, const = ints[0], ints[-1]
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _poly_eval(coeffs, cand) == 0:
-                    return cand
-    return None
+    lead = ints[0]
+    monic = [1] + [c * lead ** (i - 1) for i, c in enumerate(ints[1:], 1)]
+    roots = [Fraction(y, lead) for y in _integer_roots(monic)]
+    return min(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0),
+               default=None)
+
+
+def _integer_roots(q: List[int]) -> List[int]:
+    """The distinct integer roots of the monic integer polynomial q
+    (descending coefficients)."""
+    chain = _sturm_chain(q)
+
+    def sign_changes(y2: int) -> int:
+        # signs of the chain at y2/2, each polynomial scaled by 2^degree
+        signs = []
+        for s in chain:
+            acc = 0
+            for j, c in enumerate(s):
+                acc = acc * y2 + (c << j)
+            if acc:
+                signs.append(acc > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # Fujiwara: every root has |y| < 2 max_i |q_i|^(1/i) < 2^(bits+1)
+    bits = max((abs(c).bit_length() + i - 1) // i
+               for i, c in enumerate(q[1:], 1))
+    bound = 1 << (bits + 1)
+    # a monic integer polynomial has no root at a half-integer, so the sign
+    # changes at lo - 1/2 and hi + 1/2 count its distinct real roots in
+    # [lo, hi] (Sturm)
+    roots = []
+    todo = [(-bound, bound, sign_changes(-2 * bound - 1),
+             sign_changes(2 * bound + 1))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        if v_lo == v_hi:
+            continue
+        if lo == hi:
+            if _poly_eval(q, lo) == 0:
+                roots.append(lo)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = sign_changes(2 * mid + 1)
+        todo += [(lo, mid, v_lo, v_mid), (mid + 1, hi, v_mid, v_hi)]
+    return roots
+
+
+def _sturm_chain(q: List[int]) -> List[List[int]]:
+    """q, q' and the negated remainders, each scaled by a positive
+    constant to primitive integer coefficients."""
+    n = len(q) - 1
+    chain = [q, [c * (n - j) for j, c in enumerate(q[:-1])]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = [Fraction(c) for c in a]
+        while len(r) >= len(b):
+            f = r[0] / b[0]
+            r = [x - f * y for x, y in zip(r[1:], b[1:])] + r[len(b):]
+        while r and r[0] == 0:
+            r = r[1:]
+        if not r:
+            break
+        scale = math.lcm(*(c.denominator for c in r))
+        ints = [-int(c * scale) for c in r]
+        content = math.gcd(*ints)
+        chain.append([c // content for c in ints])
+    return chain
 
 
 def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -84,26 +153,6 @@ def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _divisors(m: int) -> List[int]:
-    if m == 0:
-        return [1]
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
 
 
 @dataclass(frozen=True)

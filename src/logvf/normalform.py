@@ -14,13 +14,14 @@ as well, and re-extract diagonal symmetries in the new coordinates.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (CertificateFailure, NotAtOrigin, NotFree,
                      PrecisionRequired, PreconditionViolated, ProductInput,
                      TruncationTooSmall, VanishesAtOrigin)
-from .poly import (Jet, Polynomial, WeightSystem, as_poly, graded_parts,
-                   multihomog_decompose_poly)
+from .poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly,
+                   graded_parts, multihomog_decompose_poly)
 from .vfield import (VectorField, field_graded_parts, lie_bracket,
                      multihomog_decompose, vf_to_str)
 from .linalg import identity as mat_identity
@@ -120,12 +121,6 @@ def _monomials(n: int, deg: int) -> List[Tuple[int, ...]]:
 # -- coordinate changes ---------------------------------------------------------
 
 
-def _subst(obj: Coeff, images: Sequence[Polynomial], order: int) -> Polynomial:
-    # jet images keep every intermediate power truncated at `order`
-    jimgs = [Jet(as_poly(p), order) for p in images]
-    return _chop(as_poly(as_poly(obj).substitute(jimgs)), order)
-
-
 @dataclass(frozen=True)
 class CoordChange:
     """A change of coordinates, stored as truncated polynomial maps.
@@ -134,6 +129,12 @@ class CoordChange:
     substituting the images into the old equation gives the new one.
     inverse_images[i] expresses the new x_i in the old coordinates.  Both
     directions compose to the identity below degree `order`.
+
+    Power tables are cached per map: each change builds a PowerTable for
+    its images and one for its inverse images on first use, and apply,
+    unapply, push_field, then and the round-trip check all compose through
+    them, so each power of an image is formed once per map below `order`.
+    The tables live and die with the change.
     """
 
     images: Tuple[Polynomial, ...]
@@ -147,6 +148,14 @@ class CoordChange:
     @property
     def n(self) -> int:
         return len(self.images)
+
+    @cached_property
+    def _image_powers(self) -> PowerTable:
+        return PowerTable(self.images, self.order)
+
+    @cached_property
+    def _inverse_powers(self) -> PowerTable:
+        return PowerTable(self.inverse_images, self.order)
 
     @classmethod
     def make(cls, images: Sequence[Coeff], order: int) -> "CoordChange":
@@ -174,7 +183,8 @@ class CoordChange:
                     for j in range(n)), Polynomial.zero(varnames))
                for i in range(n)]
         for _ in range(order):
-            hsub = [_subst(h, inv, order) for h in higher]
+            table = PowerTable(inv, order)
+            hsub = [table.compose(h) for h in higher]
             nxt = [sum(((Polynomial.variable(varnames, j) - hsub[j]) * Linv[i][j]
                         for j in range(n)), Polynomial.zero(varnames))
                    for i in range(n)]
@@ -215,17 +225,17 @@ class CoordChange:
         varnames = self.varnames
         for i in range(self.n):
             x = Polynomial.variable(varnames, i)
-            a = _subst(self.images[i], self.inverse_images, self.order)
-            b = _subst(self.inverse_images[i], self.images, self.order)
+            a = self.unapply(self.images[i])
+            b = self.apply(self.inverse_images[i])
             if a != x or b != x:
                 raise CertificateFailure("coordinate change does not invert")
 
     def apply(self, g: Coeff) -> Polynomial:
         """The transformed function g o (images), valid below `order`."""
-        return _subst(g, self.images, self.order)
+        return self._image_powers.compose(as_poly(g))
 
     def unapply(self, g: Coeff) -> Polynomial:
-        return _subst(g, self.inverse_images, self.order)
+        return self._inverse_powers.compose(as_poly(g))
 
     def push_field(self, delta: VectorField) -> VectorField:
         """Transport a field to the new coordinates.
@@ -233,17 +243,14 @@ class CoordChange:
         Valid below `order` when delta vanishes at the origin; fields with a
         constant part lose one order, so callers pad internally.
         """
-        coeffs = []
-        for j in range(self.n):
-            dj = delta.apply(self.inverse_images[j])
-            coeffs.append(_subst(dj, self.images, self.order))
-        return VectorField(coeffs)
+        return VectorField([self.apply(delta.apply(q))
+                            for q in self.inverse_images])
 
     def then(self, nxt: "CoordChange") -> "CoordChange":
         """First this change, then `nxt`, verified to order min(orders)."""
         order = min(self.order, nxt.order)
-        imgs = [_subst(p, nxt.images, order) for p in self.images]
-        inv = [_subst(q, self.inverse_images, order) for q in nxt.inverse_images]
+        imgs = [_chop(nxt.apply(p), order) for p in self.images]
+        inv = [_chop(self.unapply(q), order) for q in nxt.inverse_images]
         ch = CoordChange(tuple(imgs), tuple(inv), order)
         ch._verify()
         return ch
@@ -834,9 +841,9 @@ def formal_structure(f: Polynomial, trunc: Optional[int] = None) -> FormalStruct
             break
         ch1, delta_n = pd_normalize(cand, W, d_work)
         sig_old = [VectorField.diagonal(row, varnames) for row in W.rows]
-        fcur = _subst(fcur, ch1.images, d_work)
+        fcur = ch1.apply(fcur)
         gens = [_chop_field(ch1.push_field(g), d_work) for g in gens]
-        unit_rep = _subst(unit_rep, ch1.images, d_work)
+        unit_rep = ch1.apply(unit_rep)
         for sf in sig_old:
             if not _chop_field(ch1.push_field(sf) - sf, d).is_zero():
                 raise CertificateFailure(

@@ -9,7 +9,12 @@ A Jet is a polynomial known only modulo m^order (m the maximal ideal at the
 origin): stored terms all have total degree < order.  Jet arithmetic tracks
 the order honestly: differentiation costs one order, and a product's order is
 min(a.order + lowdeg(b), b.order + lowdeg(a)), so multiplying by something in
-m does not lose precision.
+m does not lose precision.  A jet product never forms a term at or above its
+order: term pairs whose degrees sum to the order or more are skipped.
+
+Substitution goes through a PowerTable, which keeps the powers of the images
+it has formed so that composing many functions through one map computes
+each power once.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -38,6 +45,80 @@ def _canon_key(item):
     return (sum(exp), exp)
 
 
+# A lifted term map holds integer numerators over one common denominator:
+# products and sums of lifted maps cost integer operations per term pair,
+# and a Fraction is made once per output term when the map is unlifted.
+Lifted = Tuple[Dict[Exponent, int], int]
+
+
+def _lift(terms: TermMap) -> Lifted:
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in terms.items()}, den
+
+
+def _unlift(lifted: Lifted) -> TermMap:
+    ints, den = lifted
+    return {e: Fraction(v, den) for e, v in ints.items()}
+
+
+def _reduced(ints: Dict[Exponent, int], den: int) -> Lifted:
+    """Drop zero numerators and divide out the content shared with den."""
+    ints = {e: v for e, v in ints.items() if v}
+    g = gcd(den, *ints.values())
+    if g > 1:
+        ints = {e: v // g for e, v in ints.items()}
+        den //= g
+    return ints, den
+
+
+def _lifted_product(a: Lifted, b: Lifted, order: Optional[int] = None) -> Lifted:
+    """a * b; with `order`, only its terms of total degree below `order` are
+    formed: term pairs whose degrees sum to `order` or more are skipped."""
+    (ia, da), (ib, db) = a, b
+    out: Dict[Exponent, int] = {}
+    get = out.get
+    if order is None:
+        for e1, c1 in ia.items():
+            for e2, c2 in ib.items():
+                exp = tuple(map(add, e1, e2))
+                out[exp] = get(exp, 0) + c1 * c2
+    else:
+        graded = sorted(((sum(e), e, c) for e, c in ib.items()),
+                        key=lambda t: t[0])
+        for e1, c1 in ia.items():
+            room = order - sum(e1)
+            for d2, e2, c2 in graded:
+                if d2 >= room:
+                    break
+                exp = tuple(map(add, e1, e2))
+                out[exp] = get(exp, 0) + c1 * c2
+    return _reduced(out, da * db)
+
+
+def _lifted_combination(parts: Iterable[Tuple[Scalar, Lifted]]) -> Lifted:
+    """The sum of c * lifted over the (c, lifted) pairs, accumulated in one
+    integer map over the least common denominator."""
+    scaled = []
+    for c, (ints, den) in parts:
+        c = Fraction(c)
+        scaled.append((c.numerator, c.denominator * den, ints))
+    den = lcm(*(d for _, d, _ in scaled))
+    acc: Dict[Exponent, int] = {}
+    get = acc.get
+    for num, d, ints in scaled:
+        scale = num * (den // d)
+        for e, v in ints.items():
+            acc[e] = get(e, 0) + scale * v
+    return _reduced(acc, den)
+
+
+def _mul_terms(a: TermMap, b: TermMap, order: Optional[int] = None) -> TermMap:
+    """The product of two term maps; with `order`, only its terms of total
+    degree below `order` are formed."""
+    return _unlift(_lifted_product(_lift(a), _lift(b), order))
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q, tied to a fixed variable tuple."""
 
@@ -54,6 +135,14 @@ class Polynomial:
             if c != 0:
                 clean[tuple(exp)] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, terms: TermMap, varnames: Tuple[str, ...]) -> "Polynomial":
+        # trusted constructor: Fraction coefficients, no zeros, right length
+        p = cls.__new__(cls)
+        p.vars = varnames
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -146,16 +235,7 @@ class Polynomial:
                 return Polynomial.zero(self.vars)
             return Polynomial({e: k * c for e, k in self.terms.items()}, self.vars)
         self._check_vars(other)
-        out: TermMap = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
-        return Polynomial(out, self.vars)
+        return Polynomial._of(_mul_terms(self.terms, other.terms), self.vars)
 
     __rmul__ = __mul__
 
@@ -209,50 +289,16 @@ class Polynomial:
     def substitute(self, images: Sequence[Union["Polynomial", "Jet"]]):
         """Ring-map application: replace the i-th variable by images[i].
 
-        Returns a Polynomial when all images are polynomials, else a Jet.
-        Negative exponents are not substitutable.
+        Returns a Polynomial when all images are polynomials, else a Jet
+        whose order is the least order among the images.  Negative exponents
+        are not substitutable.
         """
         if len(images) != len(self.vars):
             raise VariableMismatch("need one image per variable")
-        jets = [im for im in images if isinstance(im, Jet)]
-        if jets:
-            order = min(j.order for j in jets)
-            imgs = [im.truncate(order) if isinstance(im, Jet) else Jet(im, order)
-                    for im in images]
-            acc: Union[Polynomial, Jet] = Jet(Polynomial.zero(self.vars), order)
-        else:
-            imgs = list(images)
-            acc = Polynomial.zero(self.vars)
-        pow_cache = [{0: None} for _ in imgs]  # lazily filled powers
-
-        def img_pow(i: int, k: int):
-            cache = pow_cache[i]
-            if k in cache and cache[k] is not None:
-                return cache[k]
-            if k == 1:
-                cache[1] = imgs[i]
-                return imgs[i]
-            half = img_pow(i, k // 2)
-            val = half * half
-            if k % 2:
-                val = val * imgs[i]
-            cache[k] = val
-            return val
-
-        for exp, c in self.terms.items():
-            if any(e < 0 for e in exp):
-                raise PreconditionViolated("cannot substitute into Laurent terms")
-            term = None
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                p = img_pow(i, e)
-                term = p if term is None else term * p
-            if term is None:
-                acc = acc + Polynomial.const(self.vars, c)
-            else:
-                acc = acc + term * c
-        return acc
+        orders = [im.order for im in images if isinstance(im, Jet)]
+        order = min(orders) if orders else None
+        out = PowerTable([as_poly(im) for im in images], order).compose(self)
+        return out if order is None else Jet(out, order)
 
     def shift(self, point: Sequence[Scalar]) -> "Polynomial":
         """Translate coordinates: x_i -> x_i + point_i (exact)."""
@@ -439,7 +485,7 @@ class Jet:
         if order < 0:
             raise PreconditionViolated("jet order must be >= 0")
         self.order = order
-        self.poly = Polynomial(_trunc_terms(poly.terms, order), poly.vars)
+        self.poly = Polynomial._of(_trunc_terms(poly.terms, order), poly.vars)
 
     @property
     def vars(self):
@@ -489,8 +535,10 @@ class Jet:
         if isinstance(other, (int, Fraction)):
             return Jet(self.poly * other, self.order)
         o = self._coerce(other)
+        self.poly._check_vars(o.poly)
         order = min(self.order + o.low_degree(), o.order + self.low_degree())
-        return Jet(self.poly * o.poly, order)
+        return Jet(Polynomial._of(_mul_terms(self.poly.terms, o.poly.terms, order),
+                                  self.vars), order)
 
     __rmul__ = __mul__
 
@@ -537,6 +585,67 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({poly_to_str(self.poly)!r}, order={self.order})"
+
+
+class PowerTable:
+    """Powers of fixed substitution images, formed on demand and kept.
+
+    compose(p) replaces the i-th variable of p by images[i].  With an
+    `order`, the images are taken modulo m^order and every power and
+    product is formed only below that order, so compose returns p o images
+    modulo m^order; without one, the composite is exact.  Powers formed for
+    one call are reused by every later call on the same table.
+    """
+
+    __slots__ = ("order", "vars", "_powers")
+
+    def __init__(self, images: Sequence[Polynomial], order: Optional[int] = None):
+        if not images or len(images) != len(images[0].vars):
+            raise VariableMismatch("need one image per variable")
+        self.vars = images[0].vars
+        for im in images:
+            im._check_vars(images[0])
+        self.order = order
+
+        def cut(terms: TermMap) -> TermMap:
+            return terms if order is None else _trunc_terms(terms, order)
+
+        one = cut({(0,) * len(self.vars): Fraction(1)})
+        # _powers[i][k] is images[i] ** k, lifted, filled on demand
+        self._powers = [[_lift(one), _lift(cut(im.terms))] for im in images]
+
+    def _power(self, i: int, k: int) -> Lifted:
+        pows = self._powers[i]
+        while len(pows) <= k:
+            pows.append(_lifted_product(pows[-1], pows[1], self.order))
+        return pows[k]
+
+    def compose(self, p: Polynomial) -> Polynomial:
+        """p o images, modulo m^order when the table has an order."""
+        if p.terms and p.vars != self.vars:
+            raise VariableMismatch(f"{p.vars} vs {self.vars}")
+        if any(e < 0 for exp in p.terms for e in exp):
+            raise PreconditionViolated("cannot substitute into Laurent terms")
+        out = self._combine(p.terms, len(self.vars))
+        return Polynomial._of(_unlift(out), self.vars)
+
+    def _combine(self, terms: Dict[Exponent, Fraction], k: int) -> Lifted:
+        # sum of c * prod_{i<k} images[i]^e_i over terms keyed by e[:k]:
+        # grouping on the last exponent multiplies each power of images[k-1]
+        # once by the combined rest instead of once per term
+        groups: Dict[int, Dict[Exponent, Fraction]] = {}
+        for exp, c in terms.items():
+            groups.setdefault(exp[k - 1], {})[exp[:k - 1]] = c
+        if k == 1:
+            return _lifted_combination((sub[()], self._power(0, e))
+                                       for e, sub in groups.items())
+        parts = []
+        for e, sub in groups.items():
+            part = self._combine(sub, k - 1)
+            if e:
+                part = _lifted_product(part, self._power(k - 1, e), self.order)
+            parts.append((1, part))
+        return _lifted_combination(parts)
 
 
 def jet_truncate(obj: Union[Polynomial, Jet], order: int) -> Jet:

@@ -1,11 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logvf.derlog import derlog_generators, minimalize
 from logvf.errors import NonRationalEigenvalues, ProductInput, PreconditionViolated
-from logvf.liealg import (LieAlgebraPresentation, ad_matrix, center_dimension,
+from logvf.liealg import (LieAlgebraPresentation, _find_rational_root,
+                          _poly_eval, ad_matrix, center_dimension,
                           is_solvable, nilpotency_check, sn_decompose,
                           truncated_lie_algebra)
 from logvf.linalg import identity, is_zero_matrix, mat_add, mat_mul, mat_sub
@@ -72,6 +76,76 @@ def test_sn_random_triangular():
         for lam, m in dec.eigenvalues.items():
             spectrum.extend([lam] * m)
         assert sorted(spectrum) == diag
+
+
+def _divisor_search(coeffs):
+    """The rational root search by the rational root theorem: +-p/q with p
+    over the divisors of the constant and q over those of the lead, after
+    clearing denominators, in increasing order; the first root wins."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * lcm) for c in coeffs]
+
+    def divisors(m):
+        small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+        return small + [m // d for d in reversed(small) if d * d != m]
+
+    for p in divisors(abs(ints[-1])):
+        for q in divisors(abs(ints[0])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if _poly_eval(coeffs, cand) == 0:
+                    return cand
+    return None
+
+
+def _poly_product(factors):
+    out = [Fraction(1)]
+    for f in factors:
+        nxt = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                nxt[i + j] += a * b
+        out = nxt
+    return out
+
+
+ROOTS = st.fractions(min_value=-9, max_value=9, max_denominator=8).filter(
+    lambda r: r != 0)
+# linear factors x - r, some repeated, and quadratics that may not split
+FACTORS = st.one_of(
+    ROOTS.map(lambda r: [Fraction(1), -r]),
+    st.tuples(st.integers(-6, 6), st.integers(1, 9)).map(
+        lambda bc: [Fraction(1), Fraction(bc[0]), Fraction(bc[1], 2)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(FACTORS, min_size=1, max_size=4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+           lambda c: c != 0))
+def test_find_rational_root_matches_divisor_search(factors, lead):
+    coeffs = [lead * c for c in _poly_product(factors)]
+    assert _find_rational_root(coeffs) == _divisor_search(coeffs)
+
+
+def test_find_rational_root_order():
+    # least numerator first, then least denominator, then the positive root
+    for roots, first in (([-2, 2], 2), ([Fraction(1, 3), Fraction(-1, 2)],
+                                         Fraction(-1, 2)),
+                         ([3, Fraction(-1, 4)], Fraction(-1, 4))):
+        coeffs = _poly_product([[Fraction(1), -Fraction(r)] for r in roots])
+        assert _find_rational_root(coeffs) == first == _divisor_search(coeffs)
+
+
+def test_find_rational_root_large_coefficients():
+    # a characteristic polynomial met by the formal structure of
+    # x^2 + y^5 + 17/16*x*y^3: its cleared constant has 15 digits
+    small, large = Fraction(13107200, 751689), Fraction(32768000, 751689)
+    coeffs = _poly_product([[Fraction(1), -large], [Fraction(1), -small]])
+    assert _find_rational_root(coeffs) == small
+    big = 10 ** 15 + 37
+    assert _find_rational_root([Fraction(1), Fraction(0),
+                                Fraction(-2 * big * big)]) is None
+    assert _find_rational_root([Fraction(1), Fraction(2 * big),
+                                Fraction(big * big)]) == -big
 
 
 # -- hand-built presentations ----------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
                           NotAtOrigin, NotFree, PreconditionViolated,
@@ -83,6 +85,43 @@ def test_push_field_transports_application():
     lhs = ch.push_field(delta).apply(ch.apply(g))
     rhs = ch.apply(as_poly(delta.apply(g)))
     assert chop(as_poly(lhs), 7) == chop(rhs, 7)
+
+
+SMALL = st.integers(-2, 2)
+
+
+def _higher(draw, max_terms):
+    # a polynomial in x, y with terms of degree 2 and 3 only
+    exps = st.sampled_from([(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (0, 3)])
+    return poly2(draw(st.dictionaries(exps, SMALL, max_size=max_terms)))
+
+
+@st.composite
+def _changes_and_probes(draw):
+    order = draw(st.integers(3, 7))
+    images = [X + _higher(draw, 3), Y + _higher(draw, 3)]
+    probe_exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    probes = draw(st.lists(
+        st.dictionaries(probe_exps, SMALL, min_size=1, max_size=4).map(poly2),
+        min_size=2, max_size=4))
+    return images, order, probes
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_changes_and_probes())
+def test_one_change_composes_like_fresh_changes(case):
+    # the power tables one map keeps across calls give what a fresh map
+    # gives for each input alone, and what plain substitution gives
+    images, order, probes = case
+    shared = CoordChange.make(images, order)
+    for g in probes:
+        fresh = CoordChange.make(images, order)
+        assert shared.apply(g) == fresh.apply(g) == \
+            chop(g.substitute(list(shared.images)), order)
+        assert shared.unapply(g) == CoordChange.make(images, order).unapply(g)
+        field = VectorField([g, X * g])
+        assert shared.push_field(field) == \
+            CoordChange.make(images, order).push_field(field)
 
 
 # -- diagonal symmetry spaces ----------------------------------------------

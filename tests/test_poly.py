@@ -7,6 +7,8 @@ computation (termwise power rule, direct expansion) and frozen here.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logvf.errors import (
     OrderMismatch,
@@ -199,3 +201,70 @@ class TestWeights:
         assert parts[1] == P("x")
         assert parts[2] == P("x*y")
         assert parts[3] == P("y^3")
+
+
+# -- properties of the truncated product and of substitution ----------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def polys(varnames=XY, low=0, high=4, max_terms=5):
+    exps = st.tuples(*[st.integers(0, high)] * len(varnames)).filter(
+        lambda e: low <= sum(e) <= high)
+    return st.dictionaries(exps, COEFFS, max_size=max_terms).map(
+        lambda terms: Polynomial(terms, varnames))
+
+
+# factors that may vanish to a positive order at the origin
+LOW_DEGREE_POLYS = st.integers(0, 3).flatmap(lambda low: polys(low=low))
+
+
+def _reference_substitute(p, images, order=None):
+    """p o images term by term: every term multiplies out its own powers,
+    one factor at a time, and the truncation comes last."""
+    acc = {}
+    for exp, c in p.terms.items():
+        term = {(0,) * len(p.vars): c}
+        for image, e in zip(images, exp):
+            for _ in range(e):
+                nxt = {}
+                for e1, c1 in term.items():
+                    for e2, c2 in image.terms.items():
+                        key = tuple(a + b for a, b in zip(e1, e2))
+                        nxt[key] = nxt.get(key, 0) + c1 * c2
+                term = nxt
+        for key, value in term.items():
+            acc[key] = acc.get(key, 0) + value
+    if order is not None:
+        acc = {e: c for e, c in acc.items() if sum(e) < order}
+    return Polynomial(acc, p.vars)
+
+
+class TestTruncatedProducts:
+    @PROPERTY
+    @given(LOW_DEGREE_POLYS, LOW_DEGREE_POLYS, st.integers(0, 7),
+           st.integers(0, 7))
+    def test_jet_product_equals_truncated_full_product(self, a, b, oa, ob):
+        ja, jb = Jet(a, oa), Jet(b, ob)
+        prod = ja * jb
+        assert prod.order == min(oa + jb.low_degree(), ob + ja.low_degree())
+        assert prod == Jet(ja.poly * jb.poly, prod.order)
+
+    @PROPERTY
+    @given(polys(high=3), st.lists(polys(high=3, max_terms=3), min_size=2,
+                                   max_size=2), st.integers(0, 6))
+    def test_substitute_jet_images_matches_termwise_reference(self, p, images,
+                                                             order):
+        out = p.substitute([Jet(images[0], order), Jet(images[1], order + 1)])
+        assert out.order == order
+        truncated = [Jet(im, order).poly for im in images]
+        assert out.poly == _reference_substitute(p, truncated, order)
+
+    @PROPERTY
+    @given(polys(high=3), st.lists(polys(high=2, max_terms=3), min_size=2,
+                                   max_size=2))
+    def test_substitute_polynomial_images_matches_termwise_reference(self, p,
+                                                                    images):
+        assert p.substitute(images) == _reference_substitute(p, images)
