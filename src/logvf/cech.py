@@ -16,7 +16,7 @@ from .errors import (CertificateFailure, HasConstantPart, NotFree,
                      VariableMismatch)
 from .poly import Polynomial, as_poly
 from .vfield import VectorField
-from .linalg import rref
+from .linalg import nullspace
 from .derlog import derlog_generators, is_product, minimalize, saito_free_check
 
 
@@ -136,22 +136,6 @@ def trace_formula_check(delta: VectorField, k: int) -> bool:
     return full == expected and jet == expected
 
 
-def _nullspace(rows: List[List[Fraction]], width: int) -> List[List[Fraction]]:
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(width)]
-                for j in range(width)]
-    R, pivots = rref(rows)
-    free = [j for j in range(width) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [Fraction(0)] * width
-        vec[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -R[r][j]
-        basis.append(vec)
-    return basis
-
-
 def d1_kernel_search(basis: Sequence[VectorField],
                      bound: int = 3) -> Optional[CechClass]:
     """Exact common kernel of d1 on the box of exponents in [-bound, -1].
@@ -167,22 +151,20 @@ def d1_kernel_search(basis: Sequence[VectorField],
     varnames = basis[0].vars
     n = len(varnames)
     box = sorted(itertools.product(range(-bound, 0), repeat=n))
-    images = []
-    row_keys = {}
-    for e in box:
-        col = []
+    # one sparse row per (field, image exponent), one column per box exponent
+    rows: List[Dict[int, Fraction]] = []
+    row_of: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Fraction]] = {}
+    for j, e in enumerate(box):
         mono = Polynomial({e: Fraction(1)}, varnames)
         for i, delta in enumerate(basis):
             img = cech_project(as_poly(delta.apply(mono)))
             for ie, v in img.terms.items():
-                row_keys.setdefault((i, ie), len(row_keys))
-                col.append(((i, ie), v))
-        images.append(col)
-    rows = [[Fraction(0)] * len(box) for _ in range(len(row_keys))]
-    for j, col in enumerate(images):
-        for key, v in col:
-            rows[row_keys[key]][j] = v
-    kernel = _nullspace(rows, len(box))
+                row = row_of.get((i, ie))
+                if row is None:
+                    row = row_of[(i, ie)] = {}
+                    rows.append(row)
+                row[j] = v
+    kernel = nullspace(rows, len(box))
     if not kernel:
         return None
     vec = kernel[0]

@@ -1,12 +1,26 @@
-"""Exact linear algebra over Q: small dense matrices as lists of Fraction rows."""
+"""Exact linear algebra over Q.
+
+Matrices are lists of Fraction rows.  Elimination has one exact core that
+works on row-sparse systems, each row a {column: Fraction} dict of its
+nonzero entries: columns are taken in order and the sparsest row with an
+entry in the column is the pivot, so the very sparse kernel systems of the
+Cech box search stay sparse.  `rref`, `rank`, `nullspace`, `solve` and
+`inverse` are entry points on that core; all but `rref` and `inverse` also
+take sparse rows.  The reduced row echelon form does not depend on the
+pivots chosen, so `nullspace` returns the canonical kernel basis read off
+it: one vector per free column, with support on that column and on the
+pivot columns before it.  A system with no rows has the whole space as
+kernel and the zero solution; the column count is then passed explicitly.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
+Row = Dict[int, Fraction]
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -51,10 +65,6 @@ def mat_scale(A: Matrix, c: Fraction) -> Matrix:
     return [[c * x for x in row] for row in A]
 
 
-def mat_vec(A: Matrix, v: Vector) -> Vector:
-    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A]
-
-
 def mat_pow(A: Matrix, k: int) -> Matrix:
     n = len(A)
     out = identity(n)
@@ -76,67 +86,163 @@ def trace(A: Matrix) -> Fraction:
     return sum((A[i][i] for i in range(len(A))), Fraction(0))
 
 
-def rref(A: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    M = [row[:] for row in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
+def _sparse_rows(A: Sequence[Union[Sequence, Row]]) -> List[Row]:
+    """The nonzero entries of each row, as a fresh {column: Fraction} dict."""
+    out = []
+    for row in A:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        out.append({c: Fraction(v) for c, v in items if v})
+    return out
+
+
+def _eliminate(rows: List[Row]) -> Tuple[List[Row], List[int]]:
+    """Reduced row echelon form of sparse rows, which it consumes.
+
+    Returns the nonzero reduced rows, each with a 1 at its pivot, and their
+    pivot columns in increasing order.  Columns are taken in order; the
+    pivot for a column is the unused row with the fewest entries that has
+    one there, and it is cleared from the other unused rows.  Every unused
+    row thus stays zero on the columns already taken, and back substitution
+    then clears each pivot column above its pivot.
+    """
+    active: Dict[int, Row] = {}
+    holders: Dict[int, Set[int]] = {}  # column -> unused rows with an entry
+    for i, row in enumerate(rows):
+        if row:
+            active[i] = row
+            for c in row:
+                holders.setdefault(c, set()).add(i)
+    reduced: List[Row] = []
     pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = Fraction(1) / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+    for c in sorted(holders):
+        if not active:
             break
+        rows_at_c = holders.pop(c)
+        if not rows_at_c:
+            continue
+        p = min(rows_at_c, key=lambda i: (len(active[i]), i))
+        prow = active.pop(p)
+        inv = 1 / prow.pop(c)
+        for j, v in prow.items():
+            prow[j] = v * inv
+            holders[j].discard(p)
+        for i in rows_at_c:
+            if i == p:
+                continue
+            row = active[i]
+            f = row.pop(c)
+            for j, v in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * v
+                    holders[j].add(i)
+                else:
+                    x -= f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+            if not row:
+                del active[i]
+        reduced.append(prow)
+        pivots.append(c)
+    # reduced[k] holds no pivot column of an earlier row; clear the later
+    # ones, last row first, so every row subtracted is already reduced
+    at = {c: k for k, c in enumerate(pivots)}
+    for k in range(len(reduced) - 1, -1, -1):
+        row = reduced[k]
+        for c in [c for c in row if c in at]:
+            f = row[c]
+            for j, v in reduced[at[c]].items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        row[pivots[k]] = Fraction(1)
+    return reduced, pivots
+
+
+def _width(A: Sequence, cols: Optional[int]) -> int:
+    if cols is not None:
+        return cols
+    if not A or isinstance(A[0], dict):
+        raise ValueError("the column count of an empty or sparse system "
+                         "must be given")
+    return len(A[0])
+
+
+def rref(A: Matrix) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form and pivot column indices.
+
+    The result has the rows of A: the reduced rows, then zero rows.
+    """
+    cols = len(A[0]) if A else 0
+    reduced, pivots = _eliminate(_sparse_rows(A))
+    M = []
+    for row in reduced:
+        dense = [Fraction(0)] * cols
+        for j, v in row.items():
+            dense[j] = v
+        M.append(dense)
+    M.extend([Fraction(0)] * cols for _ in range(len(A) - len(reduced)))
     return M, pivots
 
 
-def rank(A: Matrix) -> int:
-    if not A:
-        return 0
-    return len(rref(A)[1])
+def rank(A: Sequence[Union[Sequence, Row]]) -> int:
+    return len(_eliminate(_sparse_rows(A))[1])
 
 
-def nullspace(A: Matrix) -> List[Vector]:
-    """Canonical kernel basis: one vector per free column, unit at the free
-    column, read off the rref."""
-    if not A:
-        return []
-    R, pivots = rref(A)
-    cols = len(A[0])
-    free = [c for c in range(cols) if c not in pivots]
+def nullspace(A: Sequence[Union[Sequence, Row]],
+              cols: Optional[int] = None) -> List[Vector]:
+    """Canonical kernel basis of A, whose rows are dense or sparse.
+
+    One vector per free column of the reduced form, in column order: 1 at
+    the free column, minus that column's reduced entries at the pivot
+    columns, 0 elsewhere.  A system with no rows has the identity basis;
+    `cols` is needed for it and for sparse rows.
+    """
+    cols = _width(A, cols)
+    reduced, pivots = _eliminate(_sparse_rows(A))
+    above: Dict[int, List[Tuple[int, Fraction]]] = {}
+    for row, pc in zip(reduced, pivots):
+        for j, v in row.items():
+            if j != pc:
+                above.setdefault(j, []).append((pc, v))
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
+        for pc, x in above.get(fc, ()):
+            v[pc] = -x
         basis.append(v)
     return basis
 
 
-def solve(A: Matrix, b: Vector) -> Optional[Vector]:
-    """One solution of A x = b, or None."""
-    if not A:
-        return None
-    aug = [row[:] + [bv] for row, bv in zip(A, b)]
-    R, pivots = rref(aug)
-    cols = len(A[0])
-    if cols in pivots:
+def solve(A: Sequence[Union[Sequence, Row]], b: Sequence,
+          cols: Optional[int] = None) -> Optional[Vector]:
+    """One solution of A x = b, or None when there is none.
+
+    Free variables are 0.  A system with no rows has the zero solution;
+    `cols` is needed for it and for sparse rows.
+    """
+    cols = _width(A, cols)
+    if len(b) != len(A):
+        raise ValueError("right-hand side does not match the rows")
+    rows = _sparse_rows(A)
+    for row, bv in zip(rows, b):
+        if bv:
+            row[cols] = Fraction(bv)
+    reduced, pivots = _eliminate(rows)
+    if pivots and pivots[-1] == cols:
         return None
     x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][cols]
+    for row, pc in zip(reduced, pivots):
+        x[pc] = row.get(cols, Fraction(0))
     return x
 
 
@@ -161,12 +267,17 @@ def det(A: Matrix) -> Fraction:
 
 
 def inverse(A: Matrix) -> Matrix:
+    """The inverse of a square matrix; ValueError when it is singular."""
     n = len(A)
-    aug = [row[:] + list(identity(n)[i]) for i, row in enumerate(A)]
-    R, pivots = rref(aug)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix is not square")
+    rows = _sparse_rows(A)
+    for i, row in enumerate(rows):
+        row[n + i] = Fraction(1)
+    reduced, pivots = _eliminate(rows)
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in R]
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in reduced]
 
 
 def charpoly(A: Matrix) -> List[Fraction]:
@@ -187,7 +298,4 @@ def charpoly(A: Matrix) -> List[Fraction]:
 
 def row_space_contains(rows: Sequence[Vector], v: Vector) -> bool:
     """Is v in the Q-span of the given rows?"""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return all(x == 0 for x in v)
-    return rank(rows) == rank(rows + [list(v)])
+    return rank(rows) == rank(list(rows) + [v])

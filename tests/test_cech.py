@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logvf.errors import (HasConstantPart, NotFree, PreconditionViolated,
                           ProductInput)
@@ -220,3 +223,74 @@ def test_basis_fields_act_by_their_trace_on_top():
     # the Euler field itself lies in the module and acts by minus its trace
     chi = VectorField([Polynomial.variable(V4, i) for i in range(4)])
     assert d1_apply([chi], top) == [top.scale(-4)]
+
+
+# -- the sparse box search against a dense reference kernel ------------------------
+
+
+def _dense_kernel_witness(basis, bound):
+    """The witness of d1_kernel_search, from a dense box matrix and dense
+    Gauss-Jordan: the first canonical kernel vector, scaled by its lead."""
+    varnames = basis[0].vars
+    box = sorted(itertools.product(range(-bound, 0), repeat=len(varnames)))
+    keys = sorted({(i, e)
+                   for mono in box for i, delta in enumerate(basis)
+                   for e in cech_project(delta.apply(
+                       Polynomial({mono: Fraction(1)}, varnames))).terms})
+    M = [[Fraction(0)] * len(box) for _ in keys]
+    row = {k: r for r, k in enumerate(keys)}
+    for j, mono in enumerate(box):
+        for i, delta in enumerate(basis):
+            img = cech_project(delta.apply(
+                Polynomial({mono: Fraction(1)}, varnames)))
+            for e, v in img.terms.items():
+                M[row[(i, e)]][j] = v
+    pivots = []
+    r = 0
+    for c in range(len(box)):
+        p = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        M[r] = [x / M[r][c] for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    free = next((c for c in range(len(box)) if c not in pivots), None)
+    if free is None:
+        return None
+    vec = [Fraction(0)] * len(box)
+    vec[free] = Fraction(1)
+    for k, pc in enumerate(pivots):
+        vec[pc] = -M[k][free]
+    lead = next(v for v in vec if v != 0)
+    return CechClass({box[j]: v / lead for j, v in enumerate(vec) if v},
+                     varnames)
+
+
+LINEAR_COEFF = st.integers(-3, 3)
+LINEAR_FIELDS = st.lists(
+    st.tuples(*[LINEAR_COEFF] * 4).map(lambda a: VectorField(
+        [X * a[0] + Y * a[1], X * a[2] + Y * a[3]])),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(LINEAR_FIELDS, st.integers(1, 4))
+def test_kernel_search_matches_dense_reference(basis, bound):
+    assert d1_kernel_search(basis, bound) == _dense_kernel_witness(basis, bound)
+
+
+def test_kernel_search_witness_with_several_terms():
+    # the rotation -y d/dx + x d/dy sends 1/(x y^3) to 1/(x y)^2 and
+    # 1/(x^3 y) to -1/(x y)^2, the rest of each image leaves the tail
+    rotation = [VectorField([Y * (-1), X])]
+    w = d1_kernel_search(rotation, 3)
+    assert w == _dense_kernel_witness(rotation, 3)
+    assert w == cls({(-3, -1): 1, (-1, -3): 1})
+    skew = [VectorField([X * (-2) + Y * (-2), X * (-1) + Y * 2])]
+    assert d1_kernel_search(skew, 3) == cls(
+        {(-3, -1): 1, (-2, -2): -1, (-1, -3): Fraction(-1, 2)})

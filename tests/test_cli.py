@@ -179,6 +179,19 @@ def test_cech_subcommand(capsys):
     assert data["bound"] == 3
 
 
+def test_cech_quartic_bound_5(capsys):
+    # the corpus quartic's box at bound 5 is a 3025 x 625 kernel system
+    # with 4209 nonzero entries
+    quartic = ("3*x2^2*x3^2 - 6*x1*x3^3 - 8*x2^3*x4 + 18*x1*x2*x3*x4"
+               " - 9*x1^2*x4^2")
+    code, out, _ = run(capsys, "cech", "--vars", "x1,x2,x3,x4",
+                       "--poly", quartic, "--witness-bound", "5", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["witness"] is None
+    assert data["bound"] == 5
+
+
 def test_corpus_passes(capsys):
     code, out, _ = run(capsys, "corpus", "--dir", "corpus")
     assert code == 0

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from logvf.linalg import (
     charpoly,
     det,
@@ -54,3 +58,165 @@ def test_row_space_contains():
     rows = [mat([[1, 1, 1, 1]])[0], mat([[3, 1, -1, -3]])[0]]
     assert row_space_contains(rows, mat([[4, 2, 0, -2]])[0])
     assert not row_space_contains(rows, mat([[1, 0, 0, 0]])[0])
+
+
+# -- properties: the sparse core against dense Gauss-Jordan ---------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+ENTRIES = st.one_of(st.integers(-5, 5),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=7))
+
+
+def _reference_rref(A):
+    """Dense Gauss-Jordan: the first row with an entry is the pivot."""
+    M = [[Fraction(x) for x in row] for row in A]
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        inv = Fraction(1) / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return M, pivots
+
+
+def _reference_nullspace(A, cols):
+    R, pivots = _reference_rref(A)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _reference_solve(A, b, cols):
+    R, pivots = _reference_rref([list(row) + [bv] for row, bv in zip(A, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][cols]
+    return x
+
+
+@st.composite
+def matrices(draw, min_rows=0, max_rows=7, max_cols=7, square=False):
+    """Sparse or dense matrices, with zero rows and repeated rows."""
+    rows = draw(st.integers(min_rows, max_rows))
+    cols = rows if square else draw(st.integers(1, max_cols))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    cell = st.one_of(st.just(0), ENTRIES) if density < 1 else ENTRIES
+    A = []
+    for _ in range(rows):
+        if draw(st.floats(0, 1)) < 0.1:
+            A.append([0] * cols)
+        elif A and draw(st.floats(0, 1)) < 0.15:
+            A.append(list(draw(st.sampled_from(A))))
+        else:
+            A.append([draw(cell) if draw(st.floats(0, 1)) < density else 0
+                      for _ in range(cols)])
+    return A, cols
+
+
+def _sparse(A):
+    return [{c: v for c, v in enumerate(row) if v} for row in A]
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_and_rank_match_reference(case):
+    A, _ = case
+    assert rref(A) == _reference_rref(A)
+    assert rank(A) == len(_reference_rref(A)[1]) == rank(_sparse(A))
+
+
+@PROPERTY
+@given(matrices())
+def test_nullspace_matches_reference(case):
+    A, cols = case
+    expected = _reference_nullspace(A, cols)
+    assert nullspace(A, cols) == expected
+    assert nullspace(_sparse(A), cols) == expected
+    if A:
+        assert nullspace(A) == expected
+
+
+@PROPERTY
+@given(matrices(min_rows=1), st.data())
+def test_solve_matches_reference(case, data):
+    A, cols = case
+    b = data.draw(st.lists(ENTRIES, min_size=len(A), max_size=len(A)))
+    if data.draw(st.booleans()):
+        # a consistent right-hand side: A times a drawn vector
+        x = data.draw(st.lists(ENTRIES, min_size=cols, max_size=cols))
+        b = [sum(Fraction(a) * v for a, v in zip(row, x)) for row in A]
+    expected = _reference_solve(A, b, cols)
+    assert solve(A, b) == expected
+    assert solve(_sparse(A), b, cols) == expected
+
+
+@PROPERTY
+@given(matrices(min_rows=1, max_rows=6, square=True))
+def test_inverse_matches_reference(case):
+    A, n = case
+    R, pivots = _reference_rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)])
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError):
+            inverse(A)
+    else:
+        assert inverse(A) == [row[n:] for row in R]
+
+
+def test_empty_system_has_the_whole_space():
+    identity3 = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert nullspace([], 3) == identity3
+    assert nullspace([[0, 0, 0]]) == identity3
+    assert nullspace([{}, {}], 3) == identity3
+    assert solve([], [], 2) == [0, 0]
+    assert solve([[0, 0]], [0]) == [0, 0]
+    assert rank([]) == 0
+    assert rref([]) == ([], [])
+    assert inverse([]) == []
+    assert row_space_contains([], [0, 0])
+    assert not row_space_contains([], [0, 1])
+    with pytest.raises(ValueError):
+        nullspace([])
+
+
+def test_inconsistent_solve_and_singular_inverse():
+    assert solve([[0, 0]], [1]) is None
+    assert solve([], [], 0) == []
+    assert solve([[1, 2], [2, 4]], [1, 3]) is None
+    assert solve([{0: 1, 1: 2}, {0: 2, 1: 4}], [1, 3], 2) is None
+    with pytest.raises(ValueError):
+        inverse(mat([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError):
+        inverse(mat([[0, 0], [0, 0]]))
+
+
+def test_sparse_rows_tall_system():
+    # 300 rows over 40 columns, two entries a row: each column i is tied
+    # to i + 1, so the kernel is one vector
+    rows = [{i % 40: Fraction(1), (i + 1) % 40: Fraction(-1)}
+            for i in range(300)]
+    assert rank(rows) == 39
+    assert nullspace(rows, 40) == [[Fraction(1)] * 40]
