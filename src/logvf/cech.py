@@ -9,7 +9,7 @@ an empty kernel inside the searched box proves nothing.
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (CertificateFailure, HasConstantPart, NotFree,
                      NotLogarithmic, PreconditionViolated, ProductInput,
@@ -17,7 +17,7 @@ from .errors import (CertificateFailure, HasConstantPart, NotFree,
 from .poly import Polynomial, as_poly
 from .vfield import VectorField
 from .linalg import nullspace
-from .derlog import derlog_generators, is_product, minimalize, saito_free_check
+from .derlog import Germ, as_germ, saito_free_check
 
 
 class CechClass:
@@ -177,7 +177,8 @@ def d1_kernel_search(basis: Sequence[VectorField],
     return witness
 
 
-def lct_obstruction_witness(f: Polynomial, basis: Sequence[VectorField],
+def lct_obstruction_witness(f: Union[Germ, Polynomial],
+                            basis: Sequence[VectorField],
                             bound: int = 3) -> Optional[CechClass]:
     """Witness search gated by a freeness certificate for the basis.
 
@@ -185,16 +186,16 @@ def lct_obstruction_witness(f: Polynomial, basis: Sequence[VectorField],
     ProductInput when f splits off a smooth factor; a None answer only
     covers the searched box.
     """
-    n = len(f.vars)
+    germ = as_germ(f)
+    n = len(germ.f.vars)
     if len(basis) != n:
         raise NotFree(f"a free basis for {n} variables needs {n} fields")
     try:
-        check = saito_free_check(list(basis), f)
+        check = saito_free_check(list(basis), germ)
     except NotLogarithmic as err:
         raise NotFree(str(err))
     if not check.free:
         raise NotFree("determinant of the basis is not a unit times f")
-    prod, _ = is_product(minimalize(derlog_generators(f)))
-    if prod:
+    if germ.product[0]:
         raise ProductInput("f splits off a smooth factor")
     return d1_kernel_search(basis, bound)

@@ -8,16 +8,14 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .errors import CertificateFailure, LogvfError
 from .poly import Polynomial, poly_parse
-from .vfield import vf_to_str
-from .derlog import (derlog_generators, euler_check, minimalize,
-                     saito_free_check, strong_euler_check)
-from .liealg import center_dimension, is_solvable, truncated_lie_algebra
-from .normalform import (default_truncation, factor_structure,
-                         formal_structure)
+from .derlog import Germ, euler_check, strong_euler_check
+# unused; kept for perfbench's test_tracer_rebinds_everywhere_and_restores
+from .derlog import derlog_generators  # noqa: F401
+from .normalform import factor_structure, formal_structure
 from .cech import lct_obstruction_witness
 from . import report as rp
 
@@ -74,31 +72,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_poly(args) -> Polynomial:
-    varnames = tuple(v.strip() for v in args.vars.split(","))
-    if any(not v for v in varnames) or len(set(varnames)) != len(varnames):
-        raise LogvfError(f"bad variable list {args.vars!r}")
+def _read_input(args) -> Tuple[Polynomial, Optional[List[Polynomial]]]:
+    """f and, for the subcommands that take --factors, the parsed factors:
+    a bad input exits 2 before any stage runs."""
+    varnames = rp.parse_vars(args.vars)
     if args.poly is not None:
         text = args.poly
     else:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return poly_parse(text, varnames)
+    f = poly_parse(text, varnames)
+    listed = getattr(args, "factors", None)
+    factors = ([poly_parse(t, f.vars) for t in listed.split(";")]
+               if listed else None)
+    return f, factors
 
 
-def _emit(payload: dict, as_json: bool, text: Optional[str] = None) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        print(text if text is not None else
-              json.dumps(payload, indent=2, sort_keys=False))
+def _emit(payload: dict, as_json: bool, text: str) -> None:
+    print(json.dumps(payload, indent=2) if as_json else text)
 
 
 def _cmd_analyze(args) -> int:
-    f = _read_poly(args)
-    factors = None
-    if args.factors:
-        factors = [poly_parse(t, f.vars) for t in args.factors.split(";")]
+    f, factors = _read_input(args)
     result = rp.analyze(f, trunc=args.trunc,
                         witness_bound=args.witness_bound, factors=factors)
     _emit(result, args.json, rp.render_text(result))
@@ -138,161 +133,103 @@ def _cmd_corpus(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_derlog(args) -> int:
-    f = _read_poly(args)
-    module = minimalize(derlog_generators(f))
-    payload = {
-        "schema": rp.SCHEMA,
-        "f": str(f),
-        "generators": [vf_to_str(g) for g in module.fields],
-        "cofactors": [str(c) for c in module.cofactors],
-    }
-    lines = [f"f = {f}"]
-    for g, c in zip(module.fields, module.cofactors):
-        lines.append(f"  {vf_to_str(g)}   cofactor {c}")
-    _emit(payload, args.json, "\n".join(lines))
-    return 0
+def _derlog(germ: Germ, args, factors):
+    block = rp.derlog_block(germ)
+    lines = [f"f = {germ.f}"] + [
+        f"  {g}   cofactor {c}"
+        for g, c in zip(block["generators"], block["cofactors"])]
+    return block, "\n".join(lines)
 
 
-def _cmd_free(args) -> int:
-    f = _read_poly(args)
-    module = minimalize(derlog_generators(f))
-    try:
-        check = saito_free_check(list(module.fields), f)
-        payload = {
-            "schema": rp.SCHEMA, "f": str(f), "free": check.free,
-            "determinant": str(check.determinant),
-            "unit_value": (rp.frac_str(check.unit_value_at_0)
-                           if check.unit_value_at_0 is not None else None),
-        }
-        text = (f"free: {check.free}\ndeterminant = {check.determinant}\n"
-                f"unit value at 0: {payload['unit_value']}")
-    except LogvfError as err:
-        if isinstance(err, CertificateFailure):
-            raise
-        payload = {"schema": rp.SCHEMA, "f": str(f), "free": False,
-                   "error": type(err).__name__, "detail": str(err)}
-        text = f"free: False ({type(err).__name__}: {err})"
-    _emit(payload, args.json, text)
-    return 0
+def _free(germ: Germ, args, factors):
+    block = rp.free_block(germ)
+    return block, (f"free: {block['free']}\n"
+                   f"determinant = {block['determinant']}\n"
+                   f"unit value at 0: {block['unit_value']}")
 
 
-def _cmd_euler(args) -> int:
-    f = _read_poly(args)
-    plain = euler_check(f)
-    strong = strong_euler_check(f)
-
-    def block(check):
-        return {"homogeneous": check.homogeneous,
-                "field": vf_to_str(check.field) if check.field else None,
-                "exact": check.exact}
-
-    payload = {"schema": rp.SCHEMA, "f": str(f), "euler": block(plain),
-               "strong_euler": block(strong)}
-    text = (f"euler: {plain.homogeneous}"
-            f" (field {payload['euler']['field']})\n"
-            f"strong euler: {strong.homogeneous}"
-            f" (field {payload['strong_euler']['field']})")
-    _emit(payload, args.json, text)
-    return 0
+def _euler(germ: Germ, args, factors):
+    plain = rp.euler_block(germ, euler_check)
+    strong = rp.euler_block(germ, strong_euler_check)
+    return ({"euler": plain, "strong_euler": strong},
+            f"euler: {plain['homogeneous']} (field {plain['field']})\n"
+            f"strong euler: {strong['homogeneous']}"
+            f" (field {strong['field']})")
 
 
-def _cmd_lie(args) -> int:
-    f = _read_poly(args)
-    module = minimalize(derlog_generators(f))
-    try:
-        pres = truncated_lie_algebra(module, args.trunc)
-        solvable, series = is_solvable(pres)
-        payload = {
-            "schema": rp.SCHEMA, "f": str(f), "trunc": args.trunc,
-            "dimension": pres.dimension, "solvable": solvable,
-            "derived_series": series,
-            "center_dimension": center_dimension(pres),
-            "linear_part_faithful": pres.linear_part_faithful,
-        }
-        text = (f"D_{args.trunc} dimension {pres.dimension}, "
-                f"solvable: {solvable}, derived series {series}, "
-                f"center dimension {payload['center_dimension']}")
-    except LogvfError as err:
-        if isinstance(err, CertificateFailure):
-            raise
-        payload = {"schema": rp.SCHEMA, "f": str(f),
-                   "error": type(err).__name__, "detail": str(err)}
-        text = f"lie: {type(err).__name__}: {err}"
-    _emit(payload, args.json, text)
-    return 0
+def _lie(germ: Germ, args, factors):
+    block = {"trunc": args.trunc, **rp.lie_block(germ, args.trunc)}
+    return block, (f"D_{args.trunc} dimension {block['dimension']}, "
+                   f"solvable: {block['solvable']}, "
+                   f"derived series {block['derived_series']}, "
+                   f"center dimension {block['center_dimension']}")
 
 
-def _cmd_normalize(args) -> int:
-    f = _read_poly(args)
-    trunc = args.trunc if args.trunc is not None else default_truncation(f)
-    try:
-        fs = formal_structure(f, trunc)
-        payload = {"schema": rp.SCHEMA, "f": str(f)}
-        payload.update(rp.formal_summary(fs, f))
-        lines = [f"f = {f}  (truncation {trunc})",
-                 f"s = {fs.s}, r = {fs.r}, stabilized: {fs.stabilized}"]
-        for i, row in enumerate(fs.weights):
-            lines.append(f"  weights[{i}] = ({', '.join(map(str, row))})"
-                         f"  degree {fs.degrees[i]}")
-        for i, row in enumerate(fs.eigentable):
-            lines.append(f"  eigentable[{i}] = ({', '.join(map(str, row))})")
-        lines.append(f"  unit = {payload['unit']}")
-        lines.append(f"  change = ({', '.join(payload['change'])})")
-        if payload.get("cor16") is not None:
-            lines.append(f"  corollary check: {payload['cor16']}")
-        if args.factors:
-            factors = [poly_parse(t, f.vars) for t in args.factors.split(";")]
-            fc = factor_structure(fs, f, factors)
-            payload["factors"] = rp.factor_summary(fc)
-            lines.append(f"  factor multiplicities: "
-                         f"{payload['factors']['multiplicities']}")
-        text = "\n".join(lines)
-    except LogvfError as err:
-        if isinstance(err, CertificateFailure):
-            raise
-        payload = {"schema": rp.SCHEMA, "f": str(f),
-                   "error": type(err).__name__, "detail": str(err)}
-        text = f"normalize: {type(err).__name__}: {err}"
-    _emit(payload, args.json, text)
-    return 0
+def _normalize(germ: Germ, args, factors):
+    fs = formal_structure(germ, args.trunc)
+    block = rp.formal_summary(fs, germ.f)
+    lines = [f"f = {germ.f}  (truncation {fs.trunc})",
+             f"s = {fs.s}, r = {fs.r}, stabilized: {fs.stabilized}"]
+    for i, row in enumerate(block["weights"]):
+        lines.append(f"  weights[{i}] = ({', '.join(row)})"
+                     f"  degree {block['degrees'][i]}")
+    for i, row in enumerate(block["eigentable"]):
+        lines.append(f"  eigentable[{i}] = ({', '.join(row)})")
+    lines.append(f"  unit = {block['unit']}")
+    lines.append(f"  change = ({', '.join(block['change'])})")
+    if block["cor16"] is not None:
+        lines.append(f"  corollary check: {block['cor16']}")
+    if factors:
+        block["factors"] = rp.factor_summary(
+            factor_structure(fs, germ.f, factors))
+        lines.append(f"  factor multiplicities: "
+                     f"{block['factors']['multiplicities']}")
+    return block, "\n".join(lines)
 
 
-def _cmd_cech(args) -> int:
-    f = _read_poly(args)
-    module = minimalize(derlog_generators(f))
-    try:
-        witness = lct_obstruction_witness(f, list(module.fields),
-                                          args.witness_bound)
-        payload = {
-            "schema": rp.SCHEMA, "f": str(f), "bound": args.witness_bound,
-            "witness": witness.to_json() if witness is not None else None,
-        }
-        if witness is None:
-            text = (f"no kernel witness within bound {args.witness_bound} "
-                    "(proves nothing about the comparison theorem)")
-        else:
-            text = f"witness: {witness} (necessary condition fails)"
-    except LogvfError as err:
-        if isinstance(err, CertificateFailure):
-            raise
-        payload = {"schema": rp.SCHEMA, "f": str(f),
-                   "error": type(err).__name__, "detail": str(err)}
-        text = f"cech: {type(err).__name__}: {err}"
-    _emit(payload, args.json, text)
-    return 0
+def _cech(germ: Germ, args, factors):
+    witness = lct_obstruction_witness(germ, list(germ.module.fields),
+                                      args.witness_bound)
+    block = {"bound": args.witness_bound,
+             "witness": witness.to_json() if witness is not None else None}
+    if witness is None:
+        return block, (f"no kernel witness within bound {args.witness_bound} "
+                       "(proves nothing about the comparison theorem)")
+    return block, f"witness: {witness} (necessary condition fails)"
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "corpus": _cmd_corpus,
-    "derlog": _cmd_derlog,
-    "free": _cmd_free,
-    "euler": _cmd_euler,
-    "lie": _cmd_lie,
-    "normalize": _cmd_normalize,
-    "cech": _cmd_cech,
+# question: its answer, (germ, args, factors) -> (JSON block, text), and the
+# text of a typed domain error embedded in its output; None: the error exits 2
+_QUESTIONS = {
+    "derlog": (_derlog, None),
+    "free": (_free, "free: False ({error}: {detail})"),
+    "euler": (_euler, None),
+    "lie": (_lie, "lie: {error}: {detail}"),
+    "normalize": (_normalize, "normalize: {error}: {detail}"),
+    "cech": (_cech, "cech: {error}: {detail}"),
 }
+
+
+def _cmd_question(args) -> int:
+    f, factors = _read_input(args)
+    answer, refusal = _QUESTIONS[args.command]
+    try:
+        block, text = answer(Germ(f), args, factors)
+    except CertificateFailure:
+        raise
+    except LogvfError as err:
+        if refusal is None:
+            raise
+        block = rp.error_block(err)
+        text = refusal.format(**block)
+        if args.command == "free":
+            block = {"free": False, **block}  # a refused basis is not free
+    _emit({"schema": rp.SCHEMA, "f": str(f), **block}, args.json, text)
+    return 0
+
+
+_COMMANDS = {"analyze": _cmd_analyze, "corpus": _cmd_corpus,
+             **{name: _cmd_question for name in _QUESTIONS}}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (CertificateFailure, NotAtOrigin, NotFree, NotLogarithmic,
                      PrecisionRequired, PreconditionViolated, WrongCount)
 from .linalg import nullspace
 from .orderings import OrderingSpec
 from .poly import Jet, Polynomial
-from .standard_bases import (default_precision, ideal_dimension, membership,
-                             standard_basis, syzygies)
+from .standard_bases import (StandardBasis, default_precision,
+                             ideal_dimension, membership, standard_basis,
+                             syzygies)
 from .vfield import VectorField, vf_to_str
 
 LOCAL = OrderingSpec.make("local-anti-graded")
@@ -127,6 +129,32 @@ def is_product(module: LogDerModule) -> Tuple[bool, Optional[VectorField]]:
     return False, None
 
 
+class Germ:
+    """The germ of f at the origin, with what the questions about it share,
+    each computed at most once, on first use.  The checks below take a Germ
+    wherever they take f."""
+
+    def __init__(self, f: Polynomial):
+        self.f = f
+
+    @cached_property
+    def module(self) -> LogDerModule:
+        """A minimal generating system of the logarithmic fields."""
+        return minimalize(derlog_generators(self.f))
+
+    @cached_property
+    def product(self) -> Tuple[bool, Optional[VectorField]]:
+        return is_product(self.module)
+
+    @cached_property
+    def local_basis(self) -> StandardBasis:
+        return standard_basis([self.f], LOCAL)
+
+
+def as_germ(f: Union[Germ, Polynomial]) -> Germ:
+    return f if isinstance(f, Germ) else Germ(f)
+
+
 def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Determinant by cofactor expansion, exact over the coefficients."""
     n = len(rows)
@@ -163,17 +191,20 @@ class SaitoCheck:
     unit_value_at_0: Optional[Fraction]
 
 
-def saito_free_check(fields: Sequence[VectorField], f: Polynomial,
+def saito_free_check(fields: Sequence[VectorField],
+                     f: Union[Germ, Polynomial],
                      precision: Optional[int] = None) -> SaitoCheck:
     """Do n logarithmic fields form a free basis of the module of f?
 
     Raises WrongCount unless exactly n fields are given and NotLogarithmic
     if any of them fails delta(f) in <f> at the origin.
     """
+    germ = as_germ(f)
+    f = germ.f
     n = len(f.vars)
     if len(fields) != n:
         raise WrongCount(f"need exactly {n} fields, got {len(fields)}")
-    fsb = standard_basis([f], LOCAL)
+    fsb = germ.local_basis
     for field in fields:
         applied = field.apply(f)
         if isinstance(applied, Jet):
@@ -337,17 +368,19 @@ def squarefree_check(f: Polynomial) -> Tuple[bool, int]:
     return d <= n - 2, d
 
 
-def koszul_free_check(fields: Sequence[VectorField], f: Polynomial) -> bool:
+def koszul_free_check(fields: Sequence[VectorField],
+                      f: Union[Germ, Polynomial]) -> bool:
     """Is f Koszul free with respect to the given basis fields?
 
     Requires the fields to be a free basis (NotFree otherwise).  The test
     computes the dimension of the zero set of the symbols sum a_ij xi_j in
     the 2n cotangent variables; Koszul freeness means dimension exactly n.
     """
-    check = saito_free_check(fields, f)
+    germ = as_germ(f)
+    check = saito_free_check(fields, germ)
     if not check.free:
         raise NotFree("the fields are not a free basis near the origin")
-    varnames = f.vars
+    varnames = germ.f.vars
     n = len(varnames)
     conames = []
     for v in varnames:

@@ -31,8 +31,7 @@ from .linalg import (inverse, is_zero_matrix, mat_pow, nullspace, solve,
 from .linalg import rref  # noqa: F401
 from .orderings import OrderingSpec
 from .standard_bases import membership, standard_basis
-from .derlog import (derlog_generators, diagonal_symmetry_space, is_product,
-                     minimalize)
+from .derlog import Germ, as_germ, diagonal_symmetry_space
 from .liealg import sn_decompose
 
 Coeff = Union[Polynomial, Jet]
@@ -768,7 +767,8 @@ def _kill_diagonal_part(comp: VectorField, W: WeightSystem,
     return out
 
 
-def formal_structure(f: Polynomial, trunc: Optional[int] = None) -> FormalStructure:
+def formal_structure(f: Union[Germ, Polynomial],
+                     trunc: Optional[int] = None) -> FormalStructure:
     """Iterated normalization of a defining equation and its log fields.
 
     Returns diagonal symmetry fields, nilpotent complements with their
@@ -776,6 +776,8 @@ def formal_structure(f: Polynomial, trunc: Optional[int] = None) -> FormalStruct
     flag telling whether the symmetry space stopped growing before the round
     cap.  All claims hold below the truncation degree.
     """
+    germ = as_germ(f)
+    f = germ.f
     if not isinstance(f, Polynomial):
         raise PreconditionViolated("polynomial input required")
     if f.is_zero():
@@ -785,9 +787,8 @@ def formal_structure(f: Polynomial, trunc: Optional[int] = None) -> FormalStruct
     d = default_truncation(f) if trunc is None else int(trunc)
     if d < 2:
         raise TruncationTooSmall("need truncation at least 2")
-    module = minimalize(derlog_generators(f))
-    flag, _ = is_product(module)
-    if flag:
+    module = germ.module
+    if germ.product[0]:
         raise ProductInput("split the smooth factor first")
     varnames = f.vars
     n = len(varnames)

@@ -1,12 +1,15 @@
 """Analysis pipeline and JSON-ready reports.
 
 A report is a plain dict of JSON-native values: rationals are strings like
-"3/4", fields and polynomials are their canonical text forms.  Stages that
-fail with a typed domain error embed {"error": name, "detail": ...} and the
-pipeline continues; certificate failures always propagate.
+"3/4", fields and polynomials are their canonical text forms.  Each stage
+maps a `derlog.Germ`, which builds the module of f once, to its JSON block;
+`analyze` runs the `STAGES` table in order through `_run_stage`, which
+embeds typed domain errors as {"error": name, "detail": ...} and lets
+certificate failures propagate.  The CLI subcommands call the same stages.
 """
 
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -14,12 +17,12 @@ from .errors import (CertificateFailure, LogvfError, NotFree, ProductInput,
                      WrongCount)
 from .poly import Polynomial, as_poly, poly_parse
 from .vfield import vf_to_str
-from .derlog import (derlog_generators, euler_check, is_product,
-                     koszul_free_check, minimalize, saito_free_check,
-                     squarefree_check, strong_euler_check)
+from .derlog import (Germ, as_germ, euler_check, koszul_free_check,
+                     saito_free_check, squarefree_check, strong_euler_check)
 from .liealg import center_dimension, is_solvable, truncated_lie_algebra
-from .normalform import (constant_field_split, default_truncation,
-                         factor_structure, formal_structure, verify_cor16)
+from .normalform import (FormalStructure, constant_field_split,
+                         default_truncation, factor_structure,
+                         formal_structure, verify_cor16)
 from .cech import lct_obstruction_witness
 
 SCHEMA = 1
@@ -29,22 +32,24 @@ def frac_str(q) -> str:
     return str(Fraction(q))
 
 
-def _run_stage(report: dict, timings: dict, name: str, fn):
-    """Run one stage, embedding typed domain errors, re-raising certificate
-    failures."""
+def error_block(err: LogvfError) -> dict:
+    return {"error": type(err).__name__, "detail": str(err)}
+
+
+def _run_stage(report: dict, timings: dict, name: str, fn) -> bool:
+    """Run one stage into report[name], embedding typed domain errors and
+    re-raising certificate failures; True when the stage answered."""
     t0 = time.perf_counter()
     try:
-        value = fn()
+        report[name] = fn()
+        answered = True
     except CertificateFailure:
         raise
     except LogvfError as err:
-        value = {"error": type(err).__name__, "detail": str(err)}
-        report[name] = value
-        timings[name] = round(time.perf_counter() - t0, 6)
-        return None
-    report[name] = value
+        report[name] = error_block(err)
+        answered = False
     timings[name] = round(time.perf_counter() - t0, 6)
-    return value
+    return answered
 
 
 def formal_summary(fs, f: Polynomial) -> dict:
@@ -76,149 +81,175 @@ def factor_summary(fc) -> dict:
     }
 
 
-def _euler_summary(check) -> dict:
+# -- stages -------------------------------------------------------------------
+
+
+def derlog_block(germ: Germ) -> dict:
+    return {"generators": [vf_to_str(g) for g in germ.module.fields],
+            "cofactors": [str(c) for c in germ.module.cofactors]}
+
+
+def free_block(germ: Germ) -> dict:
+    """Saito's test on the minimal generators; WrongCount unless there are
+    exactly n of them."""
+    check = saito_free_check(list(germ.module.fields), germ)
     return {
-        "homogeneous": check.homogeneous,
-        "field": vf_to_str(check.field) if check.field is not None else None,
-        "exact": check.exact,
+        "free": check.free,
+        "determinant": str(check.determinant),
+        "unit_value": (frac_str(check.unit_value_at_0)
+                       if check.unit_value_at_0 is not None else None),
     }
+
+
+def euler_block(germ: Germ, check) -> dict:
+    """The answer of euler_check or strong_euler_check for f."""
+    answer = check(germ.f)
+    return {
+        "homogeneous": answer.homogeneous,
+        "field": (vf_to_str(answer.field) if answer.field is not None
+                  else None),
+        "exact": answer.exact,
+    }
+
+
+def lie_block(germ: Germ, depth: int) -> dict:
+    pres = truncated_lie_algebra(germ.module, depth)
+    solvable, series = is_solvable(pres)
+    return {
+        "dimension": pres.dimension,
+        "solvable": solvable,
+        "derived_series": series,
+        "center_dimension": center_dimension(pres),
+        "linear_part_faithful": pres.linear_part_faithful,
+    }
+
+
+@dataclass
+class _Request:
+    """One analyze call: the germ, its parameters, and what a stage hands on
+    to a later one."""
+
+    germ: Germ
+    trunc: Optional[int]
+    witness_bound: int
+    factors: Optional[Sequence[Polynomial]]
+    target: Germ        # the germ with its smooth factors split off
+    dropped: List[str] = field(default_factory=list)
+    free: bool = False
+    fs: Optional[FormalStructure] = None    # formal structure of target
+
+
+def _product(rq: _Request) -> dict:
+    prod, wit = rq.germ.product
+    return {"is_product": prod,
+            "witness": vf_to_str(wit) if wit is not None else None}
+
+
+def _split(rq: _Request) -> dict:
+    """Peel exact smooth factors so the Lie and formal stages get a
+    polynomial they accept; without an exact split they see the product."""
+    while rq.target.product[0]:
+        split = constant_field_split(rq.target.f, rq.target.module.fields)
+        if split is None:
+            break
+        reduced, idx, _change = split
+        rq.dropped.append(rq.target.f.vars[idx])
+        rq.target = Germ(reduced)
+    return {"performed": bool(rq.dropped), "dropped": rq.dropped,
+            "reduced": str(rq.target.f) if rq.dropped else None}
+
+
+def _free(rq: _Request) -> dict:
+    try:
+        block = free_block(rq.germ)
+    except WrongCount:
+        return {"free": False, "determinant": None, "unit_value": None,
+                "reason": f"{len(rq.germ.module.fields)} minimal generators"}
+    rq.free = block["free"]
+    return block
+
+
+def _koszul(rq: _Request) -> Optional[bool]:
+    if not rq.free:
+        return None
+    return koszul_free_check(list(rq.germ.module.fields), rq.germ)
+
+
+def _formal(rq: _Request) -> dict:
+    rq.fs = formal_structure(rq.target, rq.trunc)
+    return formal_summary(rq.fs, rq.target.f)
+
+
+def _factors(rq: _Request) -> dict:
+    if rq.dropped:
+        raise ProductInput("factor analysis needs a non-product f")
+    if rq.fs is None:
+        raise ProductInput("no formal structure to scale factors by")
+    return factor_summary(factor_structure(rq.fs, rq.germ.f,
+                                           list(rq.factors)))
+
+
+def _cech(rq: _Request) -> dict:
+    witness = lct_obstruction_witness(rq.germ, list(rq.germ.module.fields),
+                                      rq.witness_bound)
+    return {"witness": witness.to_json() if witness is not None else None,
+            "bound": rq.witness_bound,
+            "note": ("a witness refutes the comparison-theorem necessary "
+                     "condition; none found only covers the searched box")}
+
+
+# The stages of analyze in report order: name, block function of the
+# request, and what a typed domain error in it does: "embed" it and go on,
+# "stop" the report after embedding it, or "raise" it to the caller.
+STAGES = (
+    ("squarefree", lambda rq: squarefree_check(rq.germ.f)[0], "embed"),
+    ("derlog", lambda rq: derlog_block(rq.germ), "stop"),
+    ("product", _product, "embed"),
+    ("split", _split, "raise"),
+    ("free", _free, "embed"),
+    ("euler", lambda rq: euler_block(rq.germ, euler_check), "embed"),
+    ("strong_euler", lambda rq: euler_block(rq.germ, strong_euler_check),
+     "embed"),
+    ("koszul", _koszul, "embed"),
+    ("lie", lambda rq: lie_block(rq.target, 1), "embed"),
+    ("formal", _formal, "embed"),
+    ("factors", _factors, "embed"),
+    ("cech", _cech, "embed"),
+)
 
 
 def analyze(f: Polynomial, trunc: Optional[int] = None,
             witness_bound: int = 3,
             factors: Optional[Sequence[Polynomial]] = None) -> dict:
     """Full pipeline report for one polynomial."""
-    d = trunc if trunc is not None else default_truncation(f)
+    germ = as_germ(f)
+    rq = _Request(germ, trunc, witness_bound, factors, germ)
+    f = germ.f
     report: dict = {"schema": SCHEMA, "vars": list(f.vars), "f": str(f),
-                    "trunc": d}
+                    "trunc": trunc if trunc is not None
+                    else default_truncation(f)}
     timings: dict = {}
-
-    _run_stage(report, timings, "squarefree",
-               lambda: squarefree_check(f)[0])
-
-    def derlog_block():
-        module = minimalize(derlog_generators(f))
-        return module, {
-            "generators": [vf_to_str(g) for g in module.fields],
-            "cofactors": [str(c) for c in module.cofactors],
-        }
-
-    t0 = time.perf_counter()
-    module = None
-    try:
-        module, block = derlog_block()
-        report["derlog"] = block
-    except CertificateFailure:
-        raise
-    except LogvfError as err:
-        report["derlog"] = {"error": type(err).__name__, "detail": str(err)}
-    timings["derlog"] = round(time.perf_counter() - t0, 6)
-    if module is None:
-        report["timings"] = timings
-        return report
-
-    def product_block():
-        prod, wit = is_product(module)
-        return {"is_product": prod,
-                "witness": vf_to_str(wit) if wit is not None else None}
-
-    prod_info = _run_stage(report, timings, "product", product_block)
-    is_prod = bool(prod_info and prod_info.get("is_product"))
-
-    # peel exact smooth factors so the Lie and formal stages get a
-    # polynomial they accept; without an exact split they see the product
-    target_f, target_module = f, module
-    dropped: List[str] = []
-    prod_now = is_prod
-    while prod_now:
-        split = constant_field_split(target_f, target_module.fields)
-        if split is None:
+    for name, stage, on_error in STAGES:
+        if name == "factors" and not factors:
+            continue
+        if on_error == "raise":
+            report[name] = stage(rq)
+        elif (not _run_stage(report, timings, name, lambda: stage(rq))
+              and on_error == "stop"):
             break
-        reduced, idx, _change = split
-        dropped.append(target_f.vars[idx])
-        target_f = reduced
-        target_module = minimalize(derlog_generators(target_f))
-        prod_now = is_product(target_module)[0]
-    report["split"] = {"performed": bool(dropped), "dropped": dropped,
-                       "reduced": str(target_f) if dropped else None}
-
-    def free_block():
-        try:
-            check = saito_free_check(list(module.fields), f)
-        except WrongCount:
-            return {"free": False, "determinant": None, "unit_value": None,
-                    "reason": f"{len(module.fields)} minimal generators"}
-        return {
-            "free": check.free,
-            "determinant": str(check.determinant),
-            "unit_value": (frac_str(check.unit_value_at_0)
-                           if check.unit_value_at_0 is not None else None),
-        }
-
-    free_info = _run_stage(report, timings, "free", free_block)
-    is_free = bool(free_info and free_info.get("free"))
-
-    _run_stage(report, timings, "euler", lambda: _euler_summary(euler_check(f)))
-    _run_stage(report, timings, "strong_euler",
-               lambda: _euler_summary(strong_euler_check(f)))
-
-    if is_free:
-        _run_stage(report, timings, "koszul",
-                   lambda: koszul_free_check(list(module.fields), f))
-    else:
-        report["koszul"] = None
-
-    def lie_block():
-        pres = truncated_lie_algebra(target_module, 1)
-        solvable, series = is_solvable(pres)
-        return {
-            "dimension": pres.dimension,
-            "solvable": solvable,
-            "derived_series": series,
-            "center_dimension": center_dimension(pres),
-            "linear_part_faithful": pres.linear_part_faithful,
-        }
-
-    _run_stage(report, timings, "lie", lie_block)
-
-    formal_holder = {}
-
-    def formal_block():
-        fs = formal_structure(target_f, trunc if trunc is not None
-                              else default_truncation(target_f))
-        formal_holder["fs"] = fs
-        return formal_summary(fs, target_f)
-
-    _run_stage(report, timings, "formal", formal_block)
-
-    if factors:
-        def factors_block():
-            if dropped:
-                raise ProductInput("factor analysis needs a non-product f")
-            fs = formal_holder.get("fs")
-            if fs is None:
-                raise ProductInput("no formal structure to scale factors by")
-            return factor_summary(factor_structure(fs, f, list(factors)))
-
-        _run_stage(report, timings, "factors", factors_block)
-
-    def cech_block():
-        witness = lct_obstruction_witness(f, list(module.fields),
-                                          witness_bound)
-        return {
-            "witness": witness.to_json() if witness is not None else None,
-            "bound": witness_bound,
-            "note": ("a witness refutes the comparison-theorem necessary "
-                     "condition; none found only covers the searched box"),
-        }
-
-    _run_stage(report, timings, "cech", cech_block)
-
     report["timings"] = timings
     return report
 
 
-# -- corpus files -----------------------------------------------------------
+# -- input and corpus files ------------------------------------------------
+
+
+def parse_vars(text: str) -> Tuple[str, ...]:
+    """Comma-separated variable names, each non-empty and none repeated."""
+    varnames = tuple(v.strip() for v in text.split(","))
+    if any(not v for v in varnames) or len(set(varnames)) != len(varnames):
+        raise LogvfError(f"bad variable list {text!r}")
+    return varnames
 
 
 def parse_div(text: str) -> Tuple[Tuple[str, ...], Polynomial, Dict[str, str]]:
@@ -227,9 +258,7 @@ def parse_div(text: str) -> Tuple[Tuple[str, ...], Polynomial, Dict[str, str]]:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise LogvfError("a .div file needs a variable line and a polynomial")
-    varnames = tuple(v.strip() for v in lines[0].split(","))
-    if any(not v for v in varnames):
-        raise LogvfError(f"bad variable line: {lines[0]!r}")
+    varnames = parse_vars(lines[0])
     f = poly_parse(lines[1], varnames)
     expect: Dict[str, str] = {}
     if len(lines) > 2:
@@ -324,9 +353,7 @@ def _fmt_block(name: str, block) -> List[str]:
 def render_text(report: dict) -> str:
     lines = [f"f = {report['f']}  over ({', '.join(report['vars'])})",
              f"truncation: {report['trunc']}"]
-    for name in ("squarefree", "derlog", "product", "split", "free", "euler",
-                 "strong_euler", "koszul", "lie", "formal", "factors",
-                 "cech"):
+    for name, _stage, _on_error in STAGES:
         if name in report:
             lines.extend(_fmt_block(name, report[name]))
     timings = report.get("timings", {})

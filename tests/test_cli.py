@@ -1,11 +1,16 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+import logvf.derlog as derlog
 from logvf.cli import main
 from logvf.errors import CertificateFailure, LogvfError
 from logvf.poly import poly_parse
 from logvf import report as rp
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def run(capsys, *argv):
@@ -239,3 +244,90 @@ def test_render_text_mentions_stages():
     for token in ("squarefree", "derlog", "free", "euler", "lie", "formal",
                   "cech", "total time"):
         assert token in text
+
+
+def test_bad_factor_exits_2_in_both_subcommands(capsys):
+    for command in ("analyze", "normalize"):
+        code, out, err = run(capsys, command, "--vars", "x,y",
+                             "--poly", "x^2+y^3", "--factors", "x;q")
+        assert code == 2, command
+        assert out == ""
+        assert "input error" in err
+
+
+@pytest.mark.parametrize("line", ["x,x", "x,,y", "x, "])
+def test_one_variable_list_parser(line, tmp_path, capsys):
+    with pytest.raises(LogvfError):
+        rp.parse_vars(line)
+    with pytest.raises(LogvfError):
+        rp.parse_div(f"{line}\nx^2\n")
+    (tmp_path / "bad.div").write_text(f"{line}\nx^2\nfree=true\n")
+    code, _, err = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 2
+    assert "input error" in err
+    assert run(capsys, "derlog", "--vars", line, "--poly", "x")[0] == 2
+
+
+def _count_module_builds(monkeypatch):
+    """Wrap derlog_generators under every name the package binds it to."""
+    calls = []
+    original = derlog.derlog_generators
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("logvf")
+                and getattr(module, "derlog_generators", None) is original):
+            monkeypatch.setattr(module, "derlog_generators", counted)
+    return calls
+
+
+def test_module_is_built_once_per_request(monkeypatch, capsys):
+    calls = _count_module_builds(monkeypatch)
+    rp.analyze(poly_parse("x^2+y^3", ("x", "y")))
+    assert len(calls) == 1
+
+    del calls[:]
+    _, f, _ = rp.parse_div((CORPUS / "09_product_cusp.div").read_text())
+    report = rp.analyze(f)
+    assert report["split"]["performed"]
+    assert [str(g) for g in calls] == [str(f), report["split"]["reduced"]]
+
+    del calls[:]
+    assert run(capsys, "cech", "--vars", "x,y", "--poly", "x^2+y^3")[0] == 0
+    assert len(calls) == 1
+
+    del calls[:]
+    assert run(capsys, "euler", "--vars", "x,y", "--poly", "x^2+y^3")[0] == 0
+    assert calls == []
+
+
+def _cli_json(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.pop("schema") == 1
+    payload.pop("f")
+    return payload
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.div")),
+                         ids=lambda p: p.name)
+def test_cli_agrees_with_analyze_on_corpus(path, capsys):
+    varnames, f, _ = rp.parse_div(path.read_text())
+    report = rp.analyze(f)
+    args = ("--vars", ",".join(varnames), "--poly", str(f))
+    assert _cli_json(capsys, "derlog", *args) == report["derlog"]
+    assert _cli_json(capsys, "free", *args) == report["free"]
+    assert _cli_json(capsys, "euler", *args) == {
+        "euler": report["euler"], "strong_euler": report["strong_euler"]}
+    if not report["split"]["performed"]:
+        lie = _cli_json(capsys, "lie", *args, "--trunc", "1")
+        assert lie.pop("trunc", 1) == 1
+        assert lie == report["lie"]
+        assert _cli_json(capsys, "normalize", *args) == report["formal"]
+    cech = _cli_json(capsys, "cech", *args)
+    assert (cech.get("witness"), cech.get("bound")) == (
+        report["cech"].get("witness"), report["cech"].get("bound"))
+    assert cech.get("error") == report["cech"].get("error")
