@@ -347,9 +347,14 @@ def strong_euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerC
     return EulerCheck(True, field, False)
 
 
-def _require_origin(f: Polynomial) -> None:
+def require_nonzero(f: Polynomial) -> None:
+    """Refuse the zero polynomial, which defines no hypersurface."""
     if f.is_zero():
         raise PreconditionViolated("the zero polynomial defines no hypersurface")
+
+
+def _require_origin(f: Polynomial) -> None:
+    require_nonzero(f)
     if f.constant_term() != 0:
         raise NotAtOrigin("the hypersurface does not pass through the origin")
 

@@ -2,14 +2,21 @@
 
 Everything here works modulo a truncation order d: coordinate changes are
 polynomial maps stored together with an inverse that is valid below degree d,
-and every public operation re-verifies its own output (round trips compose to
-the identity, transformed fields satisfy the claimed resonance pattern, the
-final equation matches unit * f o change).  The driver `formal_structure`
-iterates three steps until the space of diagonal symmetries of the equation
-stops growing: normalize one candidate field so that it is homogeneous of
-degree zero for the weights of its own semisimple part, multiply the equation
-by a unit so that the candidate's cofactor becomes homogeneous of degree zero
-as well, and re-extract diagonal symmetries in the new coordinates.
+and every public operation re-verifies its own output (transformed fields
+satisfy the claimed resonance pattern, the final equation matches
+unit * f o change).  A coordinate change is certified once, where it is
+made (`CoordChange.make` checks both round trips) or returned (`reorder`,
+`pd_normalize`), and not after every composition: two changes that invert
+below their orders compose to one that inverts below the smaller order, by
+algebra alone.  So every change whose apply, unapply or push_field output
+feeds a result has been verified at the order it is used at.
+
+The driver `formal_structure` iterates three steps until the space of
+diagonal symmetries of the equation stops growing: normalize one candidate
+field so that it is homogeneous of degree zero for the weights of its own
+semisimple part, multiply the equation by a unit so that the candidate's
+cofactor becomes homogeneous of degree zero as well, and re-extract
+diagonal symmetries in the new coordinates.
 """
 
 from dataclasses import dataclass
@@ -52,7 +59,7 @@ def default_truncation(f: Polynomial) -> int:
 def _chop(p: Coeff, order: int) -> Polynomial:
     base = as_poly(p)
     terms = {e: c for e, c in base.terms.items() if sum(e) < order}
-    return Polynomial(terms, base.vars)
+    return Polynomial._of(terms, base.vars)
 
 
 def _chop_field(v: VectorField, order: int) -> VectorField:
@@ -88,7 +95,10 @@ class CoordChange:
     images[i] expresses the old coordinate x_i in the new coordinates, so
     substituting the images into the old equation gives the new one.
     inverse_images[i] expresses the new x_i in the old coordinates.  Both
-    directions compose to the identity below degree `order`.
+    directions compose to the identity below degree `order`.  `make` finds
+    the inverse by Newton's method and checks both round trips; `reorder`
+    checks them at its lower order; `then` composes two checked changes
+    without a check of its own, which algebra makes unnecessary.
 
     Power tables are cached per map: each change builds a PowerTable for
     its images and one for its inverse images on first use, and apply,
@@ -138,23 +148,24 @@ class CoordChange:
             Linv = inverse(L)
         except ValueError:
             raise PreconditionViolated("matrix is not invertible") from None
-        lin = [sum((Polynomial.variable(varnames, i) * L[j][i]
-                    for i in range(n)), Polynomial.zero(varnames))
-               for j in range(n)]
-        higher = [imgs[j] - lin[j] for j in range(n)]
-        inv = [sum((Polynomial.variable(varnames, j) * Linv[i][j]
-                    for j in range(n)), Polynomial.zero(varnames))
+        xs = [Polynomial.variable(varnames, i) for i in range(n)]
+        zero = Polynomial.zero(varnames)
+        # the inverse of the linear part is right below degree 2
+        inv = [sum((xs[j] * Linv[i][j] for j in range(n)), zero)
                for i in range(n)]
-        for _ in range(order):
-            table = PowerTable(inv, order)
-            hsub = [table.compose(h) for h in higher]
-            nxt = [sum(((Polynomial.variable(varnames, j) - hsub[j]) * Linv[i][j]
-                        for j in range(n)), Polynomial.zero(varnames))
-                   for i in range(n)]
-            nxt = [_chop(p, order) for p in nxt]
-            if nxt == inv:
-                break
-            inv = nxt
+        good = 2
+        while good < order:
+            # Newton step psi <- psi - Dpsi.(phi o psi - x): the residual lies
+            # in m^good and Dpsi is right below good - 1, so the new psi is
+            # right below 2*good - 1, and it is formed only below that
+            nxt = min(2 * good - 1, order)
+            table = PowerTable(inv, nxt)
+            res = [Jet(table.compose(_chop(p, nxt)) - x, nxt)
+                   for p, x in zip(imgs, xs)]
+            inv = [_chop(psi - as_poly(sum(
+                (Jet(psi.diff(k), nxt - good) * res[k] for k in range(n)),
+                Jet(zero, nxt))), nxt) for psi in inv]
+            good = nxt
         ch = cls(tuple(imgs), tuple(inv), order)
         ch._verify()
         return ch
@@ -210,18 +221,35 @@ class CoordChange:
                             for q in self.inverse_images])
 
     def then(self, nxt: "CoordChange") -> "CoordChange":
-        """First this change, then `nxt`, verified to order min(orders)."""
+        """First this change, then `nxt`, valid below min(orders).
+
+        Not re-verified: when both steps invert below their orders, the
+        images compose to phi o phi' and the inverses to psi' o psi, and
+        phi o (phi' o psi') o psi = phi o psi = x modulo m^min(orders)
+        because every map vanishes at the origin.  Whoever returns the
+        composite verifies it (see the module docstring).
+        """
         order = min(self.order, nxt.order)
         imgs = [_chop(nxt.apply(p), order) for p in self.images]
         inv = [_chop(self.unapply(q), order) for q in nxt.inverse_images]
-        ch = CoordChange(tuple(imgs), tuple(inv), order)
-        ch._verify()
-        return ch
+        return CoordChange(tuple(imgs), tuple(inv), order)
 
     def reorder(self, order: int) -> "CoordChange":
+        """The same change below a lower order, verified there.
+
+        Both maps are cut at `order`, so the inverse already known is kept
+        rather than computed again; the round trip is then checked once.
+        """
         if order > self.order:
             raise PreconditionViolated("cannot raise the validity order")
-        return CoordChange.make(self.images, order)
+        if order < 2:
+            # below degree 2 every image vanishes: make refuses it alike
+            raise PreconditionViolated("matrix is not invertible")
+        ch = CoordChange(tuple(_chop(p, order) for p in self.images),
+                         tuple(_chop(q, order) for q in self.inverse_images),
+                         order)
+        ch._verify()
+        return ch
 
     def is_identity(self) -> bool:
         xs = tuple(Polynomial.variable(self.varnames, i) for i in range(self.n))
@@ -363,15 +391,14 @@ def _weight_classes(W: WeightSystem, n: int) -> List[List[int]]:
     return [buckets[k] for k in sorted(buckets)]
 
 
-def _diagonalizing_prep(A, W: WeightSystem, varnames, order) -> CoordChange:
-    """A linear change making the semisimple part of A diagonal.
+def _diagonalizing_prep(dec, W: WeightSystem, varnames, order) -> CoordChange:
+    """A linear change making the semisimple part of `dec` diagonal.
 
-    Mixes only variables of equal multiweight, so diagonal symmetry fields
-    for W are preserved.
+    `dec` is the S-N decomposition of the linear part.  Mixes only variables
+    of equal multiweight, so diagonal symmetry fields for W are preserved.
     """
-    n = len(A)
-    dec = sn_decompose(A)
     S = dec.semisimple
+    n = len(S)
     classes = _weight_classes(W, n)
     for i in range(n):
         for j in range(n):
@@ -381,9 +408,10 @@ def _diagonalizing_prep(A, W: WeightSystem, varnames, order) -> CoordChange:
     Q = [[Fraction(0)] * n for _ in range(n)]
     for cl in classes:
         sub = [[S[i][j] for j in cl] for i in cl]
-        subdec = sn_decompose(sub)
         cols = []
-        for lam in sorted(subdec.eigenvalues):
+        # S does not cross the classes, so each block's eigenvalues are
+        # among S's; the others have no eigenvectors in the block
+        for lam in sorted(dec.eigenvalues):
             shifted = [[sub[i][j] - (lam if i == j else 0)
                         for j in range(len(cl))] for i in range(len(cl))]
             cols.extend(nullspace(shifted))
@@ -402,8 +430,17 @@ def pd_normalize(delta: VectorField, weights: WeightSystem,
 
     The input must vanish at the origin and be multihomogeneous of degree
     zero for `weights`; the change is assembled from a block-diagonal linear
-    preparation and tangent-to-identity steps, one per degree below `order`.
+    preparation and tangent-to-identity steps, one per degree below `order`,
+    and verified once, as a whole, before it is returned.
     """
+    total, field, _ = _pd_normalize(delta, weights, order)
+    return total, field
+
+
+def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int
+                  ) -> Tuple[CoordChange, VectorField, List[Fraction]]:
+    """pd_normalize, plus the diagonal of the semisimple part of the
+    normalized field's linear part (its weights)."""
     varnames = as_poly(delta.coeffs[0]).vars
     n = len(varnames)
     if not delta.vanishes_at_origin():
@@ -414,7 +451,7 @@ def pd_normalize(delta: VectorField, weights: WeightSystem,
     total = CoordChange.identity(varnames, order)
     dec = sn_decompose(A)
     if not _is_diagonal(dec.semisimple):
-        prep = _diagonalizing_prep(A, weights, varnames, order)
+        prep = _diagonalizing_prep(dec, weights, varnames, order)
         cur = _chop_field(prep.push_field(cur), order)
         total = prep
         A = cur.linear_part()
@@ -454,7 +491,8 @@ def pd_normalize(delta: VectorField, weights: WeightSystem,
     N_field = cur - S_field
     if not _chop_field(lie_bracket(S_field, N_field), order).is_zero():
         raise CertificateFailure("parts of the normal form do not commute")
-    return total, _jet_field(cur, order)
+    total._verify()
+    return total, _jet_field(cur, order), w
 
 
 # -- cofactors and unit adjustment ------------------------------------------------
@@ -805,7 +843,9 @@ def formal_structure(f: Union[Germ, Polynomial],
         if cand is None:
             stabilized = True
             break
-        ch1, delta_n = pd_normalize(cand, W, d_work)
+        # the tangent steps keep the linear part, so wnew, the diagonal
+        # of its semisimple part, is the one the normalization used
+        ch1, delta_n, wnew = _pd_normalize(cand, W, d_work)
         sig_old = [VectorField.diagonal(row, varnames) for row in W.rows]
         fcur = ch1.apply(fcur)
         gens = [_chop_field(ch1.push_field(g), d_work) for g in gens]
@@ -826,8 +866,6 @@ def formal_structure(f: Union[Germ, Polynomial],
         u_new, f_new = unit_adjust(fcur, delta_n, W, d_work)
         unit_rep = _chop(unit_rep * as_poly(u_new), d_work)
         fcur = as_poly(f_new)
-        ndec = sn_decompose(delta_n.linear_part())
-        wnew = [ndec.semisimple[i][i] for i in range(n)]
         parts = multihomog_decompose_poly(_chop(fcur, d),
                                           WeightSystem.make([wnew]))
         live = [key for key, comp in parts.items() if not comp.is_zero()]

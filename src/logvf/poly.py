@@ -131,8 +131,9 @@ class Polynomial:
             if len(exp) != len(self.vars):
                 raise VariableMismatch(
                     f"exponent {exp} has {len(exp)} entries for {len(self.vars)} variables")
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 clean[tuple(exp)] = c
         self.terms = clean
 
@@ -209,12 +210,12 @@ class Polynomial:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return Polynomial(out, self.vars)
+        return Polynomial._of(out, self.vars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({e: -c for e, c in self.terms.items()}, self.vars)
+        return Polynomial._of({e: -c for e, c in self.terms.items()}, self.vars)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
@@ -281,7 +282,7 @@ class Polynomial:
                 out[key] = s
             else:
                 del out[key]
-        return Polynomial(out, self.vars)
+        return Polynomial._of(out, self.vars)
 
     def truncate(self, order: int) -> "Jet":
         return Jet(self, order)

@@ -18,7 +18,8 @@ from .errors import (CertificateFailure, LogvfError, NotFree, ProductInput,
 from .poly import Polynomial, as_poly, poly_parse
 from .vfield import vf_to_str
 from .derlog import (Germ, as_germ, euler_check, koszul_free_check,
-                     saito_free_check, squarefree_check, strong_euler_check)
+                     require_nonzero, saito_free_check, squarefree_check,
+                     strong_euler_check)
 from .liealg import center_dimension, is_solvable, truncated_lie_algebra
 from .normalform import (FormalStructure, constant_field_split,
                          default_truncation, factor_structure,
@@ -221,8 +222,10 @@ STAGES = (
 def analyze(f: Polynomial, trunc: Optional[int] = None,
             witness_bound: int = 3,
             factors: Optional[Sequence[Polynomial]] = None) -> dict:
-    """Full pipeline report for one polynomial."""
+    """Full pipeline report for one polynomial; the zero polynomial is
+    refused with PreconditionViolated before any stage runs."""
     germ = as_germ(f)
+    require_nonzero(germ.f)
     rq = _Request(germ, trunc, witness_bound, factors, germ)
     f = germ.f
     report: dict = {"schema": SCHEMA, "vars": list(f.vars), "f": str(f),

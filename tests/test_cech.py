@@ -278,7 +278,7 @@ LINEAR_FIELDS = st.lists(
     min_size=1, max_size=3)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(LINEAR_FIELDS, st.integers(1, 4))
 def test_kernel_search_matches_dense_reference(basis, bound):
     assert d1_kernel_search(basis, bound) == _dense_kernel_witness(basis, bound)

@@ -97,6 +97,14 @@ def test_unknown_variable_exits_2(capsys):
     assert "input error" in err
 
 
+def test_zero_polynomial_is_refused_up_front(capsys):
+    code, out, err = run(capsys, "analyze", "--vars", "x,y", "--poly", "0")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("input error: PreconditionViolated: "
+                           "the zero polynomial defines no hypersurface")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "--vars", "x",
                        "--file", "/nonexistent/f.txt")

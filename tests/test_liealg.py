@@ -117,7 +117,7 @@ FACTORS = st.one_of(
         lambda bc: [Fraction(1), Fraction(bc[0]), Fraction(bc[1], 2)]))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.lists(FACTORS, min_size=1, max_size=4),
        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
            lambda c: c != 0))

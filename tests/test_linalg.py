@@ -62,8 +62,7 @@ def test_row_space_contains():
 
 # -- properties: the sparse core against dense Gauss-Jordan ---------------------
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=150)
 ENTRIES = st.one_of(st.integers(-5, 5),
                     st.fractions(min_value=-4, max_value=4, max_denominator=7))
 

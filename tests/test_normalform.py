@@ -11,6 +11,7 @@ from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
 from logvf.poly import Jet, Polynomial, WeightSystem, as_poly
 from logvf.vfield import VectorField, lie_bracket, vf_to_str
 from logvf.derlog import derlog_generators, minimalize
+from logvf.linalg import inverse
 from logvf.normalform import (CoordChange, constant_field_split,
                               default_truncation, diagonal_symmetries,
                               factor_structure, formal_structure,
@@ -107,7 +108,7 @@ def _changes_and_probes(draw):
     return images, order, probes
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(_changes_and_probes())
 def test_one_change_composes_like_fresh_changes(case):
     # the power tables one map keeps across calls give what a fresh map
@@ -122,6 +123,102 @@ def test_one_change_composes_like_fresh_changes(case):
         field = VectorField([g, X * g])
         assert shared.push_field(field) == \
             CoordChange.make(images, order).push_field(field)
+
+
+def _fixed_point_inverse(images, order):
+    """The inverse below `order` by the fixed-point iteration
+    psi = L^-1 (x - h o psi), L the linear part and h the rest of the
+    images: each pass fixes one more degree."""
+    n = len(images)
+    xs = [Polynomial.variable(V2, i) for i in range(n)]
+    units = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+    L = [[images[j].coeff(units[i]) for i in range(n)] for j in range(n)]
+    Linv = inverse(L)
+    higher = [chop(images[j] - sum((xs[i] * L[j][i] for i in range(n)),
+                                   Polynomial.zero(V2)), order)
+              for j in range(n)]
+    psi = [Polynomial.zero(V2)] * n
+    for _ in range(order):
+        rest = [xs[j] - h.substitute(psi) for j, h in enumerate(higher)]
+        psi = [chop(sum((rest[j] * Linv[i][j] for j in range(n)),
+                        Polynomial.zero(V2)), order) for i in range(n)]
+    return tuple(psi)
+
+
+LINEAR_PARTS = st.tuples(*[st.integers(-2, 2)] * 4).filter(
+    lambda m: m[0] * m[3] - m[1] * m[2] != 0)
+
+
+@st.composite
+def _general_changes(draw):
+    # an invertible linear part, not only the identity, plus terms of
+    # degree 2 to 4
+    a, b, c, e = draw(LINEAR_PARTS)
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda t: 2 <= sum(t) <= 4)
+    hs = [poly2(draw(st.dictionaries(exps, SMALL, max_size=3)))
+          for _ in range(2)]
+    return [X * a + Y * b + hs[0], X * c + Y * e + hs[1]]
+
+
+@settings(max_examples=40)
+@given(_general_changes(), st.integers(2, 9))
+def test_newton_inverse_equals_fixed_point_inverse(images, order):
+    ch = CoordChange.make(images, order)
+    assert ch.inverse_images == _fixed_point_inverse(images, order)
+
+
+@settings(max_examples=15)
+@given(_general_changes(), st.integers(2, 8))
+def test_reorder_equals_making_at_the_lower_order(images, order):
+    ch = CoordChange.make(images, order)
+    for d in range(2, order + 1):
+        assert ch.reorder(d) == CoordChange.make(images, d)
+    # at order 1 every image vanishes: both refuse alike
+    with pytest.raises(PreconditionViolated):
+        CoordChange.make(images, 1)
+    with pytest.raises(PreconditionViolated):
+        ch.reorder(1)
+
+
+@settings(max_examples=25)
+@given(_general_changes(), _general_changes(), st.integers(2, 8),
+       st.integers(2, 8))
+def test_composite_round_trips_below_the_smaller_order(ia, ib, oa, ob):
+    a, b = CoordChange.make(ia, oa), CoordChange.make(ib, ob)
+    both = a.then(b)
+    order = min(oa, ob)
+    assert both.order == order
+    for i, x in enumerate((X, Y)):
+        assert both.unapply(both.images[i]) == x
+        assert both.apply(both.inverse_images[i]) == x
+    g = X * Y + X**3 - Y**2
+    assert both.apply(g) == chop(b.apply(a.apply(g)), order)
+
+
+def _corrupted(ch):
+    # a wrong term of degree 2 in the first inverse image
+    bad = (ch.inverse_images[0] + Y**2,) + ch.inverse_images[1:]
+    return CoordChange(ch.images, bad, ch.order)
+
+
+def test_corrupted_inverse_fails_at_reorder():
+    good = CoordChange.make([X + Y**2, Y + X**3], 6)
+    for d in (3, 6):
+        with pytest.raises(CertificateFailure):
+            _corrupted(good).reorder(d)
+
+
+def test_corrupted_composite_fails_where_it_is_returned(monkeypatch):
+    # then() does not check; pd_normalize and straighten_unit_field
+    # (through reorder) check what they return
+    then = CoordChange.then
+    monkeypatch.setattr(CoordChange, "then",
+                        lambda self, nxt: _corrupted(then(self, nxt)))
+    with pytest.raises(CertificateFailure):
+        pd_normalize(VectorField([X * 2 + Y**3, Y]), WeightSystem.make([]), 6)
+    with pytest.raises(CertificateFailure):
+        straighten_unit_field(VectorField([1 + Y**2, X]), 4)
 
 
 # -- diagonal symmetry spaces ----------------------------------------------

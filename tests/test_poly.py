@@ -205,8 +205,7 @@ class TestWeights:
 
 # -- properties of the truncated product and of substitution ----------------
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=60)
 COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -240,6 +239,25 @@ def _reference_substitute(p, images, order=None):
     if order is not None:
         acc = {e: c for e, c in acc.items() if sum(e) < order}
     return Polynomial(acc, p.vars)
+
+
+class TestConstructor:
+    def test_mixed_coefficients_store_nonzero_fractions(self):
+        p = Polynomial({(2, 0): 3, (1, 1): Fraction(1, 2), (0, 2): 0,
+                        (0, 1): Fraction(0), (1, 0): -1}, XY)
+        assert p.terms == {(2, 0): Fraction(3), (1, 1): Fraction(1, 2),
+                           (1, 0): Fraction(-1)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+    @PROPERTY
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           st.one_of(st.integers(-2, 2), COEFFS),
+                           max_size=6))
+    def test_only_nonzero_fractions_are_stored(self, terms):
+        p = Polynomial(terms, XY)
+        assert p.terms == {e: c for e, c in terms.items() if c != 0}
+        assert all(type(c) is Fraction and c != 0
+                   for c in p.terms.values())
 
 
 class TestTruncatedProducts:
