@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 from .errors import CertificateFailure, LogvfError
 from .poly import Polynomial, poly_parse
-from .derlog import Germ, euler_check, strong_euler_check
+from .derlog import Germ, euler_check, require_nonzero, strong_euler_check
 # unused; kept for perfbench's test_tracer_rebinds_everywhere_and_restores
 from .derlog import derlog_generators  # noqa: F401
 from .normalform import factor_structure, formal_structure
@@ -212,6 +212,7 @@ _QUESTIONS = {
 
 def _cmd_question(args) -> int:
     f, factors = _read_input(args)
+    require_nonzero(f)     # exits 2, never an embedded refusal
     answer, refusal = _QUESTIONS[args.command]
     try:
         block, text = answer(Germ(f), args, factors)
@@ -232,8 +233,16 @@ _COMMANDS = {"analyze": _cmd_analyze, "corpus": _cmd_corpus,
              **{name: _cmd_question for name in _QUESTIONS}}
 
 
+# built on first use and shared: building it costs more than a short
+# request, and parse_args keeps no state between calls
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,11 +9,15 @@ is then probed for solvability, nilpotent adjoints, and the center.
 
 D_d is built through the presentation O^s -> Der_f sending e_i to the i-th
 minimal generator: the quotient equals O^s / (Syz + m^d O^s), a plain
-finite dimensional linear-algebra object.  Brackets of representatives are
-pushed back into coordinates through local membership certificates, whose
-quotients are exact modulo m^d.  The bracket only descends to this quotient
-when every logarithmic field vanishes at the origin, so product germs are
-rejected up front.
+finite dimensional linear-algebra object.  Its basis fields are monomial
+multiples x^e.delta_p of the generators.  Only the s(s-1)/2 generator
+brackets [delta_p, delta_q] are pushed back into coordinates through local
+membership certificates, whose quotients are exact modulo m^d; every other
+structure constant is derived from them by the Leibniz identity, which is
+algebra, and by antisymmetry.  The test suite keeps the per-pair path, one
+certificate per pair of basis fields, as the reference both must match.
+The bracket only descends to this quotient when every logarithmic field
+vanishes at the origin, so product germs are rejected up front.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (CertificateFailure, NonRationalEigenvalues, ProductInput,
                      PrecisionRequired, PreconditionViolated)
 from .linalg import charpoly, identity, mat_add, mat_mul, mat_scale, mat_sub, rank, rref
 from .orderings import OrderingSpec
-from .poly import Jet, Polynomial
+from .poly import Exponent, Jet, Polynomial
 from .standard_bases import membership, standard_basis, syzygies
 from .vfield import VectorField
 
@@ -354,16 +358,8 @@ class _QuotientCoordinates:
         """Class coordinates of (h_1, .., h_s); jets must carry order >= d."""
         w = [Fraction(0)] * len(self.monos)
         for comp, q in enumerate(h):
-            if isinstance(q, Jet):
-                if q.order < self.d:
-                    raise PrecisionRequired(
-                        "coefficient known to lower order than the truncation")
-                terms = q.poly.terms
-            else:
-                terms = q.terms
-            for exp, c in terms.items():
-                if sum(exp) < self.d:
-                    w[self.index[(comp, exp)]] += c
+            for exp, c in _low_terms(q, self.d).items():
+                w[self.index[(comp, exp)]] += c
         for row, piv in zip(self.red, self.pivots):
             c = w[piv]
             if c:
@@ -375,14 +371,48 @@ class _QuotientCoordinates:
         return [w[i] for i in self.free_cols]
 
 
+def _low_terms(q, d: int) -> Dict[Exponent, Fraction]:
+    """The terms of q of total degree < d; a jet known to lower order is
+    refused."""
+    if isinstance(q, Jet):
+        if q.order < d:
+            raise PrecisionRequired(
+                "coefficient known to lower order than the truncation")
+        q = q.poly
+    return {exp: c for exp, c in q.terms.items() if sum(exp) < d}
+
+
+def _add_shifted(acc: Dict[Exponent, Fraction], terms: Dict[Exponent, Fraction],
+                 shift: Exponent, scale: int, d: int) -> None:
+    """acc += scale * x^shift * terms, keeping the terms of degree < d."""
+    for exp, c in terms.items():
+        moved = tuple(a + b for a, b in zip(exp, shift))
+        if sum(moved) < d:
+            v = acc.get(moved, 0) + scale * c
+            if v:
+                acc[moved] = v
+            else:
+                del acc[moved]
+
+
 def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
                           ) -> LieAlgebraPresentation:
     """Present D_d = Der_f / m^d Der_f for d = truncation.
 
     Product germs are rejected: a field with nonzero constant part breaks
-    the invariance of m^d Der_f under the bracket.  Every structure constant
-    comes out of a membership certificate that re-multiplies exactly
-    modulo m^d.
+    the invariance of m^d Der_f under the bracket.  The basis fields are
+    x^e.delta_p for the minimal generators delta_p.  Each generator bracket
+    [delta_p, delta_q], p < q, is written over the generators by one
+    membership certificate that re-multiplies exactly modulo m^d; these
+    s(s-1)/2 certificates are the only ones.  Every other structure
+    constant follows from them by the Leibniz identity
+
+        [x^e d_p, x^f d_q] = x^e d_p(x^f) d_q - x^f d_q(x^e) d_p
+                             + x^(e+f) [d_p, d_q],
+
+    which is exact algebra, and from antisymmetry.  The test suite keeps
+    the direct path (bracket each pair of basis fields, certify its
+    membership) as the reference the presentation must equal.
     """
     if truncation < 1:
         raise PreconditionViolated("truncation must be at least 1")
@@ -391,6 +421,7 @@ def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
         raise ProductInput("the germ splits off a smooth factor")
     mod = module if module.minimal else minimalize(module)
     varnames = mod.varnames
+    n = len(varnames)
     d = truncation
     gens = [tuple(f.coeffs) for f in mod.fields]
     s = len(gens)
@@ -417,14 +448,37 @@ def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
             Polynomial.monomial(varnames, exp, 1)))
 
     sb = standard_basis(gens, LOCAL)
-    brackets: List[Tuple[Tuple[Fraction, ...], ...]] = []
-    for a in reps:
-        row = []
-        for b in reps:
-            c = a.bracket(b)
-            h = _express_in_generators(tuple(c.coeffs), sb, d)
-            row.append(tuple(coords.coords_of_vector(h)))
-        brackets.append(tuple(row))
+    gen_brackets = {}
+    for p, q in itertools.combinations(range(s), 2):
+        c = mod.fields[p].bracket(mod.fields[q])
+        h = _express_in_generators(tuple(c.coeffs), sb, d)
+        gen_brackets[p, q] = [_low_terms(x, d) for x in h]
+
+    dim = len(reps)
+    labels = [coords.monos[col] for col in coords.free_cols]  # (p, e)
+    zero = tuple(Fraction(0) for _ in range(dim))
+    table = [[zero] * dim for _ in range(dim)]
+    for i, j in itertools.combinations(range(dim), 2):
+        (p, e), (q, f) = labels[i], labels[j]
+        ef = tuple(a + b for a, b in zip(e, f))
+        vec: List[Dict[Exponent, Fraction]] = [{} for _ in range(s)]
+        for t in range(n):
+            if not ef[t]:
+                continue
+            down = ef[:t] + (ef[t] - 1,) + ef[t + 1:]
+            if f[t]:    # x^e d_p(x^f) d_q
+                _add_shifted(vec[q], gens[p][t].terms, down, f[t], d)
+            if e[t]:    # - x^f d_q(x^e) d_p
+                _add_shifted(vec[p], gens[q][t].terms, down, -e[t], d)
+        if p != q:      # x^(e+f) [d_p, d_q]
+            sign = 1 if p < q else -1
+            for k, terms in enumerate(gen_brackets[min(p, q), max(p, q)]):
+                _add_shifted(vec[k], terms, ef, sign, d)
+        row = tuple(coords.coords_of_vector(
+            [Polynomial._of(v, varnames) for v in vec]))
+        table[i][j] = row
+        table[j][i] = tuple(-x for x in row)
+    brackets = tuple(tuple(row) for row in table)
 
     faithful: Optional[bool] = None
     if d == 1:
@@ -434,8 +488,7 @@ def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
             flat.append([x for rw in A for x in rw])
         faithful = rank(flat) == len(reps)
 
-    return LieAlgebraPresentation(d, tuple(reps), tuple(brackets),
-                                  len(reps), faithful)
+    return LieAlgebraPresentation(d, tuple(reps), brackets, dim, faithful)
 
 
 def _express_in_generators(vec, sb, d: int):
@@ -473,7 +526,9 @@ def is_solvable(pres: LieAlgebraPresentation) -> Tuple[bool, List[int]]:
         return out
 
     while True:
-        products = [bracket_coords(a, b) for a in current for b in current]
+        # [a, a] = 0 and [b, a] = -[a, b]: the pairs i < j span the same
+        products = [bracket_coords(a, b)
+                    for i, a in enumerate(current) for b in current[i + 1:]]
         if products:
             R, pivots = rref(products)
             nxt = R[:len(pivots)]

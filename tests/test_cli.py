@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from logvf.poly import poly_parse
 from logvf import report as rp
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -103,6 +106,35 @@ def test_zero_polynomial_is_refused_up_front(capsys):
     assert out == ""
     assert err.strip() == ("input error: PreconditionViolated: "
                            "the zero polynomial defines no hypersurface")
+
+
+@pytest.mark.parametrize("command",
+                         ["derlog", "free", "euler", "lie", "normalize", "cech"])
+def test_zero_polynomial_is_refused_by_every_question(command, capsys):
+    code, out, err = run(capsys, command, "--vars", "x,y", "--poly", "0")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("input error: PreconditionViolated: "
+                           "the zero polynomial defines no hypersurface")
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys):
+    # a deeper lie, a bad flag, then a question whose defaults the first
+    # call overrode: each answer must be the one a fresh process gives
+    calls = [("lie", "--vars", "x,y", "--poly", "x^2+y^3", "--trunc", "2",
+              "--json"),
+             ("lie", "--vars", "x,y", "--poly", "x^2+y^3", "--bogus"),
+             ("cech", "--vars", "x,y", "--poly", "x*y*(x+y)"),
+             ("lie", "--vars", "x,y", "--poly", "x^2+y^3")]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "logvf.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout,
+                                      fresh.stderr)
+        codes.append(fresh.returncode)
+    assert codes == [0, 2, 0, 0]
 
 
 def test_missing_file_exits_2(capsys):

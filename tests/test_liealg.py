@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -6,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logvf.derlog import derlog_generators, minimalize
+from logvf import report as rp
+from logvf.derlog import Germ, derlog_generators, minimalize, saito_free_check
 from logvf.errors import NonRationalEigenvalues, ProductInput, PreconditionViolated
-from logvf.liealg import (LieAlgebraPresentation, _find_rational_root,
+from logvf.liealg import (LOCAL, LieAlgebraPresentation, _QuotientCoordinates,
+                          _express_in_generators, _find_rational_root,
                           _poly_eval, ad_matrix, center_dimension,
                           is_solvable, nilpotency_check, sn_decompose,
                           truncated_lie_algebra)
-from logvf.linalg import identity, is_zero_matrix, mat_add, mat_mul, mat_sub
-from logvf.poly import poly_parse
+from logvf.linalg import identity, is_zero_matrix, mat_add, mat_mul, mat_sub, rank
+from logvf.poly import Polynomial, poly_parse
+from logvf.standard_bases import standard_basis, syzygies
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -262,3 +266,150 @@ def test_normal_crossing_plane_algebra():
             assert all(x == 0 for x in pres.brackets[i][j])
     assert center_dimension(pres) == 2
     assert is_solvable(pres) == (True, [2, 0])
+
+
+# -- the Leibniz path against the per-pair path ----------------------------------
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+QUARTIC4 = ("x1", "x2", "x3", "x4"), ("3*x2^2*x3^2 - 6*x1*x3^3 - 8*x2^3*x4 "
+                                      "+ 18*x1*x2*x3*x4 - 9*x1^2*x4^2")
+
+
+def _per_pair_presentation(module, d):
+    """D_d the direct way: bracket every ordered pair of basis fields, write
+    the bracket over the generators by a membership certificate, and read
+    off its class coordinates."""
+    gens = [tuple(f.coeffs) for f in module.fields]
+    varnames = module.varnames
+    coords = _QuotientCoordinates(syzygies(gens, LOCAL), len(gens), varnames, d)
+    reps = []
+    for col in coords.free_cols:
+        comp, exp = coords.monos[col]
+        reps.append(module.fields[comp].mul_function(
+            Polynomial.monomial(varnames, exp, 1)))
+    sb = standard_basis(gens, LOCAL)
+    brackets = tuple(
+        tuple(tuple(coords.coords_of_vector(
+            _express_in_generators(tuple(a.bracket(b).coeffs), sb, d)))
+            for b in reps)
+        for a in reps)
+    faithful = None
+    if d == 1:
+        faithful = rank([[x for row in r.linear_part() for x in row]
+                         for r in reps]) == len(reps)
+    return LieAlgebraPresentation(d, tuple(reps), brackets, len(reps),
+                                  faithful)
+
+
+# the families of perfbench/gen.py: Brieskorn-Pham curves and surfaces,
+# x^a + y^b + c*x^i*y^j, central line and plane arrangements
+
+RATIONALS = st.builds(lambda p, q, sign: Fraction(sign * p, q),
+                      st.integers(1, 19), st.integers(1, 19),
+                      st.sampled_from((1, -1)))
+BP_CURVES = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (2, 6), (4, 5),
+             (3, 6), (4, 6)]
+BP_SURFACES = [(2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 3, 4), (3, 3, 3),
+               (2, 2, 4)]
+
+
+def _text(terms):
+    return " + ".join(f"({c})*{m}" for c, m in terms)
+
+
+@st.composite
+def brieskorn_pham(draw, cells):
+    exps = draw(st.sampled_from(cells))
+    varnames = XYZ[:len(exps)]
+    text = _text([(draw(RATIONALS), f"{v}^{e}")
+                  for v, e in zip(varnames, exps)])
+    return varnames, text
+
+
+@st.composite
+def semi_quasi_homogeneous(draw):
+    a, b, i, j = draw(st.sampled_from(
+        [(2, 4, 1, 3), (2, 5, 1, 4), (2, 6, 1, 5), (2, 7, 1, 6), (2, 5, 2, 1),
+         (2, 3, 1, 2), (2, 3, 0, 4), (6, 8, 5, 7), (2, 5, 1, 3), (3, 4, 1, 3),
+         (3, 5, 1, 4)]))
+    c = draw(RATIONALS)
+    return XY, f"x^{a} + y^{b} + ({c})*x^{i}*y^{j}"
+
+
+@st.composite
+def central_arrangement(draw, nvars, count):
+    """The coordinate hyperplanes and count - nvars more, no two parallel
+    and none with a zero coefficient."""
+    varnames = XYZ[:nvars]
+    forms = list(varnames)
+    seen = set()
+    while len(forms) < count:
+        sizes = draw(st.tuples(*[st.integers(1, 5)] * nvars))
+        signs = draw(st.tuples(*[st.sampled_from((1, -1))] * nvars))
+        coeffs = [k * sign for k, sign in zip(sizes, signs)]
+        g = math.gcd(*coeffs) * signs[0]
+        key = tuple(c // g for c in coeffs)
+        if key not in seen:
+            seen.add(key)
+            forms.append("(" + _text(zip(coeffs, varnames)) + ")")
+    return varnames, "*".join(forms)
+
+
+PLANE_CURVES = st.one_of(brieskorn_pham(BP_CURVES), semi_quasi_homogeneous(),
+                         st.integers(4, 6).flatmap(
+                             lambda k: central_arrangement(2, k)))
+GENERATED = st.one_of(brieskorn_pham(BP_CURVES + BP_SURFACES),
+                      semi_quasi_homogeneous(),
+                      st.integers(4, 6).flatmap(
+                          lambda k: central_arrangement(2, k)),
+                      central_arrangement(3, 4))
+
+
+@settings(max_examples=40)
+@given(GENERATED, st.integers(1, 3))
+def test_leibniz_matches_per_pair_on_generated_germs(germ, d):
+    varnames, text = germ
+    module = minimalize(derlog_generators(poly_parse(text, varnames)))
+    assert truncated_lie_algebra(module, d) == _per_pair_presentation(module, d)
+
+
+def test_leibniz_matches_per_pair_on_corpus():
+    for name in sorted(os.listdir(CORPUS)):
+        if name.startswith("09"):   # the product germ: refused
+            continue
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            _, f, _ = rp.parse_div(fh.read())
+        module = minimalize(derlog_generators(f))
+        for d in (1, 2, 3):
+            assert truncated_lie_algebra(module, d) == \
+                _per_pair_presentation(module, d), (name, d)
+
+
+# -- the theorem: D_d of a free divisor in dimension <= 3 is solvable -----------
+
+# The statement needs a free divisor: the quadric cone, not free, has the
+# rotations in D_1 (test_quadric_cone_rotations_are_not_solvable).  Plane
+# curves are free (K. Saito), and so is z*g for a plane curve g, the union
+# of two free divisors in complementary variables.  The free quartic in four
+# variables is the paper's counter-example beyond dimension three.
+FREE_GERMS = st.one_of(
+    PLANE_CURVES,
+    PLANE_CURVES.map(lambda g: (XYZ, f"z*({g[1]})")))
+
+
+@settings(max_examples=30)
+@given(FREE_GERMS)
+def test_free_germs_up_to_dimension_three_have_solvable_d1_d2(germ):
+    germ = Germ(poly_parse(germ[1], germ[0]))
+    assert saito_free_check(list(germ.module.fields), germ).free
+    for d in (1, 2):
+        flag, dims = is_solvable(truncated_lie_algebra(germ.module, d))
+        assert flag, (str(germ.f), d, dims)
+
+
+def test_free_quartic_in_four_variables_is_not_solvable():
+    germ = Germ(poly_parse(QUARTIC4[1], QUARTIC4[0]))
+    assert saito_free_check(list(germ.module.fields), germ).free
+    for d in (1, 2):
+        flag, dims = is_solvable(truncated_lie_algebra(germ.module, d))
+        assert not flag
