@@ -142,29 +142,31 @@ def d1_kernel_search(basis: Sequence[VectorField],
 
     Box-supported classes have finitely many image terms, so the linear
     system is exact and any kernel vector is a genuine witness; None only
-    means no witness exists inside this box.
+    means no witness exists inside this box.  The fields must be
+    polynomial fields over the variables of the first.  The column of x^e
+    holds the all-negative terms of `VectorField.monomial_image(e)` for
+    each field; the kernel is the canonical one of `linalg.nullspace`, and
+    `d1_apply` re-checks the witness independently.
     """
     if not basis:
         raise PreconditionViolated("need at least one field")
     if bound < 1:
         raise PreconditionViolated("bound must be at least 1")
     varnames = basis[0].vars
-    n = len(varnames)
-    box = sorted(itertools.product(range(-bound, 0), repeat=n))
+    for delta in basis:
+        if delta.vars != varnames:
+            raise VariableMismatch(f"{delta.vars} vs {varnames}")
+        if not all(isinstance(c, Polynomial) for c in delta.coeffs):
+            raise PreconditionViolated("d1 needs polynomial fields")
+    box = sorted(itertools.product(range(-bound, 0), repeat=len(varnames)))
     # one sparse row per (field, image exponent), one column per box exponent
-    rows: List[Dict[int, Fraction]] = []
-    row_of: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Fraction]] = {}
+    rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Fraction]] = {}
     for j, e in enumerate(box):
-        mono = Polynomial({e: Fraction(1)}, varnames)
         for i, delta in enumerate(basis):
-            img = cech_project(as_poly(delta.apply(mono)))
-            for ie, v in img.terms.items():
-                row = row_of.get((i, ie))
-                if row is None:
-                    row = row_of[(i, ie)] = {}
-                    rows.append(row)
-                row[j] = v
-    kernel = nullspace(rows, len(box))
+            for ie, v in delta.monomial_image(e).items():
+                if all(k < 0 for k in ie):
+                    rows.setdefault((i, ie), {})[j] = v
+    kernel = nullspace(list(rows.values()), len(box))
     if not kernel:
         return None
     vec = kernel[0]

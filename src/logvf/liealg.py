@@ -9,13 +9,16 @@ is then probed for solvability, nilpotent adjoints, and the center.
 
 D_d is built through the presentation O^s -> Der_f sending e_i to the i-th
 minimal generator: the quotient equals O^s / (Syz + m^d O^s), a plain
-finite dimensional linear-algebra object.  Its basis fields are monomial
+finite dimensional linear-algebra object, reduced by the shared sparse
+`linalg.echelon` and `linalg.remainder`.  Its basis fields are monomial
 multiples x^e.delta_p of the generators.  Only the s(s-1)/2 generator
 brackets [delta_p, delta_q] are pushed back into coordinates through local
 membership certificates, whose quotients are exact modulo m^d; every other
 structure constant is derived from them by the Leibniz identity, which is
-algebra, and by antisymmetry.  The test suite keeps the per-pair path, one
-certificate per pair of basis fields, as the reference both must match.
+algebra, with the terms of delta_p(x^f) from `VectorField.monomial_image`,
+and by antisymmetry.  The test suite keeps the per-pair path, one
+certificate per pair of basis fields, and the dense quotient coordinates
+as the references the presentation must match.
 The bracket only descends to this quotient when every logarithmic field
 vanishes at the origin, so product germs are rejected up front.
 """
@@ -31,7 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .derlog import LogDerModule, is_product, minimalize
 from .errors import (CertificateFailure, NonRationalEigenvalues, ProductInput,
                      PrecisionRequired, PreconditionViolated)
-from .linalg import charpoly, identity, mat_add, mat_mul, mat_scale, mat_sub, rank, rref
+from .linalg import (charpoly, echelon, identity, mat_add, mat_mul, mat_scale,
+                     mat_sub, rank, remainder)
 from .orderings import OrderingSpec
 from .poly import Exponent, Jet, Polynomial
 from .standard_bases import membership, standard_basis, syzygies
@@ -313,40 +317,23 @@ class _QuotientCoordinates:
     """Exact coordinates on O^s / (span(rels) + m^d O^s).
 
     The ambient monomial basis is all (component, exponent) with
-    |exponent| < d; the relation image is spanned by monomial multiples of
-    the rels, reduced to row echelon form once.
+    |exponent| < d.  The relation image is spanned by the monomial
+    multiples of the rels, built as sparse rows and brought to reduced
+    echelon form once by `linalg.echelon`; a vector's coordinates are
+    those of its `linalg.remainder` at the free columns.
     """
 
     def __init__(self, rels: List[Tuple[Polynomial, ...]], s: int,
                  varnames: Tuple[str, ...], d: int):
-        self.s = s
         self.d = d
-        self.varnames = varnames
-        n = len(varnames)
-        self.monos = sorted(
-            ((comp, exp) for exp in itertools.product(range(d), repeat=n)
-             if sum(exp) < d for comp in range(s)),
-            key=lambda m: (sum(m[1]), m[1], m[0]))
+        shifts = [e for e in itertools.product(range(d), repeat=len(varnames))
+                  if sum(e) < d]
+        self.monos = sorted(((comp, exp) for exp in shifts for comp in range(s)),
+                            key=lambda m: (sum(m[1]), m[1], m[0]))
         self.index = {m: i for i, m in enumerate(self.monos)}
-        rows = []
-        shifts = [e for e in itertools.product(range(d), repeat=n) if sum(e) < d]
-        for rel in rels:
-            for shift in shifts:
-                row = [Fraction(0)] * len(self.monos)
-                hit = False
-                for comp, p in enumerate(rel):
-                    for exp, c in p.terms.items():
-                        moved = tuple(a + b for a, b in zip(exp, shift))
-                        if sum(moved) < d:
-                            row[self.index[(comp, moved)]] += c
-                            hit = True
-                if hit:
-                    rows.append(row)
-        if rows:
-            self.red, self.pivots = rref(rows)
-            self.red = self.red[:len(self.pivots)]
-        else:
-            self.red, self.pivots = [], []
+        rows = [self._row([_add_shifted({}, p.terms, shift, 1, d) for p in rel])
+                for rel in rels for shift in shifts]
+        self.reduced, self.pivots = echelon(rows)
         self.free_cols = [i for i in range(len(self.monos))
                           if i not in set(self.pivots)]
 
@@ -354,21 +341,20 @@ class _QuotientCoordinates:
     def dimension(self) -> int:
         return len(self.free_cols)
 
+    def _row(self, vec: Sequence[Dict[Exponent, Fraction]]) -> Dict[int, Fraction]:
+        """The sparse row of an O^s vector given by the terms of degree < d
+        of each component."""
+        return {self.index[comp, exp]: c
+                for comp, terms in enumerate(vec) for exp, c in terms.items()}
+
     def coords_of_vector(self, h: Sequence) -> List[Fraction]:
         """Class coordinates of (h_1, .., h_s); jets must carry order >= d."""
-        w = [Fraction(0)] * len(self.monos)
-        for comp, q in enumerate(h):
-            for exp, c in _low_terms(q, self.d).items():
-                w[self.index[(comp, exp)]] += c
-        for row, piv in zip(self.red, self.pivots):
-            c = w[piv]
-            if c:
-                for i in range(len(w)):
-                    if row[i]:
-                        w[i] -= c * row[i]
-        if any(w[piv] != 0 for piv in self.pivots):
+        w = remainder(self._row([_low_terms(q, self.d) for q in h]),
+                      self.reduced, self.pivots)
+        if any(piv in w for piv in self.pivots):
             raise CertificateFailure("pivot elimination failed")
-        return [w[i] for i in self.free_cols]
+        zero = Fraction(0)
+        return [w.get(i, zero) for i in self.free_cols]
 
 
 def _low_terms(q, d: int) -> Dict[Exponent, Fraction]:
@@ -383,8 +369,9 @@ def _low_terms(q, d: int) -> Dict[Exponent, Fraction]:
 
 
 def _add_shifted(acc: Dict[Exponent, Fraction], terms: Dict[Exponent, Fraction],
-                 shift: Exponent, scale: int, d: int) -> None:
-    """acc += scale * x^shift * terms, keeping the terms of degree < d."""
+                 shift: Exponent, scale: int, d: int) -> Dict[Exponent, Fraction]:
+    """acc += scale * x^shift * terms, keeping the terms of degree < d;
+    returns acc."""
     for exp, c in terms.items():
         moved = tuple(a + b for a, b in zip(exp, shift))
         if sum(moved) < d:
@@ -393,6 +380,7 @@ def _add_shifted(acc: Dict[Exponent, Fraction], terms: Dict[Exponent, Fraction],
                 acc[moved] = v
             else:
                 del acc[moved]
+    return acc
 
 
 def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
@@ -421,7 +409,6 @@ def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
         raise ProductInput("the germ splits off a smooth factor")
     mod = module if module.minimal else minimalize(module)
     varnames = mod.varnames
-    n = len(varnames)
     d = truncation
     gens = [tuple(f.coeffs) for f in mod.fields]
     s = len(gens)
@@ -462,14 +449,9 @@ def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
         (p, e), (q, f) = labels[i], labels[j]
         ef = tuple(a + b for a, b in zip(e, f))
         vec: List[Dict[Exponent, Fraction]] = [{} for _ in range(s)]
-        for t in range(n):
-            if not ef[t]:
-                continue
-            down = ef[:t] + (ef[t] - 1,) + ef[t + 1:]
-            if f[t]:    # x^e d_p(x^f) d_q
-                _add_shifted(vec[q], gens[p][t].terms, down, f[t], d)
-            if e[t]:    # - x^f d_q(x^e) d_p
-                _add_shifted(vec[p], gens[q][t].terms, down, -e[t], d)
+        # x^e d_p(x^f) d_q - x^f d_q(x^e) d_p
+        _add_shifted(vec[q], mod.fields[p].monomial_image(f), e, 1, d)
+        _add_shifted(vec[p], mod.fields[q].monomial_image(e), f, -1, d)
         if p != q:      # x^(e+f) [d_p, d_q]
             sign = 1 if p < q else -1
             for k, terms in enumerate(gen_brackets[min(p, q), max(p, q)]):
@@ -507,33 +489,24 @@ def is_solvable(pres: LieAlgebraPresentation) -> Tuple[bool, List[int]]:
     positive value (not solvable).
     """
     dim = pres.dimension
-    current = [[Fraction(1 if i == j else 0) for j in range(dim)]
-               for i in range(dim)]
+    current = [{i: Fraction(1)} for i in range(dim)]
     dims = [dim]
 
     def bracket_coords(u, v):
-        out = [Fraction(0)] * dim
-        for i in range(dim):
-            if u[i] == 0:
-                continue
-            for j in range(dim):
-                if v[j] == 0:
-                    continue
-                c = u[i] * v[j]
+        out: Dict[int, Fraction] = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                c = a * b
                 for t, val in enumerate(pres.brackets[i][j]):
                     if val:
-                        out[t] += c * val
+                        out[t] = out.get(t, 0) + c * val
         return out
 
     while True:
         # [a, a] = 0 and [b, a] = -[a, b]: the pairs i < j span the same
         products = [bracket_coords(a, b)
                     for i, a in enumerate(current) for b in current[i + 1:]]
-        if products:
-            R, pivots = rref(products)
-            nxt = R[:len(pivots)]
-        else:
-            nxt = []
+        nxt, _ = echelon(products)
         dims.append(len(nxt))
         if not nxt:
             return True, dims
@@ -566,6 +539,4 @@ def center_dimension(pres: LieAlgebraPresentation) -> int:
     for j in range(dim):
         for t in range(dim):
             rows.append([pres.brackets[i][j][t] for i in range(dim)])
-    if not rows:
-        return dim
     return dim - rank(rows)

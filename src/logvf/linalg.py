@@ -4,13 +4,16 @@ Matrices are lists of Fraction rows.  Elimination has one exact core that
 works on row-sparse systems, each row a {column: Fraction} dict of its
 nonzero entries: columns are taken in order and the sparsest row with an
 entry in the column is the pivot, so the very sparse kernel systems of the
-Cech box search stay sparse.  `rref`, `rank`, `nullspace`, `solve` and
-`inverse` are entry points on that core; all but `rref` and `inverse` also
-take sparse rows.  The reduced row echelon form does not depend on the
-pivots chosen, so `nullspace` returns the canonical kernel basis read off
-it: one vector per free column, with support on that column and on the
-pivot columns before it.  A system with no rows has the whole space as
-kernel and the zero solution; the column count is then passed explicitly.
+Cech box search stay sparse.  `echelon`, `rref`, `rank`, `nullspace`,
+`solve` and `inverse` are entry points on that core; all but `rref` and
+`inverse` also take sparse rows.  `echelon` returns the reduced rows in
+sparse form, and `remainder` reduces a vector, dense or sparse, against
+them: the quotient coordinates of D_d and `row_space_contains` use the
+pair.  The reduced row echelon form does not depend on the pivots chosen,
+so `nullspace` returns the canonical kernel basis read off it: one vector
+per free column, with support on that column and on the pivot columns
+before it.  A system with no rows has the whole space as kernel and the
+zero solution; the column count is then passed explicitly.
 """
 
 from __future__ import annotations
@@ -190,6 +193,32 @@ def rref(A: Matrix) -> Tuple[Matrix, List[int]]:
     return M, pivots
 
 
+def echelon(A: Sequence[Union[Sequence, Row]]) -> Tuple[List[Row], List[int]]:
+    """Reduced row echelon form of dense or sparse rows, left unchanged.
+
+    Returns the nonzero reduced rows as sparse rows, each with a 1 at its
+    pivot and no entry at another pivot column, and their pivot columns in
+    increasing order.  No rows give no reduced rows.
+    """
+    return _eliminate(_sparse_rows(A))
+
+
+def remainder(v: Union[Sequence, Row], reduced: Sequence[Row],
+              pivots: Sequence[int]) -> Row:
+    """v, dense or sparse, minus the combination of the reduced rows of
+    `echelon` that clears every pivot column, as a sparse row.
+
+    It is empty exactly when v lies in the span of the reduced rows.
+    """
+    (w,) = _sparse_rows([v])
+    for row, pc in zip(reduced, pivots):
+        f = w.get(pc)
+        if f:
+            for j, x in row.items():
+                w[j] = w.get(j, 0) - f * x
+    return {j: x for j, x in w.items() if x}
+
+
 def rank(A: Sequence[Union[Sequence, Row]]) -> int:
     return len(_eliminate(_sparse_rows(A))[1])
 
@@ -246,26 +275,6 @@ def solve(A: Sequence[Union[Sequence, Row]], b: Sequence,
     return x
 
 
-def det(A: Matrix) -> Fraction:
-    n = len(A)
-    M = [row[:] for row in A]
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            out = -out
-        out *= M[c][c]
-        inv = Fraction(1) / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return out
-
-
 def inverse(A: Matrix) -> Matrix:
     """The inverse of a square matrix; ValueError when it is singular."""
     n = len(A)
@@ -298,4 +307,4 @@ def charpoly(A: Matrix) -> List[Fraction]:
 
 def row_space_contains(rows: Sequence[Vector], v: Vector) -> bool:
     """Is v in the Q-span of the given rows?"""
-    return rank(rows) == rank(list(rows) + [v])
+    return not remainder(v, *echelon(rows))

@@ -13,6 +13,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import HasConstantPart, OrderMismatch, VariableMismatch
 from .poly import (
+    Exponent,
     Jet,
     Polynomial,
     WeightSystem,
@@ -182,6 +183,19 @@ class VectorField:
                 return Jet(zero, min(orders))
             return zero
         return acc
+
+    def monomial_image(self, e: Exponent) -> Dict[Exponent, Fraction]:
+        """The terms of delta(x^e) for an integer exponent e, negative
+        entries allowed: the terms of each a_i shifted by e - 1_i and times
+        e_i.  The coefficients must be polynomials."""
+        out: Dict[Exponent, Fraction] = {}
+        for i, (a, k) in enumerate(zip(self.coeffs, e)):
+            if k:
+                down = e[:i] + (k - 1,) + e[i + 1:]
+                for exp, c in a.terms.items():
+                    key = tuple(x + y for x, y in zip(exp, down))
+                    out[key] = out.get(key, 0) + k * c
+        return {key: c for key, c in out.items() if c}
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """[self, other]; jet coefficients must share one order."""

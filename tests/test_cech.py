@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logvf import report as rp
 from logvf.errors import (HasConstantPart, NotFree, PreconditionViolated,
-                          ProductInput)
+                          ProductInput, VariableMismatch)
 from logvf.poly import Polynomial
 from logvf.vfield import VectorField
 from logvf.derlog import derlog_generators, minimalize
@@ -282,6 +284,54 @@ LINEAR_FIELDS = st.lists(
 @given(LINEAR_FIELDS, st.integers(1, 4))
 def test_kernel_search_matches_dense_reference(basis, bound):
     assert d1_kernel_search(basis, bound) == _dense_kernel_witness(basis, bound)
+
+
+@st.composite
+def quadratic_fields(draw):
+    """One to three fields in two or three variables whose coefficients
+    have linear and quadratic terms."""
+    varnames = draw(st.sampled_from((V2, V3)))
+    n = len(varnames)
+    exps = [e for e in itertools.product(range(3), repeat=n)
+            if 1 <= sum(e) <= 2]
+    coeff = st.dictionaries(st.sampled_from(exps), st.integers(-3, 3),
+                            max_size=3)
+    return [VectorField([laurent(draw(coeff), varnames) for _ in varnames])
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=60)
+@given(quadratic_fields(), st.integers(1, 4))
+def test_kernel_search_matches_dense_reference_on_quadratic_fields(basis,
+                                                                    bound):
+    assert d1_kernel_search(basis, bound) == _dense_kernel_witness(basis, bound)
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+
+def test_kernel_search_matches_dense_reference_on_corpus():
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            _, f, _ = rp.parse_div(fh.read())
+        basis = minimalize(derlog_generators(f)).fields
+        for bound in (1, 2, 3, 4):
+            assert d1_kernel_search(basis, bound) == \
+                _dense_kernel_witness(basis, bound), (name, bound)
+
+
+def test_kernel_search_refuses_jets_and_mixed_variables():
+    # refused before any row is built, whatever the box holds: the first
+    # basis has a witness at bound 2, the second none
+    for basis in ([VectorField([X, Y * (-1)])], [VectorField([X * 3, Y * 2])]):
+        with pytest.raises(PreconditionViolated):
+            d1_kernel_search([delta.truncate(3) for delta in basis], 2)
+    xz = ("x", "z")
+    mixed = [VectorField([X * 3, Y * 2]),
+             VectorField([Polynomial.variable(xz, 0),
+                          Polynomial.variable(xz, 1)])]
+    with pytest.raises(VariableMismatch):
+        d1_kernel_search(mixed, 2)
 
 
 def test_kernel_search_witness_with_several_terms():

@@ -1,21 +1,26 @@
+import itertools
 import math
 import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logvf import liealg
 from logvf import report as rp
 from logvf.derlog import Germ, derlog_generators, minimalize, saito_free_check
-from logvf.errors import NonRationalEigenvalues, ProductInput, PreconditionViolated
+from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
+                          ProductInput, PreconditionViolated)
 from logvf.liealg import (LOCAL, LieAlgebraPresentation, _QuotientCoordinates,
                           _express_in_generators, _find_rational_root,
-                          _poly_eval, ad_matrix, center_dimension,
+                          _low_terms, _poly_eval, ad_matrix, center_dimension,
                           is_solvable, nilpotency_check, sn_decompose,
                           truncated_lie_algebra)
-from logvf.linalg import identity, is_zero_matrix, mat_add, mat_mul, mat_sub, rank
+from logvf.linalg import (identity, is_zero_matrix, mat_add, mat_mul, mat_sub,
+                          rank, rref)
 from logvf.poly import Polynomial, poly_parse
 from logvf.standard_bases import standard_basis, syzygies
 
@@ -275,13 +280,91 @@ QUARTIC4 = ("x1", "x2", "x3", "x4"), ("3*x2^2*x3^2 - 6*x1*x3^3 - 8*x2^3*x4 "
                                       "+ 18*x1*x2*x3*x4 - 9*x1^2*x4^2")
 
 
+class _DenseQuotientCoordinates:
+    """Coordinates on O^s / (span(rels) + m^d O^s) as first written: dense
+    rows for every monomial multiple of a relation, `rref`, and a dense
+    reduction loop per vector."""
+
+    def __init__(self, rels, s, varnames, d):
+        self.d = d
+        n = len(varnames)
+        self.monos = sorted(
+            ((comp, exp) for exp in itertools.product(range(d), repeat=n)
+             if sum(exp) < d for comp in range(s)),
+            key=lambda m: (sum(m[1]), m[1], m[0]))
+        self.index = {m: i for i, m in enumerate(self.monos)}
+        rows = []
+        shifts = [e for e in itertools.product(range(d), repeat=n)
+                  if sum(e) < d]
+        for rel in rels:
+            for shift in shifts:
+                row = [Fraction(0)] * len(self.monos)
+                hit = False
+                for comp, p in enumerate(rel):
+                    for exp, c in p.terms.items():
+                        moved = tuple(a + b for a, b in zip(exp, shift))
+                        if sum(moved) < d:
+                            row[self.index[(comp, moved)]] += c
+                            hit = True
+                if hit:
+                    rows.append(row)
+        if rows:
+            self.red, self.pivots = rref(rows)
+            self.red = self.red[:len(self.pivots)]
+        else:
+            self.red, self.pivots = [], []
+        self.free_cols = [i for i in range(len(self.monos))
+                          if i not in set(self.pivots)]
+
+    def coords_of_vector(self, h):
+        w = [Fraction(0)] * len(self.monos)
+        for comp, q in enumerate(h):
+            for exp, c in _low_terms(q, self.d).items():
+                w[self.index[(comp, exp)]] += c
+        for row, piv in zip(self.red, self.pivots):
+            c = w[piv]
+            if c:
+                for i in range(len(w)):
+                    if row[i]:
+                        w[i] -= c * row[i]
+        if any(w[piv] != 0 for piv in self.pivots):
+            raise CertificateFailure("pivot elimination failed")
+        return [w[i] for i in self.free_cols]
+
+
+class _CheckedQuotientCoordinates(_QuotientCoordinates):
+    """The coordinates under test, each answer compared with the dense
+    reference: the representatives and every Leibniz vector go through
+    coords_of_vector."""
+
+    def __init__(self, rels, s, varnames, d):
+        super().__init__(rels, s, varnames, d)
+        self.reference = _DenseQuotientCoordinates(rels, s, varnames, d)
+        assert self.monos == self.reference.monos
+        assert self.free_cols == self.reference.free_cols
+
+    def coords_of_vector(self, h):
+        out = super().coords_of_vector(h)
+        assert out == self.reference.coords_of_vector(h)
+        return out
+
+
+def _checked_presentation(module, d):
+    """truncated_lie_algebra with its quotient coordinates checked against
+    the dense reference."""
+    with mock.patch.object(liealg, "_QuotientCoordinates",
+                           _CheckedQuotientCoordinates):
+        return truncated_lie_algebra(module, d)
+
+
 def _per_pair_presentation(module, d):
     """D_d the direct way: bracket every ordered pair of basis fields, write
     the bracket over the generators by a membership certificate, and read
-    off its class coordinates."""
+    off its class coordinates on the dense reference."""
     gens = [tuple(f.coeffs) for f in module.fields]
     varnames = module.varnames
-    coords = _QuotientCoordinates(syzygies(gens, LOCAL), len(gens), varnames, d)
+    coords = _DenseQuotientCoordinates(syzygies(gens, LOCAL), len(gens),
+                                       varnames, d)
     reps = []
     for col in coords.free_cols:
         comp, exp = coords.monos[col]
@@ -383,6 +466,27 @@ def test_leibniz_matches_per_pair_on_corpus():
         for d in (1, 2, 3):
             assert truncated_lie_algebra(module, d) == \
                 _per_pair_presentation(module, d), (name, d)
+
+
+# -- the sparse quotient coordinates against the dense reference -----------------
+
+@settings(max_examples=30)
+@given(GENERATED, st.integers(1, 3))
+def test_quotient_coordinates_match_dense_on_generated_germs(germ, d):
+    varnames, text = germ
+    _checked_presentation(
+        minimalize(derlog_generators(poly_parse(text, varnames))), d)
+
+
+def test_quotient_coordinates_match_dense_on_corpus():
+    for name in sorted(os.listdir(CORPUS)):
+        if name.startswith("09"):   # the product germ: refused
+            continue
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            _, f, _ = rp.parse_div(fh.read())
+        module = minimalize(derlog_generators(f))
+        for d in (1, 2, 3):
+            _checked_presentation(module, d)
 
 
 # -- the theorem: D_d of a free divisor in dimension <= 3 is solvable -----------

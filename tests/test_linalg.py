@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from logvf.linalg import (
     charpoly,
-    det,
+    echelon,
     inverse,
     mat,
     mat_mul,
     nullspace,
     rank,
+    remainder,
     row_space_contains,
     rref,
     solve,
@@ -43,9 +44,7 @@ def test_solve():
 
 def test_det_and_inverse():
     A = mat([[2, 1], [1, 1]])
-    assert det(A) == 1
     assert mat_mul(A, inverse(A)) == mat([[1, 0], [0, 1]])
-    assert det(mat([[1, 2], [2, 4]])) == 0
 
 
 def test_charpoly_companion():
@@ -185,6 +184,32 @@ def test_inverse_matches_reference(case):
         assert inverse(A) == [row[n:] for row in R]
 
 
+@PROPERTY
+@given(matrices(), st.data())
+def test_remainder_matches_rank_reference(case, data):
+    A, cols = case
+    v = data.draw(st.lists(st.one_of(st.just(0), ENTRIES),
+                           min_size=cols, max_size=cols))
+    if A and data.draw(st.booleans()):
+        # a vector of the row span: a drawn combination of the rows
+        coeffs = data.draw(st.lists(ENTRIES, min_size=len(A), max_size=len(A)))
+        v = [sum(Fraction(c) * row[j] for c, row in zip(coeffs, A))
+             for j in range(cols)]
+    reduced, pivots = echelon(A)
+    assert (reduced, pivots) == echelon(_sparse(A))
+    r = remainder(v, reduced, pivots)
+    assert r == remainder(_sparse([v])[0], reduced, pivots)
+    ref_rank = len(_reference_rref(A)[1]) if A else 0
+
+    def grows(w):
+        return len(_reference_rref(A + [w])[1]) > ref_rank
+
+    dense_r = [r.get(j, 0) for j in range(cols)]
+    assert (not r) == (not grows(v))
+    assert not grows([a - b for a, b in zip(v, dense_r)])
+    assert not set(r) & set(pivots)
+
+
 def test_empty_system_has_the_whole_space():
     identity3 = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert nullspace([], 3) == identity3
@@ -194,6 +219,7 @@ def test_empty_system_has_the_whole_space():
     assert solve([[0, 0]], [0]) == [0, 0]
     assert rank([]) == 0
     assert rref([]) == ([], [])
+    assert echelon([]) == ([], [])
     assert inverse([]) == []
     assert row_space_contains([], [0, 0])
     assert not row_space_contains([], [0, 1])

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logvf.errors import HasConstantPart, OrderMismatch
-from logvf.poly import Jet, Polynomial, WeightSystem, poly_parse
+from logvf.poly import Jet, Polynomial, WeightSystem, as_poly, poly_parse
 from logvf.vfield import (
     VectorField,
     field_graded_parts,
@@ -113,3 +115,26 @@ class TestGrading:
         comps = multihomog_decompose(d, W)
         assert comps[(Fraction(0),)] == VF("1/2*x", "1/3*y")
         assert comps[(Fraction(1),)] == VF("y^2", "0")
+
+
+# -- the terms of delta(x^e) against the action on a Laurent monomial -----------
+
+@st.composite
+def fields_and_exponents(draw):
+    """A polynomial field in one to three variables, coefficients of degree
+    at most 3 (constants included), and an exponent in [-3, 3]^n."""
+    varnames = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    n = len(varnames)
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    coeffs = [Polynomial(draw(st.dictionaries(
+        exps, st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        max_size=4)), varnames) for _ in varnames]
+    return VectorField(coeffs), draw(st.tuples(*[st.integers(-3, 3)] * n))
+
+
+@settings(max_examples=100)
+@given(fields_and_exponents())
+def test_monomial_image_is_the_action_on_x_to_the_e(case):
+    delta, e = case
+    mono = Polynomial({e: Fraction(1)}, delta.vars)
+    assert delta.monomial_image(e) == as_poly(delta.apply(mono)).terms
