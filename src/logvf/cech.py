@@ -106,15 +106,6 @@ def d1_apply(basis: Sequence[VectorField], c: CechClass) -> List[CechClass]:
     return out
 
 
-def _graded_jet(delta: VectorField, k: int) -> VectorField:
-    coeffs = []
-    for c in delta.coeffs:
-        p = as_poly(c)
-        coeffs.append(Polynomial(
-            {e: v for e, v in p.terms.items() if sum(e) <= k}, p.vars))
-    return VectorField(coeffs)
-
-
 def trace_formula_check(delta: VectorField, k: int) -> bool:
     """Does delta send the top class to -trace(A) times itself?
 
@@ -132,7 +123,7 @@ def trace_formula_check(delta: VectorField, k: int) -> bool:
     top = CechClass.top(delta.vars)
     expected = top.scale(-trace)
     full = d1_apply([delta], top)[0]
-    jet = d1_apply([_graded_jet(delta, k)], top)[0]
+    jet = d1_apply([delta.truncate(k + 1).as_polynomial_field()], top)[0]
     return full == expected and jet == expected
 
 

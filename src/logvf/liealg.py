@@ -459,7 +459,7 @@ def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
         row = tuple(coords.coords_of_vector(
             [Polynomial._of(v, varnames) for v in vec]))
         table[i][j] = row
-        table[j][i] = tuple(-x for x in row)
+        table[j][i] = tuple(-x if x else x for x in row)
     brackets = tuple(tuple(row) for row in table)
 
     faithful: Optional[bool] = None
@@ -491,15 +491,17 @@ def is_solvable(pres: LieAlgebraPresentation) -> Tuple[bool, List[int]]:
     dim = pres.dimension
     current = [{i: Fraction(1)} for i in range(dim)]
     dims = [dim]
+    # the structure constants as sparse rows {t: value}, built once
+    sparse = [[{t: val for t, val in enumerate(vec) if val} for vec in row]
+              for row in pres.brackets]
 
     def bracket_coords(u, v):
         out: Dict[int, Fraction] = {}
         for i, a in u.items():
             for j, b in v.items():
                 c = a * b
-                for t, val in enumerate(pres.brackets[i][j]):
-                    if val:
-                        out[t] = out.get(t, 0) + c * val
+                for t, val in sparse[i][j].items():
+                    out[t] = out.get(t, 0) + c * val
         return out
 
     while True:

@@ -17,6 +17,12 @@ field so that it is homogeneous of degree zero for the weights of its own
 semisimple part, multiply the equation by a unit so that the candidate's
 cofactor becomes homogeneous of degree zero as well, and re-extract
 diagonal symmetries in the new coordinates.
+
+Each step exists once: `_semisimple_diagonal` reads a field's weights,
+`_cofactor` divides exactly and falls back to the series quotient, and
+`_resonant_unit` is the unit loop of both `unit_adjust` and
+`factor_structure`.  Final identities compose through the power table of
+the returned change.
 """
 
 from dataclasses import dataclass
@@ -66,14 +72,15 @@ def _chop_field(v: VectorField, order: int) -> VectorField:
     return VectorField([_chop(c, order) for c in v.coeffs])
 
 
-def _jet_field(v: VectorField, order: int) -> VectorField:
-    return VectorField([Jet(_chop(c, order), order) for c in v.coeffs])
-
-
 def _in_row_span(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
     """Coefficients expressing vec over the rows, or None."""
     return solve([[r[i] for r in rows] for i in range(len(vec))], vec,
                  len(rows))
+
+
+def _wdeg(w: Sequence[Fraction], e: Tuple[int, ...]):
+    """The weighted degree sum(w_i * e_i) of the monomial x^e."""
+    return sum(wi * ei for wi, ei in zip(w, e))
 
 
 def _monomials(n: int, deg: int) -> List[Tuple[int, ...]]:
@@ -317,30 +324,26 @@ def homological_solve(delta: VectorField, p: Coeff, lam,
     if weights is not None:
         _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
         _check_multihomog(p, weights, key=multidegree)
-
-    def wdeg(e):
-        return sum(wi * ei for wi, ei in zip(w, e))
-
-    off = {e: c for e, c in as_poly(p).terms.items() if wdeg(e) != lam}
+    off = {e: c for e, c in as_poly(p).terms.items() if _wdeg(w, e) != lam}
     q: Dict[Tuple[int, ...], Fraction] = {}
     if off:
         for e, c in off.items():
-            q[e] = -c / (wdeg(e) - lam)
+            q[e] = -c / (_wdeg(w, e) - lam)
         p_off = Polynomial(dict(off), varnames)
         for _ in range(200):
             qp = Polynomial(dict(q), varnames)
             r = as_poly(delta.apply(qp)) - qp * lam + p_off
-            stuck = {e: c for e, c in r.terms.items() if wdeg(e) != lam}
+            stuck = {e: c for e, c in r.terms.items() if _wdeg(w, e) != lam}
             if not stuck:
                 break
             for e, c in stuck.items():
-                q[e] = q.get(e, Fraction(0)) - c / (wdeg(e) - lam)
+                q[e] = q.get(e, Fraction(0)) - c / (_wdeg(w, e) - lam)
         else:
             raise PreconditionViolated(
                 "resonance elimination does not terminate for these weights")
     qp = Polynomial(dict(q), varnames)
     result = as_poly(delta.apply(qp)) - qp * lam + as_poly(p)
-    if any(wdeg(e) != lam for e in result.terms):
+    if any(_wdeg(w, e) != lam for e in result.terms):
         raise CertificateFailure("solver left terms off the target weight")
     if isinstance(p, Jet):
         return Jet(qp, p.order)
@@ -352,16 +355,13 @@ def _solve_field_equation(delta0: VectorField, target: VectorField,
     """H with [delta0, H] = target, for target supported off the resonance."""
     varnames = target.coeffs[0].vars
     n = len(varnames)
-
-    def eig(e, i):
-        return sum(wj * ej for wj, ej in zip(w, e)) - w[i]
-
     H: List[Dict[Tuple[int, ...], Fraction]] = [dict() for _ in range(n)]
     for i, c in enumerate(target.coeffs):
         for e, coef in as_poly(c).terms.items():
-            if eig(e, i) == 0:
+            eig = _wdeg(w, e) - w[i]
+            if eig == 0:
                 raise PreconditionViolated("resonant term in field equation")
-            H[i][e] = coef / eig(e, i)
+            H[i][e] = coef / eig
     for _ in range(200):
         Hf = VectorField([Polynomial(dict(m), varnames) for m in H])
         r = lie_bracket(delta0, Hf) - target
@@ -369,9 +369,10 @@ def _solve_field_equation(delta0: VectorField, target: VectorField,
             return Hf
         for i, c in enumerate(r.coeffs):
             for e, coef in as_poly(c).terms.items():
-                if eig(e, i) == 0:
+                eig = _wdeg(w, e) - w[i]
+                if eig == 0:
                     raise CertificateFailure("field solver hit a resonance")
-                H[i][e] = H[i].get(e, Fraction(0)) - coef / eig(e, i)
+                H[i][e] = H[i].get(e, Fraction(0)) - coef / eig
     raise CertificateFailure("field homological equation did not converge")
 
 
@@ -381,6 +382,15 @@ def _solve_field_equation(delta0: VectorField, target: VectorField,
 def _is_diagonal(M) -> bool:
     return all(M[i][j] == 0 for i in range(len(M))
                for j in range(len(M)) if i != j)
+
+
+def _semisimple_diagonal(v: VectorField) -> Optional[List[Fraction]]:
+    """The diagonal of the semisimple part of v's linear part, or None when
+    that semisimple part is not diagonal."""
+    S = sn_decompose(v.linear_part()).semisimple
+    if not _is_diagonal(S):
+        return None
+    return [S[i][i] for i in range(len(S))]
 
 
 def _weight_classes(W: WeightSystem, n: int) -> List[List[int]]:
@@ -447,23 +457,17 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int
         raise PreconditionViolated("field must vanish at the origin")
     _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
     cur = _chop_field(delta.as_polynomial_field(), order)
-    A = cur.linear_part()
     total = CoordChange.identity(varnames, order)
-    dec = sn_decompose(A)
-    if not _is_diagonal(dec.semisimple):
-        prep = _diagonalizing_prep(dec, weights, varnames, order)
+    w = _semisimple_diagonal(cur)
+    if w is None:
+        prep = _diagonalizing_prep(sn_decompose(cur.linear_part()), weights,
+                                   varnames, order)
         cur = _chop_field(prep.push_field(cur), order)
         total = prep
-        A = cur.linear_part()
-        dec = sn_decompose(A)
-        if not _is_diagonal(dec.semisimple):
+        w = _semisimple_diagonal(cur)
+        if w is None:
             raise CertificateFailure("preparation failed to diagonalize")
-    w = [dec.semisimple[i][i] for i in range(n)]
-    delta0 = VectorField.from_matrix(A, varnames)
-
-    def eig(e, i):
-        return sum(wj * ej for wj, ej in zip(w, e)) - w[i]
-
+    delta0 = VectorField.from_matrix(cur.linear_part(), varnames)
     for m in range(2, order):
         parts = field_graded_parts(cur)
         part = parts.get(m - 1)
@@ -473,7 +477,7 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int
         found = False
         for i, c in enumerate(part.coeffs):
             for e, coef in as_poly(c).terms.items():
-                if eig(e, i) != 0:
+                if _wdeg(w, e) != w[i]:
                     offmaps[i][e] = coef
                     found = True
         if not found:
@@ -485,14 +489,14 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int
         total = total.then(step)
     for i, c in enumerate(cur.coeffs):
         for e in as_poly(c).terms:
-            if eig(e, i) != 0:
+            if _wdeg(w, e) != w[i]:
                 raise CertificateFailure("normalized field is not homogeneous")
     S_field = VectorField.diagonal(w, varnames)
     N_field = cur - S_field
     if not _chop_field(lie_bracket(S_field, N_field), order).is_zero():
         raise CertificateFailure("parts of the normal form do not commute")
     total._verify()
-    return total, _jet_field(cur, order), w
+    return total, cur.truncate(order), w
 
 
 # -- cofactors and unit adjustment ------------------------------------------------
@@ -541,14 +545,24 @@ def _series_quotient(g: Coeff, f: Coeff, order: int) -> Optional[Polynomial]:
     return a
 
 
-def _cofactor(delta: VectorField, f: Polynomial, order: int) -> Polynomial:
-    """a with delta(f) = a*f below `order`; exact division is tried first."""
-    df = _chop(delta.apply(f), order)
-    basis = standard_basis([f], _GLOBAL)
-    cert = membership(df, basis)
+def _exact_quotient(p: Polynomial, g: Polynomial) -> Optional[Polynomial]:
+    """The polynomial p / g when g divides p exactly, else None."""
+    if p.is_zero():
+        return Polynomial.zero(p.vars)
+    basis = standard_basis([g], _GLOBAL)
+    cert = membership(p, basis)
     if cert.member and cert.precision is None:
         return as_poly(cert.quotients[0])
-    a = _series_quotient(df, f, order)
+    return None
+
+
+def _cofactor(delta: VectorField, f: Polynomial, order: int) -> Polynomial:
+    """a with delta(f) = a*f below `order`: the exact quotient of delta(f)
+    (cut below `order`) by f when f divides it, else the series quotient."""
+    df = _chop(delta.apply(f), order)
+    a = _exact_quotient(df, f)
+    if a is None:
+        a = _series_quotient(df, f, order)
     if a is None:
         raise PreconditionViolated("field does not preserve the ideal")
     return a
@@ -558,33 +572,22 @@ def _unit_inverse(p: Polynomial, order: int) -> Polynomial:
     return as_poly(Jet(_chop(p, order), order).inverse())
 
 
-def unit_adjust(f: Coeff, delta: VectorField, weights: WeightSystem,
-                order: int) -> Tuple[Jet, Jet]:
-    """A unit u with u(0)=1 making the cofactor of delta on u*f resonant.
+def _resonant_unit(delta: VectorField, frep: Polynomial, w: Sequence[Fraction],
+                   weights: WeightSystem, order: int
+                   ) -> Tuple[Polynomial, Polynomial]:
+    """(u, cofactor of delta on u*frep), the cofactor made w-resonant.
 
-    The cofactor of delta on u*f has, below degree order - lowdeg(f), only
-    terms of weighted degree zero for the diagonal weights of delta's linear
-    part.  When f is multihomogeneous, u comes out multihomogeneous of
-    degree zero for `weights`.
+    w is the diagonal of the semisimple part of delta's linear part.  Each
+    degree of the cofactor that is not resonant costs one homological solve
+    per W-multidegree component (one component when W is empty).
     """
-    frep = _chop(f, order)
     varnames = frep.vars
-    n = len(varnames)
-    A = delta.linear_part()
-    dec = sn_decompose(A)
-    if not _is_diagonal(dec.semisimple):
-        raise PreconditionViolated("semisimple part must be diagonal")
-    w = [dec.semisimple[i][i] for i in range(n)]
-    delta0 = VectorField.from_matrix(A, varnames)
-
-    def wdeg(e):
-        return sum(wi * ei for wi, ei in zip(w, e))
-
+    delta0 = VectorField.from_matrix(delta.linear_part(), varnames)
     a = _cofactor(delta, frep, order)
     u = Polynomial.const(varnames, 1)
     for m in range(1, order):
         am = graded_parts(a).get(m)
-        if am is None or all(wdeg(e) == 0 for e in am.terms):
+        if am is None or all(_wdeg(w, e) == 0 for e in am.terms):
             continue
         q = Polynomial.zero(varnames)
         for key, comp in sorted(multihomog_decompose_poly(am, weights).items()):
@@ -594,12 +597,31 @@ def unit_adjust(f: Coeff, delta: VectorField, weights: WeightSystem,
         shift = _chop(as_poly(delta.apply(factor)) * _unit_inverse(factor, order),
                       order)
         a = _chop(a + shift, order)
+    return u, a
+
+
+def unit_adjust(f: Coeff, delta: VectorField, weights: WeightSystem,
+                order: int) -> Tuple[Jet, Jet]:
+    """A unit u with u(0)=1 making the cofactor of delta on u*f resonant.
+
+    The cofactor of delta on u*f has, below degree order - lowdeg(f), only
+    terms of weighted degree zero for the diagonal weights of delta's linear
+    part.  When f is multihomogeneous, u comes out multihomogeneous of
+    degree zero for `weights`.  The loop is `_resonant_unit`, which
+    `factor_structure` shares; here it is followed by the checks of both
+    claims on u*f.
+    """
+    frep = _chop(f, order)
+    w = _semisimple_diagonal(delta)
+    if w is None:
+        raise PreconditionViolated("semisimple part must be diagonal")
+    u, a = _resonant_unit(delta, frep, w, weights, order)
     fprime = _chop(u * frep, order)
     check = order - frep.low_degree()
     r = _chop(as_poly(delta.apply(fprime)) - a * fprime, check)
     if not r.is_zero():
         raise CertificateFailure("adjusted cofactor fails its identity")
-    if any(wdeg(e) != 0 for e in _chop(a, check).terms):
+    if any(_wdeg(w, e) != 0 for e in _chop(a, check).terms):
         raise CertificateFailure("adjusted cofactor is not resonant")
     return Jet(u, order), Jet(fprime, order)
 
@@ -736,13 +758,8 @@ def _weight_system_of(fd: Polynomial) -> Tuple[WeightSystem, List[Fraction]]:
 
 
 def _is_sterile(cand: VectorField, W: WeightSystem) -> bool:
-    A = cand.linear_part()
-    dec = sn_decompose(A)
-    S = dec.semisimple
-    if not _is_diagonal(S):
-        return False
-    diag = [S[i][i] for i in range(len(S))]
-    return _in_row_span(W.rows, diag) is not None
+    diag = _semisimple_diagonal(cand)
+    return diag is not None and _in_row_span(W.rows, diag) is not None
 
 
 def _pick_candidate(gens: Sequence[VectorField], W: WeightSystem):
@@ -785,15 +802,10 @@ def _field_multidegree(v: VectorField, W: WeightSystem):
 
 def _kill_diagonal_part(comp: VectorField, W: WeightSystem,
                         sigmas: Sequence[VectorField]) -> VectorField:
-    A = comp.linear_part()
-    dec = sn_decompose(A)
-    S = dec.semisimple
-    if is_zero_matrix(S):
-        return comp
-    if not _is_diagonal(S):
+    diag = _semisimple_diagonal(comp)
+    if diag is None:
         raise CertificateFailure(
             "generator has a non-diagonal semisimple part at this truncation")
-    diag = [S[i][i] for i in range(len(S))]
     coeffs = _in_row_span(W.rows, diag)
     if coeffs is None:
         raise CertificateFailure(
@@ -933,17 +945,17 @@ def formal_structure(f: Union[Germ, Polynomial],
     unit_final = _chop(unit_rep, d)
     if unit_final.constant_term() != 1:
         raise CertificateFailure("unit lost its normalization")
-    recomputed = _chop(unit_rep * f.substitute(list(change.images)), d)
+    change_out = change.reorder(d)
+    recomputed = _chop(unit_rep * change_out.apply(f), d)
     if recomputed != fd:
         raise CertificateFailure("transformed equation fails its identity")
     for i in range(s):
         if _chop(as_poly(sigmas[i].apply(fd)) - fd * degrees[i], d) != \
                 Polynomial.zero(varnames):
             raise CertificateFailure("diagonal field cofactor mismatch")
-    change_out = change.reorder(d)
     return FormalStructure(
         sigmas=tuple(sigmas),
-        nus=tuple(_jet_field(nu, d) for nu in kept),
+        nus=tuple(nu.truncate(d) for nu in kept),
         eigentable=tuple(tuple(row) for row in eigentable),
         weights=tuple(tuple(row) for row in W.rows),
         degrees=tuple(degrees),
@@ -965,7 +977,7 @@ def verify_cor16(fs: FormalStructure, f: Polynomial) -> List[bool]:
     if fs.s + fs.r != n:
         raise NotFree("degree-sum check needs s + r = n")
     d = fs.trunc
-    rep = _chop(as_poly(fs.unit) * f.substitute(list(fs.change.images)), d)
+    rep = _chop(as_poly(fs.unit) * fs.change.apply(f), d)
     if rep != as_poly(fs.transformed):
         raise CertificateFailure("stored transform disagrees with recompute")
     out = []
@@ -978,16 +990,6 @@ def verify_cor16(fs: FormalStructure, f: Polynomial) -> List[bool]:
 
 
 # -- user-supplied factorizations ---------------------------------------------------
-
-
-def _exact_quotient(p: Polynomial, g: Polynomial) -> Optional[Polynomial]:
-    if p.is_zero():
-        return Polynomial.zero(p.vars)
-    basis = standard_basis([g], _GLOBAL)
-    cert = membership(p, basis)
-    if cert.member and cert.precision is None:
-        return as_poly(cert.quotients[0])
-    return None
 
 
 def _jet_root(g: Polynomial, k: int, order: int) -> Polynomial:
@@ -1030,31 +1032,6 @@ class FactorStructure:
     checked_orders: Tuple[int, ...]
 
 
-def _resonance_unit(sigma: VectorField, frep: Polynomial,
-                    order: int) -> Tuple[Polynomial, Polynomial]:
-    """(u, cofactor of sigma on u*frep) with the cofactor weight-resonant."""
-    varnames = frep.vars
-    a = _cofactor(sigma, frep, order)
-    A = sigma.linear_part()
-    w = [A[i][i] for i in range(len(varnames))]
-
-    def wdeg(e):
-        return sum(wi * ei for wi, ei in zip(w, e))
-
-    u = Polynomial.const(varnames, 1)
-    for m in range(1, order):
-        am = graded_parts(a).get(m)
-        if am is None or all(wdeg(e) == 0 for e in am.terms):
-            continue
-        q = homological_solve(sigma, am, 0)
-        factor = Polynomial.const(varnames, 1) + as_poly(q)
-        u = _chop(u * factor, order)
-        shift = _chop(as_poly(sigma.apply(factor)) * _unit_inverse(factor, order),
-                      order)
-        a = _chop(a + shift, order)
-    return u, a
-
-
 def factor_structure(fs: FormalStructure, f: Polynomial,
                      factors: Sequence[Polynomial]) -> FactorStructure:
     """Unit-adjust each supplied factor to a constant eigenvalue per sigma.
@@ -1082,21 +1059,23 @@ def factor_structure(fs: FormalStructure, f: Polynomial,
         mults.append(count)
     if rem.constant_term() == 0:
         raise PreconditionViolated("leftover factor is not a unit germ")
-    freps = [_chop(g.substitute(list(fs.change.images)), d) for g in factors]
-    res = _chop(as_poly(fs.unit) * rem.substitute(list(fs.change.images)), d)
+    freps = [fs.change.apply(g) for g in factors]
+    res = _chop(as_poly(fs.unit) * fs.change.apply(rem), d)
     c0 = res.constant_term()
     target = _chop(res * (Fraction(1) / c0), d)
     m = len(factors)
     units_rows = []
     lambda_rows = []
     checked = [d - fr.low_degree() for fr in freps]
+    no_weights = WeightSystem.make([])
     for t in range(fs.s):
         sigma = fs.sigmas[t]
         urow: List[Polynomial] = []
         lrow: List[Fraction] = []
         for i in range(m):
             if i < m - 1:
-                u, a = _resonance_unit(sigma, freps[i], d)
+                u, a = _resonant_unit(sigma, freps[i], fs.weights[t],
+                                      no_weights, d)
             else:
                 acc = Polynomial.const(f.vars, 1)
                 for j in range(m - 1):

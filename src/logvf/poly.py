@@ -649,11 +649,6 @@ class PowerTable:
         return _lifted_combination(parts)
 
 
-def jet_truncate(obj: Union[Polynomial, Jet], order: int) -> Jet:
-    """Truncate a polynomial or jet to the given order."""
-    return obj.truncate(order)
-
-
 def as_poly(obj: Union[Polynomial, Jet]) -> Polynomial:
     return obj.poly if isinstance(obj, Jet) else obj
 

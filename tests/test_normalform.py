@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
                           NotAtOrigin, NotFree, PreconditionViolated,
                           ProductInput, TruncationTooSmall, VanishesAtOrigin)
-from logvf.poly import Jet, Polynomial, WeightSystem, as_poly
+from logvf.poly import Jet, Polynomial, WeightSystem, as_poly, graded_parts
 from logvf.vfield import VectorField, lie_bracket, vf_to_str
 from logvf.derlog import derlog_generators, minimalize
 from logvf.linalg import inverse
@@ -18,6 +18,10 @@ from logvf.normalform import (CoordChange, constant_field_split,
                               homological_solve, pd_normalize,
                               straighten_unit_field, unit_adjust,
                               verify_cor16)
+from logvf.normalform import (_kill_diagonal_part, _series_quotient,
+                              _unit_inverse)
+from logvf.orderings import OrderingSpec
+from logvf.standard_bases import membership, standard_basis
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -381,6 +385,89 @@ def test_unit_adjust_rejects_non_logarithmic_field():
         unit_adjust(X, delta, WeightSystem.make([(1, 1)]), 5)
 
 
+def _reference_cofactor(delta, f, order):
+    """a with delta(f) = a*f below `order`: exact division through a
+    standard basis of (f), else the series quotient."""
+    df = chop(delta.apply(f), order)
+    cert = membership(df, standard_basis(
+        [f], OrderingSpec.make("graded-reverse-lex")))
+    if cert.member and cert.precision is None:
+        return as_poly(cert.quotients[0])
+    a = _series_quotient(df, f, order)
+    if a is None:
+        raise PreconditionViolated("field does not preserve the ideal")
+    return a
+
+
+def _reference_resonance_unit(sigma, frep, order):
+    """The unit loop factor_structure ran on its own before it shared
+    unit_adjust's: (u, cofactor of sigma on u*frep), the cofactor made
+    resonant for sigma's diagonal, one homological solve per degree."""
+    varnames = frep.vars
+    a = _reference_cofactor(sigma, frep, order)
+    A = sigma.linear_part()
+    w = [A[i][i] for i in range(len(varnames))]
+
+    def wdeg(e):
+        return sum(wi * ei for wi, ei in zip(w, e))
+
+    u = Polynomial.const(varnames, 1)
+    for m in range(1, order):
+        am = graded_parts(a).get(m)
+        if am is None or all(wdeg(e) == 0 for e in am.terms):
+            continue
+        q = homological_solve(sigma, am, 0)
+        factor = Polynomial.const(varnames, 1) + as_poly(q)
+        u = chop(u * factor, order)
+        shift = chop(as_poly(sigma.apply(factor)) * _unit_inverse(factor, order),
+                     order)
+        a = chop(a + shift, order)
+    return u, a
+
+
+@st.composite
+def _weighted_homogeneous_times_unit(draw):
+    w = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    lead = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+    deg = w[0] * lead[0] + w[1] * lead[1]
+    same_degree = [(i, (deg - w[0] * i) // w[1])
+                   for i in range(deg // w[0] + 1)
+                   if (deg - w[0] * i) % w[1] == 0]
+    terms = draw(st.dictionaries(st.sampled_from(same_degree), SMALL,
+                                 max_size=3))
+    terms[lead] = draw(st.sampled_from([-2, -1, 1, 2]))
+    g = poly2(terms)
+    unit_exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda e: 0 < sum(e) <= 3)
+    u0 = Polynomial.const(V2, 1) + poly2(
+        draw(st.dictionaries(unit_exps, SMALL, max_size=4)))
+    order = g.low_degree() + draw(st.integers(1, 4))
+    return VectorField.diagonal(w, V2), chop(u0 * g, order), order
+
+
+@settings(max_examples=25)
+@given(_weighted_homogeneous_times_unit())
+def test_unit_adjust_without_weights_matches_the_reference_loop(case):
+    # sigma diagonal with positive weights, f a sigma-homogeneous g times a
+    # unit u0 with u0(0) = 1: the shared loop, run with no weight system as
+    # factor_structure runs it, gives the reference's unit
+    sigma, f, order = case
+    u, _ = unit_adjust(f, sigma, WeightSystem.make([]), order)
+    ref_u, _ = _reference_resonance_unit(sigma, f, order)
+    assert as_poly(u) == ref_u
+
+
+@pytest.mark.parametrize("comp", [
+    VectorField([Y**2, X**2 * Y]),      # no linear part
+    VectorField([Y + X**2, Y**3]),      # nilpotent linear part
+])
+def test_kill_diagonal_part_keeps_a_field_with_zero_semisimple_part(comp):
+    assert _kill_diagonal_part(comp, WeightSystem.make([]), []) == comp
+    sigma = VectorField.diagonal((1, 1), V2)
+    assert _kill_diagonal_part(
+        comp, WeightSystem.make([(1, 1)]), [sigma]) == comp
+
+
 # -- straightening ------------------------------------------------------------
 
 
@@ -566,6 +653,28 @@ def test_factor_structure_single_factor_cusp():
     fc = factor_structure(fs, CUSP, [CUSP])
     assert fc.multiplicities == (1,)
     assert fc.lambdas == ((Fraction(1),),)
+
+
+@pytest.mark.parametrize("f", [X * Y * (1 + X), X**2 * Y * (1 + X + Y**2)])
+def test_factor_structure_nontrivial_units_satisfy_their_identities(f):
+    fs = formal_structure(f)
+    fc = factor_structure(fs, f, [X, Y])
+    d = fs.trunc
+    one = Polynomial.const(V2, 1)
+    assert any(as_poly(u) != one for row in fc.units for u in row)
+    res = as_poly(fc.residual)
+    normalized = chop(res * (Fraction(1) / res.constant_term()), d)
+    for t, sigma in enumerate(fs.sigmas):
+        prod = one
+        for i, fi in enumerate(fc.factors):
+            # sigma_t(u f_i) = lambda u f_i below the factor's checked order
+            adjusted = as_poly(fc.units[t][i]) * as_poly(fi)
+            lam = fc.lambdas[t][i]
+            assert chop(as_poly(sigma.apply(adjusted)) - adjusted * lam,
+                        fc.checked_orders[i]).is_zero()
+            prod = prod * as_poly(fc.units[t][i]) ** fc.multiplicities[i]
+        # the units multiply back to the normalized residual
+        assert chop(prod, d) == normalized
 
 
 def test_factor_structure_rejects_non_divisor():
