@@ -6,8 +6,9 @@ such fields is computed as the syzygies of (df/dx_1, ..., df/dx_n, f): the
 first n entries of a relation are the field, the negated last entry the
 cofactor.  Because syzygies are taken with a global order and localization
 is flat, the same polynomial fields generate the germ-level module at the
-origin, and germ questions (minimality, freeness, Euler homogeneity) are
-settled afterwards by local membership.
+origin.  Minimality is settled by Nakayama's lemma, from the values at 0 of
+the syzygies of the generators; freeness and Euler homogeneity by local
+membership.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (CertificateFailure, NotAtOrigin, NotFree, NotLogarithmic,
                      PrecisionRequired, PreconditionViolated, WrongCount)
-from .linalg import nullspace
+from .linalg import echelon, nullspace, remainder
 from .orderings import OrderingSpec
 from .poly import Jet, Polynomial
 from .standard_bases import (StandardBasis, default_precision,
@@ -86,22 +87,25 @@ def derlog_generators(f: Polynomial) -> LogDerModule:
     return LogDerModule(f, fields, cofactors)
 
 
-def _is_local_member(vec, others) -> bool:
-    sb = standard_basis(others, LOCAL)
-    try:
-        return membership(vec, sb).member
-    except PrecisionRequired:
-        # the membership itself is decided; only the quotients need a series
-        return True
-
-
 def minimalize(module: LogDerModule) -> LogDerModule:
     """Drop generators that are redundant over the local ring at the origin.
 
-    Greedy removal, highest coefficient degree first; over a local ring a
-    generating set with no removable member is minimal.
+    Greedy removal, highest coefficient degree first, decided by Nakayama's
+    lemma: generators g_j (j in S) of M generate it over the local ring
+    exactly when their images span M/mM, which is Q^k modulo Syz(0), the
+    values at 0 of the syzygies of all k generators.  Those syzygies are
+    computed once, with the global order; localization is flat, so they
+    generate the local syzygy module too.  While `keep` generates M,
+    generator idx goes exactly when e_idx lies in
+    span(e_j : j in rest) + Syz(0).  Each removal is then witnessed by a
+    combination of exact, re-multiplied syzygies whose coefficient at the
+    removed generator is 1 at 0, a unit: dividing by it writes g_idx in the
+    other generators over the local ring.  A generating set with no
+    removable member is minimal.
     """
     vecs = [_field_vector(fld) for fld in module.fields]
+    syz0 = [dict(enumerate(q.constant_term() for q in syz))
+            for syz in syzygies(vecs)] if len(vecs) > 1 else []
     keep = list(range(len(vecs)))
     for idx in sorted(keep, key=lambda i: (module.fields[i].max_coeff_degree(),
                                            vf_to_str(module.fields[i])),
@@ -109,7 +113,8 @@ def minimalize(module: LogDerModule) -> LogDerModule:
         rest = [j for j in keep if j != idx]
         if not rest:
             continue
-        if _is_local_member(vecs[idx], [vecs[j] for j in rest]):
+        span = echelon(syz0 + [{j: Fraction(1)} for j in rest])
+        if not remainder({idx: Fraction(1)}, *span):
             keep = rest
     fields = tuple(module.fields[i] for i in keep)
     cofs = tuple(module.cofactors[i] for i in keep)
@@ -132,10 +137,13 @@ def is_product(module: LogDerModule) -> Tuple[bool, Optional[VectorField]]:
 class Germ:
     """The germ of f at the origin, with what the questions about it share,
     each computed at most once, on first use.  The checks below take a Germ
-    wherever they take f."""
+    wherever they take f; `saito_free_check` keeps its answers here, keyed
+    by the field tuple and the precision."""
 
     def __init__(self, f: Polynomial):
         self.f = f
+        self.saito_checks: Dict[Tuple[Tuple[VectorField, ...], Optional[int]],
+                                SaitoCheck] = {}
 
     @cached_property
     def module(self) -> LogDerModule:
@@ -197,13 +205,23 @@ def saito_free_check(fields: Sequence[VectorField],
     """Do n logarithmic fields form a free basis of the module of f?
 
     Raises WrongCount unless exactly n fields are given and NotLogarithmic
-    if any of them fails delta(f) in <f> at the origin.
+    if any of them fails delta(f) in <f> at the origin.  An answer is
+    computed once per germ, field tuple and precision; a raise is not kept.
     """
     germ = as_germ(f)
     f = germ.f
     n = len(f.vars)
     if len(fields) != n:
         raise WrongCount(f"need exactly {n} fields, got {len(fields)}")
+    key = (tuple(fields), precision)
+    if key not in germ.saito_checks:
+        germ.saito_checks[key] = _saito_check(fields, germ, precision)
+    return germ.saito_checks[key]
+
+
+def _saito_check(fields: Sequence[VectorField], germ: Germ,
+                 precision: Optional[int]) -> SaitoCheck:
+    f = germ.f
     fsb = germ.local_basis
     for field in fields:
         applied = field.apply(f)

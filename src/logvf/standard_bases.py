@@ -176,8 +176,7 @@ def _spair_data(a: _Elem, b: _Elem):
     return comp, gamma
 
 
-def _buchberger(inputs: List[Vec], keyf, local: bool, rank: int,
-                use_product_criterion: bool) -> List[_Elem]:
+def _buchberger(inputs: List[Vec], keyf, local: bool, rank: int) -> List[_Elem]:
     basis: List[_Elem] = []
     k = len(inputs)
     for i, vec in enumerate(inputs):
@@ -202,7 +201,7 @@ def _buchberger(inputs: List[Vec], keyf, local: bool, rank: int,
         a, b = basis[i], basis[j]
         comp, gamma = _spair_data(a, b)
 
-        if use_product_criterion and rank == 1:
+        if rank == 1:
             if tuple(x + y for x, y in zip(a.lt[1], b.lt[1])) == gamma:
                 continue
         skip = False
@@ -350,7 +349,7 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
     vecs = [_to_vec(g, varnames, rank) for g in gens]
     keyf = order.module_key
     local = order.is_local
-    basis = _buchberger(vecs, keyf, local, rank, use_product_criterion=True)
+    basis = _buchberger(vecs, keyf, local, rank)
     basis = _prune(basis, keyf)
     if not local:
         reduced: List[_Elem] = []
@@ -518,8 +517,7 @@ def syzygies(gens, ordering: Optional[OrderingSpec] = None) -> List[Tuple[Polyno
         w[(rank + i, zero_exp)] = Fraction(1)
         wide.append(w)
     keyf = elimination_key(order, rank)
-    basis = _buchberger(wide, keyf, order.is_local, rank + k,
-                        use_product_criterion=False)
+    basis = _buchberger(wide, keyf, order.is_local, rank + k)
     basis = _prune(basis, keyf)
     basis.sort(key=lambda e: e.key)
 

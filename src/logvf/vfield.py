@@ -234,10 +234,6 @@ def vf_to_str(v: VectorField) -> str:
     return body
 
 
-def apply_vf(delta: VectorField, p: Coeff) -> Coeff:
-    return delta.apply(p)
-
-
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     return a.bracket(b)
 

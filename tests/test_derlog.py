@@ -1,9 +1,12 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logvf.derlog import (EulerCheck, LogDerModule, coefficient_matrix,
+from logvf.derlog import (EulerCheck, Germ, LogDerModule, coefficient_matrix,
                           derlog_generators, diagonal_symmetry_space, euler_check,
                           is_product, koszul_free_check, minimalize, poly_det,
                           saito_free_check, squarefree_check, strong_euler_check)
@@ -11,8 +14,10 @@ from logvf.errors import (NotAtOrigin, NotFree, NotLogarithmic,
                           PrecisionRequired, PreconditionViolated, WrongCount)
 from logvf.orderings import OrderingSpec
 from logvf.poly import Polynomial, poly_parse
+from logvf.report import analyze, parse_div
 from logvf.standard_bases import membership, standard_basis
-from logvf.vfield import VectorField
+from logvf.vfield import VectorField, vf_to_str
+from test_liealg import BP_CURVES, GENERATED, PLANE_CURVES, brieskorn_pham
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -211,10 +216,149 @@ def test_quasihomogeneous_curves_random():
 
 
 def test_minimalize_drops_multiples():
-    # hand the module a redundant generator and expect it to go away
+    # hand the module redundant generators, a multiple, a sum and a copy,
+    # and expect them to go away as they do under local membership
     mod = derlog_generators(CUSP)
     x = poly_parse("x", XY)
-    extra = mod.fields[0].mul_function(x)
-    padded = LogDerModule(CUSP, mod.fields + (extra,),
-                          mod.cofactors + (mod.cofactors[0] * x,))
-    assert len(minimalize(padded).fields) == 2
+    a, b = mod.fields[0], mod.fields[-1]
+    ca, cb = mod.cofactors[0], mod.cofactors[-1]
+    padded = LogDerModule(CUSP, mod.fields + (a.mul_function(x), a + b, b),
+                          mod.cofactors + (ca * x, ca + cb, cb))
+    out = minimalize(padded)
+    assert len(out.fields) == 2
+    assert out == _reference_minimalize(padded)
+
+
+# -- minimality by Nakayama against per-generator local membership ---------------
+
+def _reference_minimalize(module):
+    """The greedy loop as first written: generator idx goes when it lies in
+    the local module of the others, decided by a fresh local standard basis
+    and a Mora membership per generator."""
+    vecs = [tuple(fld.coeffs) for fld in module.fields]
+    keep = list(range(len(vecs)))
+    for idx in sorted(keep, key=lambda i: (module.fields[i].max_coeff_degree(),
+                                           vf_to_str(module.fields[i])),
+                      reverse=True):
+        rest = [j for j in keep if j != idx]
+        if not rest:
+            continue
+        sb = standard_basis([vecs[j] for j in rest], LOCAL)
+        try:
+            member = membership(vecs[idx], sb).member
+        except PrecisionRequired:
+            member = True
+        if member:
+            keep = rest
+    pairs = sorted(((module.fields[i], module.cofactors[i]) for i in keep),
+                   key=lambda fc: (fc[0].max_coeff_degree(), vf_to_str(fc[0])))
+    return LogDerModule(module.f, tuple(p[0] for p in pairs),
+                        tuple(p[1] for p in pairs), minimal=True)
+
+
+def _assert_both_paths_agree(f):
+    module = derlog_generators(f)
+    out = minimalize(module)
+    assert out == _reference_minimalize(module), str(f)
+    return out
+
+
+def _unit_multiple(f):
+    return f * poly_parse(f"1 + {f.vars[0]}", f.vars)
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+
+def _corpus_germs():
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            yield name, parse_div(fh.read())[1]
+
+
+def test_minimalize_matches_local_membership_on_corpus():
+    for name, f in _corpus_germs():
+        for g in (f, _unit_multiple(f)):
+            _assert_both_paths_agree(g)
+
+
+@settings(max_examples=40)
+@given(GENERATED)
+def test_minimalize_matches_local_membership_on_generated_germs(germ):
+    varnames, text = germ
+    f = poly_parse(text, varnames)
+    count = len(_assert_both_paths_agree(f).fields)
+    assert len(_assert_both_paths_agree(_unit_multiple(f)).fields) == count
+
+
+@settings(max_examples=25)
+@given(PLANE_CURVES)
+def test_reduced_plane_curve_has_two_minimal_generators(germ):
+    # K. Saito: Der(-log D) of a reduced plane curve is free of rank 2, and
+    # the rank does not change under f -> (1 + x) f
+    f = poly_parse(germ[1], germ[0])
+    assert len(minimalize(derlog_generators(f)).fields) == 2
+    assert len(minimalize(derlog_generators(_unit_multiple(f))).fields) == 2
+
+
+@settings(max_examples=15)
+@given(brieskorn_pham(BP_CURVES), st.sampled_from((-2, -1, 1, 3)),
+       st.sampled_from((-3, 2, 5)))
+def test_minimal_count_is_invariant_under_linear_change(germ, a, b):
+    varnames, text = germ
+    f = poly_parse(text, varnames)
+    x, y = (poly_parse(v, varnames) for v in varnames)
+    moved = f.substitute([x + y * a, y + x * b])  # det 1 - a*b != 0
+    assert len(_assert_both_paths_agree(moved).fields) == \
+        len(_assert_both_paths_agree(f).fields) == 2
+
+
+def test_minimalize_makes_one_syzygy_call_and_no_standard_basis(monkeypatch):
+    import logvf.derlog as dl
+    import logvf.standard_bases as sbm
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimalize needs no standard basis")
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sbm.syzygies(*args, **kwargs)
+
+    for name in ("standard_basis", "membership"):
+        monkeypatch.setattr(dl, name, refuse)
+        monkeypatch.setattr(sbm, name, refuse)
+    monkeypatch.setattr(dl, "syzygies", counted)
+    for name, f in _corpus_germs():
+        module = derlog_generators(f)
+        before = len(calls)
+        minimalize(module)
+        assert len(calls) - before == (1 if len(module.fields) > 1 else 0), name
+
+
+def test_saito_check_is_computed_once_per_germ(monkeypatch):
+    import logvf.derlog as dl
+    calls = []
+    counted = dl.coefficient_matrix
+
+    def counting(fields):
+        calls.append(1)
+        return counted(fields)
+
+    monkeypatch.setattr(dl, "coefficient_matrix", counting)
+    analyze(CUSP)
+    assert len(calls) == 1
+    germ = Germ(CUSP)
+    fields = list(germ.module.fields)
+    first = saito_free_check(fields, germ)
+    assert saito_free_check(tuple(fields), germ) is first
+    assert saito_free_check(fields, germ, precision=12) is not first
+    assert saito_free_check(fields[::-1], germ).determinant == -first.determinant
+    assert len(calls) == 4
+    # a raise is not kept: the same bad call raises again
+    bad = [VectorField.partial(XY, 0), VectorField.partial(XY, 1)]
+    for _ in range(2):
+        with pytest.raises(NotLogarithmic):
+            saito_free_check(bad, germ)
+    assert not any(key[0] == tuple(bad) for key in germ.saito_checks)
