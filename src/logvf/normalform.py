@@ -5,11 +5,19 @@ polynomial maps stored together with an inverse that is valid below degree d,
 and every public operation re-verifies its own output (transformed fields
 satisfy the claimed resonance pattern, the final equation matches
 unit * f o change).  A coordinate change is certified once, where it is
-made (`CoordChange.make` checks both round trips) or returned (`reorder`,
-`pd_normalize`), and not after every composition: two changes that invert
-below their orders compose to one that inverts below the smaller order, by
-algebra alone.  So every change whose apply, unapply or push_field output
-feeds a result has been verified at the order it is used at.
+made (`CoordChange.make` checks both round trips) or returned (`reorder`),
+and not after every composition: two changes that invert below their
+orders compose to one that inverts below the smaller order, by algebra
+alone.  So every change whose apply, unapply or push_field output feeds a
+result has been verified at the order it is used at.
+
+`pd_normalize` and `straighten_unit_field` build their change from
+tangent-to-identity steps x -> x + H in `_tangent_steps`.  The steps are
+applied forward only: the images are composed and the field transported by
+solving (I + DH).delta' = delta o (x + H), and no step is inverted.  The
+composite is made once at the end, so `make` certifies its round trip, and
+the returned field is certified by transport: delta'(images_i) equals
+delta_i o images below the change's order, for the input field delta.
 
 The driver `formal_structure` iterates three steps until the space of
 diagonal symmetries of the equation stops growing: normalize one candidate
@@ -28,15 +36,16 @@ the returned change.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import (CertificateFailure, NotAtOrigin, NotFree,
                      PrecisionRequired, PreconditionViolated, ProductInput,
                      TruncationTooSmall, VanishesAtOrigin)
 from .poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly,
                    graded_parts, multihomog_decompose_poly)
-from .vfield import (VectorField, field_graded_parts, lie_bracket,
-                     multihomog_decompose, vf_to_str)
+from .vfield import (VectorField, lie_bracket, multihomog_decompose,
+                     vf_to_str)
 from .linalg import identity as mat_identity
 from .linalg import (inverse, is_zero_matrix, mat_pow, nullspace, solve,
                      transpose)
@@ -105,7 +114,11 @@ class CoordChange:
     directions compose to the identity below degree `order`.  `make` finds
     the inverse by Newton's method and checks both round trips; `reorder`
     checks them at its lower order; `then` composes two checked changes
-    without a check of its own, which algebra makes unnecessary.
+    without a check of its own, which algebra makes unnecessary.  A field
+    moved by a change is certified apart from it: `push_field` is exact
+    below `order` once the round trip holds, and the normalizing steps,
+    which transport their field without an inverse, check that the field
+    is the transport of their input (see the module docstring).
 
     Power tables are cached per map: each change builds a PowerTable for
     its images and one for its inverse images on first use, and apply,
@@ -192,14 +205,6 @@ class CoordChange:
         imgs = [sum((Polynomial.variable(varnames, i) * Fraction(M[j][i])
                      for i in range(n)), Polynomial.zero(varnames))
                 for j in range(n)]
-        return cls.make(imgs, order)
-
-    @classmethod
-    def tangent(cls, shifts: Sequence[Coeff], order: int) -> "CoordChange":
-        """Images x_j + h_j for higher-order shifts h_j."""
-        varnames = as_poly(shifts[0]).vars
-        imgs = [Polynomial.variable(varnames, j) + as_poly(h)
-                for j, h in enumerate(shifts)]
         return cls.make(imgs, order)
 
     def _verify(self):
@@ -434,6 +439,90 @@ def _diagonalizing_prep(dec, W: WeightSystem, varnames, order) -> CoordChange:
     return CoordChange.linear(inverse(transpose(Q)), varnames, order)
 
 
+def _degree_part(v: VectorField, m: int) -> VectorField:
+    """The coefficient terms of total degree m of a polynomial field."""
+    return VectorField([Polynomial._of(
+        {e: c for e, c in p.terms.items() if sum(e) == m}, p.vars)
+        for p in v.coeffs])
+
+
+def _transport(rhs: Sequence[Polynomial], H: Sequence[Polynomial],
+               order: int) -> VectorField:
+    """The field d' with (I + DH).d' = rhs below `order`.
+
+    Solved by the Neumann series d' = rhs - DH.rhs + DH.(DH.rhs) - ...: H
+    is homogeneous of some degree m >= 2, so each increment starts m - 1
+    degrees above the one before, and the series ends below `order` after
+    at most (order - 1) / (m - 1) increments.  Each increment is formed
+    with truncated jet products, only below `order`.
+    """
+    n = len(H)
+    dH = [[h.diff(j) for j in range(n)] for h in H]
+    zero = Jet(Polynomial.zero(H[0].vars), order)
+    out, term = list(rhs), list(rhs)
+    while any(not t.is_zero() for t in term):
+        nxt = []
+        for row in dH:
+            acc = zero
+            for d, t in zip(row, term):
+                if not (d.is_zero() or t.is_zero()):
+                    acc = acc - Jet(d, order - t.low_degree()) * Jet(t, order)
+            nxt.append(acc.poly)
+        term = nxt
+        out = [a + b for a, b in zip(out, term)]
+    return VectorField(out)
+
+
+def _tangent_steps(start: VectorField, prep: Optional[CoordChange],
+                   cur: VectorField, order: int, degrees: Sequence[int],
+                   shifts: Callable[[VectorField],
+                                    Optional[Sequence[Polynomial]]]
+                   ) -> Tuple[CoordChange, VectorField]:
+    """Tangent-to-identity steps applied forward, and one inversion.
+
+    `start` is a field cut below `order`, `prep` a linear preparation (or
+    None) and `cur` the field `prep` moves `start` to.  For each degree m in
+    `degrees`, shifts(part) reads the coefficient terms of degree m of the
+    current field and returns the shifts H of the next step x -> x + H
+    (homogeneous of degree at least 2), or None for no step.  A step
+    composes the accumulated images with x + H through one power table, and
+    `_transport` moves the field from field o (x + H), composed through the
+    same table.  No step is inverted.
+
+    After the loop the change is made once (`CoordChange.make`: one Newton
+    inversion and its round-trip check), and the returned field is
+    certified as the transport of `start`: cur(images_i) = start_i o images
+    below the change's order, which is `order`, or `order` - 1 when `start`
+    has a constant part (the image's degree-`order` terms then reach degree
+    `order` - 1 of cur(images_i)).
+    """
+    valid = order if start.vanishes_at_origin() else order - 1
+    if valid < 2:
+        # below degree 2 every image vanishes: make refuses it alike
+        raise PreconditionViolated("matrix is not invertible")
+    varnames = start.vars
+    xs = [Polynomial.variable(varnames, i) for i in range(len(varnames))]
+    imgs = list(xs if prep is None else prep.images)
+    stepped = False
+    for m in degrees:
+        H = shifts(_degree_part(cur, m))
+        if H is None:
+            continue
+        table = PowerTable([x + h for x, h in zip(xs, H)], order)
+        imgs = [table.compose(p) for p in imgs]
+        cur = _transport([table.compose(c) for c in cur.coeffs], H, order)
+        stepped = True
+    if prep is None and not stepped:
+        return CoordChange.identity(varnames, valid), cur
+    change = CoordChange.make(imgs, valid)
+    moved = cur.truncate(valid)
+    for p, c in zip(imgs, start.coeffs):
+        if _chop(moved.apply(p), valid) != change.apply(c):
+            raise CertificateFailure(
+                "normalized field is not the transport of the input")
+    return change, cur
+
+
 def pd_normalize(delta: VectorField, weights: WeightSystem,
                  order: int) -> Tuple[CoordChange, VectorField]:
     """Make a field homogeneous of degree zero for its own diagonal weights.
@@ -441,7 +530,9 @@ def pd_normalize(delta: VectorField, weights: WeightSystem,
     The input must vanish at the origin and be multihomogeneous of degree
     zero for `weights`; the change is assembled from a block-diagonal linear
     preparation and tangent-to-identity steps, one per degree below `order`,
-    and verified once, as a whole, before it is returned.
+    applied forward only (`_tangent_steps`).  It is inverted and its round
+    trip checked once, as a whole, and the field is certified as the
+    transport of the input under it.
     """
     total, field, _ = _pd_normalize(delta, weights, order)
     return total, field
@@ -452,50 +543,39 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int
     """pd_normalize, plus the diagonal of the semisimple part of the
     normalized field's linear part (its weights)."""
     varnames = as_poly(delta.coeffs[0]).vars
-    n = len(varnames)
     if not delta.vanishes_at_origin():
         raise PreconditionViolated("field must vanish at the origin")
     _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
-    cur = _chop_field(delta.as_polynomial_field(), order)
-    total = CoordChange.identity(varnames, order)
+    start = _chop_field(delta.as_polynomial_field(), order)
+    cur, prep = start, None
     w = _semisimple_diagonal(cur)
     if w is None:
         prep = _diagonalizing_prep(sn_decompose(cur.linear_part()), weights,
                                    varnames, order)
         cur = _chop_field(prep.push_field(cur), order)
-        total = prep
         w = _semisimple_diagonal(cur)
         if w is None:
             raise CertificateFailure("preparation failed to diagonalize")
     delta0 = VectorField.from_matrix(cur.linear_part(), varnames)
-    for m in range(2, order):
-        parts = field_graded_parts(cur)
-        part = parts.get(m - 1)
-        if part is None:
-            continue
-        offmaps: List[Dict] = [dict() for _ in range(n)]
-        found = False
-        for i, c in enumerate(part.coeffs):
-            for e, coef in as_poly(c).terms.items():
-                if _wdeg(w, e) != w[i]:
-                    offmaps[i][e] = coef
-                    found = True
-        if not found:
-            continue
-        off = VectorField([Polynomial(mp, varnames) for mp in offmaps])
-        H = _solve_field_equation(delta0, off, w)
-        step = CoordChange.tangent(H.coeffs, order)
-        cur = _chop_field(step.push_field(cur), order)
-        total = total.then(step)
+
+    def shifts(part: VectorField) -> Optional[Sequence[Polynomial]]:
+        off = VectorField([Polynomial._of(
+            {e: c for e, c in p.terms.items() if _wdeg(w, e) != w[i]},
+            varnames) for i, p in enumerate(part.coeffs)])
+        if off.is_zero():
+            return None
+        return _solve_field_equation(delta0, off, w).coeffs
+
+    total, cur = _tangent_steps(start, prep, cur, order, range(2, order),
+                                shifts)
     for i, c in enumerate(cur.coeffs):
-        for e in as_poly(c).terms:
+        for e in c.terms:
             if _wdeg(w, e) != w[i]:
                 raise CertificateFailure("normalized field is not homogeneous")
     S_field = VectorField.diagonal(w, varnames)
     N_field = cur - S_field
     if not _chop_field(lie_bracket(S_field, N_field), order).is_zero():
         raise CertificateFailure("parts of the normal form do not commute")
-    total._verify()
     return total, cur.truncate(order), w
 
 
@@ -611,10 +691,17 @@ def unit_adjust(f: Coeff, delta: VectorField, weights: WeightSystem,
     `factor_structure` shares; here it is followed by the checks of both
     claims on u*f.
     """
-    frep = _chop(f, order)
     w = _semisimple_diagonal(delta)
     if w is None:
         raise PreconditionViolated("semisimple part must be diagonal")
+    return _unit_adjust(f, delta, w, weights, order)
+
+
+def _unit_adjust(f: Coeff, delta: VectorField, w: Sequence[Fraction],
+                 weights: WeightSystem, order: int) -> Tuple[Jet, Jet]:
+    """unit_adjust for a delta whose weights w, the diagonal of the
+    semisimple part of its linear part, are already known."""
+    frep = _chop(f, order)
     u, a = _resonant_unit(delta, frep, w, weights, order)
     fprime = _chop(u * frep, order)
     check = order - frep.low_degree()
@@ -645,37 +732,33 @@ def straighten_unit_field(delta: VectorField, order: int) -> CoordChange:
     varnames = as_poly(delta.coeffs[0]).vars
     n = len(varnames)
     inner = order + 1
-    cur = _chop_field(delta.as_polynomial_field(), inner)
+    start = _chop_field(delta.as_polynomial_field(), inner)
+    cur, prep = start, None
     if list(const) != [Fraction(1 if i == t else 0) for i in range(n)]:
         B = mat_identity(n)
         for i in range(n):
             B[i][t] = Fraction(const[i])
         prep = CoordChange.linear(B, varnames, inner)
         cur = _chop_field(prep.push_field(cur), inner)
-        total = prep
-    else:
-        total = CoordChange.identity(varnames, inner)
-    target = VectorField.partial(varnames, t)
-    for m in range(1, inner):
-        rest = cur - target
-        part = field_graded_parts(rest).get(m - 1)
-        if part is None or part.is_zero():
-            continue
-        shifts = []
-        for j in range(n):
-            rj = as_poly(part.coeffs[j])
-            terms = {}
-            for e, c in rj.terms.items():
-                lifted = tuple(ei + 1 if i == t else ei
-                               for i, ei in enumerate(e))
-                terms[lifted] = c / (e[t] + 1)
-            shifts.append(Polynomial(terms, varnames))
-        step = CoordChange.tangent(shifts, inner)
-        cur = _chop_field(step.push_field(cur), inner)
-        total = total.then(step)
-    if not _chop_field(cur - target, order).is_zero():
+
+    def shifts(part: VectorField) -> Optional[List[Polynomial]]:
+        # after the preparation the constant part is d_t, so the terms of
+        # degree m >= 1 are those of cur - d_t; lifted in x_t they give
+        # shifts of degree m + 1 <= order (at m = order they would vanish
+        # below inner)
+        if part.is_zero():
+            return None
+        return [Polynomial({tuple(ei + 1 if i == t else ei
+                                  for i, ei in enumerate(e)): c / (e[t] + 1)
+                            for e, c in p.terms.items()}, varnames)
+                for p in part.coeffs]
+
+    change, cur = _tangent_steps(start, prep, cur, inner, range(1, order),
+                                 shifts)
+    if not _chop_field(cur - VectorField.partial(varnames, t),
+                       order).is_zero():
         raise CertificateFailure("field did not straighten to a partial")
-    return total.reorder(order)
+    return change
 
 
 def remove_variable(p: Polynomial, t: int) -> Polynomial:
@@ -875,7 +958,7 @@ def formal_structure(f: Union[Germ, Polynomial],
             raise CertificateFailure(
                 "equation left its multidegree under a weighted change")
         fcur = proj
-        u_new, f_new = unit_adjust(fcur, delta_n, W, d_work)
+        u_new, f_new = _unit_adjust(fcur, delta_n, wnew, W, d_work)
         unit_rep = _chop(unit_rep * as_poly(u_new), d_work)
         fcur = as_poly(f_new)
         parts = multihomog_decompose_poly(_chop(fcur, d),

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -9,18 +10,25 @@ from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
                           NotAtOrigin, NotFree, PreconditionViolated,
                           ProductInput, TruncationTooSmall, VanishesAtOrigin)
 from logvf.poly import Jet, Polynomial, WeightSystem, as_poly, graded_parts
-from logvf.vfield import VectorField, lie_bracket, vf_to_str
+from logvf.vfield import (VectorField, field_graded_parts, lie_bracket,
+                          vf_to_str)
 from logvf.derlog import derlog_generators, minimalize
+from logvf.linalg import identity as mat_identity
 from logvf.linalg import inverse
+from logvf.liealg import sn_decompose
 from logvf.normalform import (CoordChange, constant_field_split,
                               default_truncation, diagonal_symmetries,
                               factor_structure, formal_structure,
                               homological_solve, pd_normalize,
                               straighten_unit_field, unit_adjust,
                               verify_cor16)
-from logvf.normalform import (_kill_diagonal_part, _series_quotient,
-                              _unit_inverse)
+from logvf import normalform
+from logvf.normalform import (_chop_field, _diagonalizing_prep,
+                              _kill_diagonal_part, _pd_normalize,
+                              _semisimple_diagonal, _series_quotient,
+                              _solve_field_equation, _unit_inverse, _wdeg)
 from logvf.orderings import OrderingSpec
+from logvf.report import parse_div
 from logvf.standard_bases import membership, standard_basis
 
 V2 = ("x", "y")
@@ -214,11 +222,16 @@ def test_corrupted_inverse_fails_at_reorder():
 
 
 def test_corrupted_composite_fails_where_it_is_returned(monkeypatch):
-    # then() does not check; pd_normalize and straighten_unit_field
-    # (through reorder) check what they return
-    then = CoordChange.then
-    monkeypatch.setattr(CoordChange, "then",
-                        lambda self, nxt: _corrupted(then(self, nxt)))
+    # the tangent steps are applied forward only and their composite made
+    # once; a wrong term in the composed images handed to make still gives
+    # a change that round-trips, so only the transport certificate on the
+    # returned field can catch it
+    make = CoordChange.make.__func__
+
+    def corrupted(cls, images, order):
+        return make(cls, [images[0] + X**2] + list(images[1:]), order)
+
+    monkeypatch.setattr(CoordChange, "make", classmethod(corrupted))
     with pytest.raises(CertificateFailure):
         pd_normalize(VectorField([X * 2 + Y**3, Y]), WeightSystem.make([]), 6)
     with pytest.raises(CertificateFailure):
@@ -514,6 +527,240 @@ def test_constant_field_split_drops_dummy_variable():
     assert reduced == CUSP
     assert constant_field_split(CUSP, minimalize(
         derlog_generators(CUSP)).fields) is None
+
+
+# -- tangent steps against the step-by-step reference ---------------------
+
+
+def _reference_tangent(shifts, order):
+    """The change x -> x + h, made with its inverse and round trip."""
+    varnames = shifts[0].vars
+    return CoordChange.make([Polynomial.variable(varnames, j) + as_poly(h)
+                             for j, h in enumerate(shifts)], order)
+
+
+def _reference_pd_normalize(delta, weights, order):
+    """_pd_normalize one inverted step at a time: each step is made with
+    its inverse, pushes the field through it and is composed onto the total
+    with then, and the total's round trip is checked at the end."""
+    varnames = delta.vars
+    cur = _chop_field(delta.as_polynomial_field(), order)
+    total = CoordChange.identity(varnames, order)
+    w = _semisimple_diagonal(cur)
+    if w is None:
+        total = _diagonalizing_prep(sn_decompose(cur.linear_part()), weights,
+                                    varnames, order)
+        cur = _chop_field(total.push_field(cur), order)
+        w = _semisimple_diagonal(cur)
+    delta0 = VectorField.from_matrix(cur.linear_part(), varnames)
+    for m in range(2, order):
+        part = field_graded_parts(cur).get(m - 1)
+        if part is None:
+            continue
+        off = VectorField([Polynomial(
+            {e: c for e, c in p.terms.items() if _wdeg(w, e) != w[i]},
+            varnames) for i, p in enumerate(part.coeffs)])
+        if off.is_zero():
+            continue
+        H = _solve_field_equation(delta0, off, w)
+        step = _reference_tangent(H.coeffs, order)
+        cur = _chop_field(step.push_field(cur), order)
+        total = total.then(step)
+    total._verify()
+    return total, cur.truncate(order), w
+
+
+def _reference_straighten(delta, order):
+    """straighten_unit_field one inverted step at a time."""
+    const = delta.constant_part()
+    t = next(i for i, c in enumerate(const) if c != 0)
+    varnames = delta.vars
+    n = len(varnames)
+    inner = order + 1
+    cur = _chop_field(delta.as_polynomial_field(), inner)
+    total = CoordChange.identity(varnames, inner)
+    if list(const) != [Fraction(1 if i == t else 0) for i in range(n)]:
+        B = mat_identity(n)
+        for i in range(n):
+            B[i][t] = Fraction(const[i])
+        total = CoordChange.linear(B, varnames, inner)
+        cur = _chop_field(total.push_field(cur), inner)
+    target = VectorField.partial(varnames, t)
+    for m in range(1, inner):
+        part = field_graded_parts(cur - target).get(m - 1)
+        if part is None or part.is_zero():
+            continue
+        shifts = [Polynomial({tuple(ei + 1 if i == t else ei
+                                    for i, ei in enumerate(e)): c / (e[t] + 1)
+                              for e, c in p.terms.items()}, varnames)
+                  for p in part.coeffs]
+        step = _reference_tangent(shifts, inner)
+        cur = _chop_field(step.push_field(cur), inner)
+        total = total.then(step)
+    assert _chop_field(cur - target, order).is_zero()
+    return total.reorder(order)
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+
+def _corpus_germs():
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            yield name, parse_div(fh.read())[1]
+
+
+def _assert_pd_matches_reference(delta, weights, order):
+    change, field, w = _pd_normalize(delta, weights, order)
+    ref_change, ref_field, ref_w = _reference_pd_normalize(delta, weights,
+                                                           order)
+    assert change.images == ref_change.images
+    assert change.inverse_images == ref_change.inverse_images
+    assert change.order == ref_change.order
+    assert field == ref_field
+    assert w == ref_w
+
+
+def _higher_terms(draw, low, high, max_terms):
+    exps = st.tuples(st.integers(0, high), st.integers(0, high)).filter(
+        lambda e: low <= sum(e) <= high)
+    return poly2(draw(st.dictionaries(exps, SMALL, max_size=max_terms)))
+
+
+@st.composite
+def _fields_to_normalize(draw):
+    # linear part x.A.d with A = [[a, b], [0, c]]: a != c and b != 0 need
+    # the diagonalizing preparation, a == c and b != 0 a nilpotent part
+    a, b, c = draw(st.integers(-2, 3)), draw(SMALL), draw(st.integers(-2, 3))
+    field = VectorField([X * a + _higher_terms(draw, 2, 4, 4),
+                         X * b + Y * c + _higher_terms(draw, 2, 4, 4)])
+    return field, draw(st.integers(2, 7))
+
+
+@settings(max_examples=25)
+@given(_fields_to_normalize())
+def test_pd_normalize_matches_the_step_by_step_reference(case):
+    delta, order = case
+    _assert_pd_matches_reference(delta, WeightSystem.make([]), order)
+
+
+def _tangent_moved(f):
+    """f after x_0 -> x_0 + x_1^2 (x_0 -> x_0 + x_0^2 in one variable)."""
+    xs = [Polynomial.variable(f.vars, i) for i in range(len(f.vars))]
+    xs[0] = xs[0] + xs[min(1, len(xs) - 1)] ** 2
+    return f.substitute(xs)
+
+
+def test_pd_normalize_matches_the_reference_on_every_corpus_candidate(
+        monkeypatch):
+    # the corpus germs are weighted homogeneous, so no candidate of theirs
+    # is normalized; moved by a tangent change, most of them give one, and
+    # every field formal_structure normalizes, in every round, is compared
+    calls = []
+
+    def record(delta, weights, order):
+        calls.append((delta, weights, order))
+        return _pd_normalize(delta, weights, order)
+
+    monkeypatch.setattr(normalform, "_pd_normalize", record)
+    for name, f in _corpus_germs():
+        for g in (f, _tangent_moved(f)):
+            try:
+                formal_structure(g)
+            except ProductInput:
+                pass
+    assert len(calls) >= 6
+    for delta, weights, order in calls:
+        _assert_pd_matches_reference(delta, weights, order)
+
+
+@st.composite
+def _fields_to_straighten(draw):
+    const = draw(st.tuples(SMALL, SMALL).filter(any))
+    field = VectorField([Polynomial.const(V2, const[0])
+                         + _higher_terms(draw, 1, 3, 4),
+                         Polynomial.const(V2, const[1])
+                         + _higher_terms(draw, 1, 3, 4)])
+    return field, draw(st.integers(2, 7))
+
+
+@settings(max_examples=25)
+@given(_fields_to_straighten())
+def test_straighten_matches_the_step_by_step_reference(case):
+    delta, order = case
+    change = straighten_unit_field(delta, order)
+    ref = _reference_straighten(delta, order)
+    assert change.images == ref.images
+    assert change.inverse_images == ref.inverse_images
+    assert change.order == ref.order
+
+
+def _count_changes(monkeypatch):
+    counts = {"make": 0, "steps": 0}
+    make = CoordChange.make.__func__
+    transport = normalform._transport
+
+    def counting_make(cls, images, order):
+        counts["make"] += 1
+        return make(cls, images, order)
+
+    def counting_transport(rhs, H, order):
+        counts["steps"] += 1
+        return transport(rhs, H, order)
+
+    def no_then(self, nxt):
+        raise AssertionError("then composes a tangent step")
+
+    monkeypatch.setattr(CoordChange, "make", classmethod(counting_make))
+    monkeypatch.setattr(CoordChange, "then", no_then)
+    monkeypatch.setattr(normalform, "_transport", counting_transport)
+    return counts
+
+
+@pytest.mark.parametrize("delta, makes", [
+    # off-resonant terms at degrees 3, 4 and 5
+    (VectorField([X * 2 + Y**3 + Y**4 + Y**5, Y]), 1),
+    # semisimple part [[1, 1], [0, 2]] needs the diagonalizing preparation
+    (VectorField([X + Y**3 + Y**4 + Y**5, X + Y * 2 + X**3]), 2),
+])
+def test_pd_normalize_makes_its_change_once(monkeypatch, delta, makes):
+    counts = _count_changes(monkeypatch)
+    pd_normalize(delta, WeightSystem.make([]), 8)
+    assert counts["steps"] >= 3
+    assert counts["make"] == makes
+
+
+@pytest.mark.parametrize("delta, makes", [
+    (VectorField([1 + Y**2 + X * Y, X + Y**2]), 1),
+    (VectorField([2 + Y**2 + X * Y, 1 + X + Y**2]), 2),
+])
+def test_straighten_makes_its_change_once(monkeypatch, delta, makes):
+    counts = _count_changes(monkeypatch)
+    straighten_unit_field(delta, 6)
+    assert counts["steps"] >= 3
+    assert counts["make"] == makes
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_tangent_steps_refuse_orders_below_two(order):
+    # below degree 2 every image vanishes: refused as make and reorder
+    # refuse it, not reported as a failed certificate
+    with pytest.raises(PreconditionViolated):
+        pd_normalize(VectorField([X * 2 + Y**3, Y]), WeightSystem.make([]),
+                     order)
+    with pytest.raises(PreconditionViolated):
+        straighten_unit_field(VectorField([1 + Y**2, X]), order)
+
+
+def test_formal_structure_reuses_the_normalized_weights(monkeypatch):
+    # the weights _pd_normalize read go to the unit step, which does not
+    # decompose the normalized field's linear part again
+    def refuse(*args):
+        raise AssertionError("unit_adjust decomposes the linear part again")
+
+    monkeypatch.setattr(normalform, "unit_adjust", refuse)
+    fs = formal_structure((X + Y**2) ** 2 + Y**3, 8)
+    assert fs.change.images[0] == X - Y**2
 
 
 # -- the full pipeline ---------------------------------------------------------
