@@ -3,9 +3,15 @@
 Two computations live here.  sn_decompose splits a rational square matrix
 into commuting semisimple and nilpotent parts; it works entirely over the
 rationals and refuses (with NonRationalEigenvalues) when the eigenvalues do
-not all lie there.  truncated_lie_algebra presents the finite dimensional
-quotient D_d = Der_f / m^d Der_f as a basis with structure constants, which
-is then probed for solvability, nilpotent adjoints, and the center.
+not all lie there.  The semisimple part acts as lam on each generalized
+eigenspace, the kernel of (A - lam)^mult from `linalg.nullspace`, and is
+put back together with `linalg.inverse`; the splitting is unique
+(Jordan-Chevalley), and a certificate checks that the parts commute, that
+the nilpotent one is nilpotent and that the product of (S - lam) over the
+eigenvalues vanishes.  truncated_lie_algebra presents the finite
+dimensional quotient D_d = Der_f / m^d Der_f as a basis with structure
+constants, which is then probed for solvability, nilpotent adjoints, and
+the center.
 
 D_d is built through the presentation O^s -> Der_f sending e_i to the i-th
 minimal generator: the quotient equals O^s / (Syz + m^d O^s), a plain
@@ -34,8 +40,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .derlog import LogDerModule, is_product, minimalize
 from .errors import (CertificateFailure, NonRationalEigenvalues, ProductInput,
                      PrecisionRequired, PreconditionViolated)
-from .linalg import (charpoly, echelon, identity, mat_add, mat_mul, mat_scale,
-                     mat_sub, rank, remainder)
+from .linalg import (charpoly, echelon, identity, inverse, is_zero_matrix,
+                     mat_mul, mat_pow, mat_scale, mat_sub, nullspace, rank,
+                     remainder, transpose)
 from .orderings import OrderingSpec
 from .poly import Exponent, Jet, Polynomial
 from .standard_bases import membership, standard_basis, syzygies
@@ -165,9 +172,13 @@ def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class SNDecomposition:
-    """A = semisimple + nilpotent with the two parts commuting; the
-    semisimple part is a polynomial in A, so it preserves every A-invariant
-    subspace."""
+    """A = semisimple + nilpotent with the two parts commuting.
+
+    The semisimple part acts as lam on the generalized eigenspace
+    ker (A - lam)^mult of each eigenvalue lam of multiplicity mult.  By the
+    Jordan-Chevalley theorem the splitting is unique and the semisimple part
+    is a polynomial in A, so it preserves every A-invariant subspace.
+    """
 
     semisimple: List[List[Fraction]]
     nilpotent: List[List[Fraction]]
@@ -175,120 +186,43 @@ class SNDecomposition:
 
 
 def sn_decompose(A: Sequence[Sequence]) -> SNDecomposition:
+    """The Jordan-Chevalley splitting of a rational square matrix.
+
+    The columns of P are the kernel bases of (A - lam)^mult, eigenvalues in
+    increasing order; S = P diag(lam) P^-1 and N = A - S, and `_check_sn`
+    certifies the result.  Eigenvalues outside the rationals are refused.
+    """
     n = len(A)
     A = [[Fraction(x) for x in row] for row in A]
     coeffs = charpoly(A)
     roots = _rational_roots(coeffs)
     if sum(roots.values()) != n:
         raise CertificateFailure("eigenvalue multiplicities do not add up")
-    if len(roots) == 1:
-        lam = next(iter(roots))
-        S = mat_scale(identity(n), lam)
-    else:
-        p = _chinese_interpolant(roots)
-        S = _apply_poly(p, A)
+    cols: List[List[Fraction]] = []
+    scaled: List[List[Fraction]] = []
+    for lam, mult in sorted(roots.items()):
+        for v in nullspace(mat_pow(mat_sub(A, mat_scale(identity(n), lam)),
+                                   mult)):
+            cols.append(v)
+            scaled.append([lam * x for x in v])
+    if len(cols) != n:
+        raise CertificateFailure("generalized eigenspaces do not span the space")
+    S = mat_mul(transpose(scaled), inverse(transpose(cols)))
     N = mat_sub(A, S)
     _check_sn(S, N, roots)
     return SNDecomposition(S, N, roots)
-
-
-def _chinese_interpolant(roots: Dict[Fraction, int]) -> List[Fraction]:
-    """Descending coefficients of p with p = lam mod (t-lam)^mult for every
-    eigenvalue, built one congruence at a time."""
-    p = [Fraction(0)]
-    for lam, mult in sorted(roots.items()):
-        q = [Fraction(1)]
-        for mu, mm in sorted(roots.items()):
-            if mu == lam:
-                continue
-            for _ in range(mm):
-                q = _poly_mul(q, [Fraction(1), -mu])
-        # fix (p + q*c) = lam mod (t-lam)^mult by power series division
-        target = _taylor_at(_poly_sub([lam], p), lam, mult)
-        qt = _taylor_at(q, lam, mult)
-        if qt[0] == 0:
-            raise CertificateFailure("interpolation modulus vanished at a root")
-        c_taylor = [Fraction(0)] * mult
-        for k in range(mult):
-            acc = target[k]
-            for i in range(k):
-                acc -= c_taylor[i] * qt[k - i]
-            c_taylor[k] = acc / qt[0]
-        c = [Fraction(0)]
-        shift = [Fraction(1)]
-        for k in range(mult):
-            c = _poly_add(c, _poly_scale(shift, c_taylor[k]))
-            shift = _poly_mul(shift, [Fraction(1), -lam])
-        p = _poly_add(p, _poly_mul(q, c))
-    return p
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_add(a, b):
-    la, lb = len(a), len(b)
-    size = max(la, lb)
-    out = [Fraction(0)] * size
-    for i, x in enumerate(a):
-        out[size - la + i] += x
-    for i, x in enumerate(b):
-        out[size - lb + i] += x
-    while len(out) > 1 and out[0] == 0:
-        out = out[1:]
-    return out
-
-
-def _poly_sub(a, b):
-    return _poly_add(a, [-x for x in b])
-
-
-def _poly_scale(a, c):
-    return [x * c for x in a]
-
-
-def _taylor_at(p: List[Fraction], lam: Fraction, count: int) -> List[Fraction]:
-    """First count Taylor coefficients of p at lam (derivatives over k!)."""
-    out = []
-    work = list(p)
-    for _ in range(count):
-        out.append(_poly_eval(work, lam))
-        if len(work) == 1:
-            work = [Fraction(0)]
-            continue
-        div = [work[0]]
-        for c in work[1:-1]:
-            div.append(c + div[-1] * lam)
-        work = div
-    return out
-
-
-def _apply_poly(p: List[Fraction], A) -> List[List[Fraction]]:
-    n = len(A)
-    out = mat_scale(identity(n), p[0])
-    for c in p[1:]:
-        out = mat_add(mat_mul(out, A), mat_scale(identity(n), c))
-    return out
 
 
 def _check_sn(S, N, roots) -> None:
     n = len(S)
     if mat_mul(S, N) != mat_mul(N, S):
         raise CertificateFailure("semisimple and nilpotent parts do not commute")
-    power = identity(n)
-    for _ in range(n + 1):
-        power = mat_mul(power, N)
-    if any(any(x != 0 for x in row) for row in power):
+    if not is_zero_matrix(mat_pow(N, n + 1)):
         raise CertificateFailure("nilpotent part is not nilpotent")
     acc = identity(n)
     for lam in roots:
         acc = mat_mul(acc, mat_sub(S, mat_scale(identity(n), lam)))
-    if any(any(x != 0 for x in row) for row in acc):
+    if not is_zero_matrix(acc):
         raise CertificateFailure("semisimple part failed the product test")
 
 
@@ -527,11 +461,7 @@ def ad_matrix(pres: LieAlgebraPresentation, index: int) -> List[List[Fraction]]:
 
 def nilpotency_check(pres: LieAlgebraPresentation, index: int) -> bool:
     """Is ad of the given basis field nilpotent on the truncated algebra?"""
-    M = ad_matrix(pres, index)
-    power = identity(pres.dimension)
-    for _ in range(pres.dimension + 1):
-        power = mat_mul(M, power)
-    return all(all(x == 0 for x in row) for row in power)
+    return is_zero_matrix(mat_pow(ad_matrix(pres, index), pres.dimension + 1))
 
 
 def center_dimension(pres: LieAlgebraPresentation) -> int:

@@ -307,6 +307,16 @@ def _family_shape(gens) -> Tuple[Tuple[str, ...], int]:
     return entry.vars, len(first)
 
 
+def _checked_order(ordering: Optional[OrderingSpec],
+                   varnames: Tuple[str, ...]) -> OrderingSpec:
+    """The given order, or the default one; an order whose weights do not
+    match the variables is refused."""
+    order = ordering or OrderingSpec()
+    if order.weights is not None and len(order.weights) != len(varnames):
+        raise PreconditionViolated("order weights must match the variable count")
+    return order
+
+
 @dataclass(frozen=True)
 class StandardBasis:
     """A standard basis together with lifts to the original inputs.
@@ -342,10 +352,8 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
     sequences of Polynomial (module case).  The result is pruned, monic,
     sorted by ascending lead, and for global orders fully tail-reduced.
     """
-    order = ordering or OrderingSpec()
     varnames, rank = _family_shape(gens)
-    if order.weights is not None and len(order.weights) != len(varnames):
-        raise PreconditionViolated("order weights must match the variable count")
+    order = _checked_order(ordering, varnames)
     vecs = [_to_vec(g, varnames, rank) for g in gens]
     keyf = order.module_key
     local = order.is_local
@@ -505,8 +513,8 @@ def syzygies(gens, ordering: Optional[OrderingSpec] = None) -> List[Tuple[Polyno
     exactly before returning.  With a global order the syzygies generate
     over the polynomial ring; with a local order over the local ring.
     """
-    order = ordering or OrderingSpec()
     varnames, rank = _family_shape(gens)
+    order = _checked_order(ordering, varnames)
     k = len(gens)
     vecs = [_to_vec(g, varnames, rank) for g in gens]
     wide: List[Vec] = []
@@ -571,8 +579,8 @@ def ideal_dimension(gens, ordering: Optional[OrderingSpec] = None) -> int:
     ideal.  The computation finds a maximal variable set meeting no leading
     monomial support.
     """
-    order = ordering or OrderingSpec()
     varnames, rank = _family_shape(gens)
+    order = _checked_order(ordering, varnames)
     if rank != 1:
         raise PreconditionViolated("ideal_dimension takes an ideal, not a module")
     nonzero = [g for g in gens if not g.is_zero()]

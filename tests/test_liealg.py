@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -19,8 +20,8 @@ from logvf.liealg import (LOCAL, LieAlgebraPresentation, _QuotientCoordinates,
                           _low_terms, _poly_eval, ad_matrix, center_dimension,
                           is_solvable, nilpotency_check, sn_decompose,
                           truncated_lie_algebra)
-from logvf.linalg import (identity, is_zero_matrix, mat_add, mat_mul, mat_sub,
-                          rank, rref)
+from logvf.linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
+                          mat_sub, rank, rref)
 from logvf.poly import Polynomial, poly_parse
 from logvf.standard_bases import standard_basis, syzygies
 
@@ -85,6 +86,60 @@ def test_sn_random_triangular():
         for lam, m in dec.eigenvalues.items():
             spectrum.extend([lam] * m)
         assert sorted(spectrum) == diag
+
+
+# a small pool, so that eigenvalues repeat across Jordan blocks
+EIGENVALUES = st.sampled_from(
+    [Fraction(v) for v in (-2, 0, 1, 3)] + [Fraction(1, 2), Fraction(-5, 3)])
+
+
+@st.composite
+def _jordan_conjugates(draw):
+    """(P, J): J a Jordan matrix of size <= 4 with small rational
+    eigenvalues, P invertible with small integer entries."""
+    n = draw(st.integers(1, 4))
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    J = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for size in sizes:
+        lam = draw(EIGENVALUES)
+        for k in range(at, at + size):
+            J[k][k] = lam
+            if k > at:
+                J[k - 1][k] = Fraction(1)
+        at += size
+    entries = st.integers(-2, 2).map(Fraction)
+    P = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                      min_size=n, max_size=n).filter(lambda M: rank(M) == n))
+    return P, J
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jordan_conjugates())
+def test_sn_is_the_jordan_chevalley_splitting(case):
+    # the splitting is unique, so for A = P J P^-1 it must be the conjugate
+    # of J's own: diag(J) and the superdiagonal ones
+    P, J = case
+    n = len(J)
+    D = [[J[i][j] if i == j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    Pinv = inverse(P)
+
+    def conj(M):
+        return mat_mul(mat_mul(P, M), Pinv)
+
+    dec = sn_decompose(conj(J))
+    assert dec.semisimple == conj(D)
+    assert dec.nilpotent == conj(mat_sub(J, D))
+    assert dec.eigenvalues == dict(Counter(J[i][i] for i in range(n)))
+
+
+def test_sn_refuses_a_mixed_rational_irrational_spectrum():
+    # eigenvalues 1 and +-sqrt(2)
+    with pytest.raises(NonRationalEigenvalues):
+        sn_decompose([[1, 0, 0], [0, 0, 2], [0, 1, 0]])
 
 
 def _divisor_search(coeffs):

@@ -283,6 +283,25 @@ def test_weight_length_checked():
         standard_basis([p("x + y")], bad)
 
 
+@pytest.mark.parametrize("weights", [(1, 2, 3), (1,)])
+def test_every_entry_refuses_weights_of_another_length(weights):
+    # the cusp's partials and the cusp itself have a relation, so a silently
+    # cut weight vector would return one instead of refusing
+    bad = OrderingSpec.make("weighted-graded", weights=weights)
+    fam = [p("2*x"), p("3*y^2"), p("x^2 + y^3")]
+    for call in (lambda: standard_basis(fam, bad),
+                 lambda: syzygies(fam, bad),
+                 lambda: module_intersection(fam[:1], fam[1:], bad),
+                 lambda: ideal_dimension(fam, bad),
+                 lambda: ideal_dimension([Polynomial.zero(XY)], bad)):
+        with pytest.raises(PreconditionViolated,
+                           match="order weights must match the variable count"):
+            call()
+    good = OrderingSpec.make("weighted-graded", weights=(3, 2))
+    assert syzygies(fam, good)
+    assert module_intersection([p("x")], [p("y")], good)
+
+
 def test_weighted_order_membership_agrees():
     w = OrderingSpec.make("weighted-graded", weights=(3, 2))
     gens = [p("x^2 + y^3"), p("x*y")]
