@@ -43,7 +43,7 @@ def transpose(A: Matrix) -> Matrix:
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     rb = len(B)
-    cb = len(B[0])
+    cb = len(B[0]) if B else 0
     out = zeros(len(A), cb)
     for i, row in enumerate(A):
         for k in range(rb):

@@ -113,6 +113,26 @@ def _lifted_combination(parts: Iterable[Tuple[Scalar, Lifted]]) -> Lifted:
     return _reduced(acc, den)
 
 
+def sum_of_products(pairs: Iterable[Tuple["Polynomial", "Polynomial"]],
+                    order: Optional[int] = None) -> "Polynomial":
+    """The sum of q * p over the (q, p) pairs, formed in one integer map:
+    each product is taken on lifted numerators and the sum over one common
+    denominator, so a Fraction is made once per output term.  With `order`,
+    only terms of total degree below `order` are formed.  The pairs must be
+    nonempty and share one variable tuple."""
+    pairs = list(pairs)
+    if not pairs:
+        raise PreconditionViolated("a sum of products needs at least one pair")
+    varnames = pairs[0][0].vars
+    for q, p in pairs:
+        if q.vars != varnames or p.vars != varnames:
+            raise VariableMismatch(f"{q.vars} and {p.vars} vs {varnames}")
+    total = _lifted_combination(
+        (1, _lifted_product(_lift(q.terms), _lift(p.terms), order))
+        for q, p in pairs)
+    return Polynomial._of(_unlift(total), varnames)
+
+
 def _mul_terms(a: TermMap, b: TermMap, order: Optional[int] = None) -> TermMap:
     """The product of two term maps; with `order`, only its terms of total
     degree below `order` are formed."""

@@ -13,35 +13,60 @@ family, so three things come out with proofs attached:
     the inputs and checked to vanish before being returned.
 
 Elements of a rank-r module are stored flat as dicts mapping
-(component, exponent) to Fraction.  Representations over k inputs use the
-same shape with the input index as component, so one set of arithmetic
+(component, exponent) to a coefficient.  Representations over k inputs use
+the same shape with the input index as component, so one set of arithmetic
 helpers drives both.
+
+The loop runs on integer vectors.  Each input has its denominators cleared
+once; a working element is a pair (vec, rep) of integer vectors with their
+common content divided out and a positive lead coefficient, and rep holds
+integer multiples of the rational inputs.  A reduction cross-multiplies:
+h <- (ltc_g/d) * h - (ltc_h/d) * x^s * g with d = gcd(ltc_g, ltc_h), and the
+Mora unit, the representation and the finished tail terms are scaled with
+h.  The choice of reducer depends only on lead monomials, ecarts and
+supports, never on coefficient values, and every integer vector is a
+nonzero multiple of the vector a reduction over Q with monic basis elements
+would hold at the same step, with the same support.  So the loop takes the
+rational path, and dividing an element by its lead coefficient gives the
+monic rational generator and its lift exactly.  Rationals appear only at
+the public boundary.
+
+The multiple matters where a result is not divided by its lead: the weak
+normal form carries the scalar lam with h = lam * h_Q, and membership
+divides by it to return the normal form and the Mora unit of the rational
+reduction.
+
+The rational loop this one replaces is kept in tests/test_standard_bases.py
+as _reference_weak_nf and _reference_buchberger, and a property test
+requires equal results from both.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from operator import add, sub
+from typing import Dict, List, Optional, Tuple
 
 from .errors import CertificateFailure, PrecisionRequired, PreconditionViolated
 from .orderings import Exponent, ModMono, OrderingSpec, elimination_key
-from .poly import Jet, Polynomial
+from .poly import Jet, Polynomial, sum_of_products
 
-Vec = Dict[ModMono, Fraction]
-
-_ZERO = Fraction(0)
+Vec = Dict[ModMono, int]
+RatVec = Dict[ModMono, Fraction]
 
 
 # -- flat vector arithmetic ---------------------------------------------------
 
-def _vec_sub_scaled(a: Vec, b: Vec, c: Fraction, shift: Exponent) -> Vec:
-    """a - c * x^shift * b, dropping zeros."""
-    out = dict(a)
-    for (comp, exp), v in b.items():
-        key = (comp, tuple(e + s for e, s in zip(exp, shift)))
-        nv = out.get(key, _ZERO) - c * v
+def _sub_into(out: Vec, b: int, g: Vec, shift: Exponent) -> Vec:
+    """out - b * x^shift * g, formed in out, dropping zeros."""
+    get = out.get
+    for (comp, exp), v in g.items():
+        key = (comp, tuple(map(add, exp, shift)))
+        nv = get(key, 0) - b * v
         if nv:
             out[key] = nv
         else:
@@ -49,8 +74,8 @@ def _vec_sub_scaled(a: Vec, b: Vec, c: Fraction, shift: Exponent) -> Vec:
     return out
 
 
-def _vec_scale(a: Vec, c: Fraction) -> Vec:
-    return {m: c * v for m, v in a.items()}
+def _scaled(a: int, vec: Vec) -> Vec:
+    return {m: a * v for m, v in vec.items()}
 
 
 def _vec_deg(a: Vec) -> int:
@@ -61,53 +86,74 @@ def _divides(small: Exponent, big: Exponent) -> bool:
     return all(s <= b for s, b in zip(small, big))
 
 
+def _cleared(vec: RatVec, den: int) -> Vec:
+    """den * vec as integers; den must clear every denominator."""
+    return {m: c.numerator * (den // c.denominator) for m, c in vec.items()}
+
+
+def _denominator(*vecs: RatVec) -> int:
+    return lcm(*(c.denominator for vec in vecs for c in vec.values()))
+
+
 class _Elem:
-    """A working element: flat vector, cached lead data, representation."""
+    """A working element: integer vector and representation (None when not
+    tracked) with their common content divided out and a positive lead
+    coefficient, plus cached lead data."""
 
     __slots__ = ("vec", "lt", "ltc", "key", "ecart", "rep")
 
-    def __init__(self, vec: Vec, keyf, rep: Vec):
+    def __init__(self, vec: Vec, keyf, rep: Optional[Vec]):
+        lt = max(vec, key=keyf)
+        g = gcd(*vec.values(), *(rep.values() if rep else ()))
+        if vec[lt] < 0:
+            g = -g
+        if g != 1:
+            vec = {m: v // g for m, v in vec.items()}
+            if rep is not None:
+                rep = {m: v // g for m, v in rep.items()}
         self.vec = vec
         self.rep = rep
-        self.lt = max(vec, key=keyf)
-        self.ltc = vec[self.lt]
-        self.key = keyf(self.lt)
-        self.ecart = _vec_deg(vec) - sum(self.lt[1])
-
-
-def _monic(e: _Elem, keyf) -> _Elem:
-    if e.ltc == 1:
-        return e
-    inv = Fraction(1) / e.ltc
-    return _Elem(_vec_scale(e.vec, inv), keyf, _vec_scale(e.rep, inv))
+        self.lt = lt
+        self.ltc = vec[lt]
+        self.key = keyf(lt)
+        self.ecart = _vec_deg(vec) - sum(lt[1])
 
 
 # -- normal form --------------------------------------------------------------
 
 def _weak_nf(start: Vec, basis: List[_Elem], keyf, local: bool,
-             total: bool) -> Tuple[Vec, Dict[Exponent, Fraction], Vec]:
+             total: bool) -> Tuple[Vec, Vec, Vec, Fraction]:
     """Reduce start against basis.
 
-    Returns (nf, unit, rep) satisfying  nf = unit * start + rep . basis,
-    where rep lives over basis indices and unit is a polynomial in exponent
-    dict form.  For global orders unit == {0: 1}.  Mora's variant may park
-    intermediate results as extra reducers; each carries its own identity so
-    the final one is exact.  total=True (global orders only) also reduces
-    trailing terms, producing the unique normal form.
+    Returns (nf, unit, rep, lam) satisfying  nf = unit * start + rep . basis,
+    where rep lives over basis indices and unit is a polynomial stored as a
+    rank-1 vector.  lam is the scalar with nf = lam * nf_Q, where nf_Q is
+    the result of the same reduction over Q against the monic elements
+    basis[t] / ltc(basis[t]), each step subtracting the multiple of the
+    reducer that cancels the lead; that reduction's unit and rep are
+    unit / lam and rep[t] * ltc(basis[t]) / lam.  For global orders unit is
+    the constant lam.  Mora's variant may park intermediate results as
+    extra reducers; each carries its own identity so the final one is exact.
+    total=True (global orders only) also reduces trailing terms, producing
+    the unique normal form.
     """
-    unit: Dict[Exponent, Fraction] = {}
+    unit: Vec = {}
     rep: Vec = {}
+    lam = Fraction(1)
     if not start:
-        return {}, unit, rep
+        return {}, unit, rep, lam
     nvars = len(next(iter(start))[1])
     one = tuple([0] * nvars)
-    unit = {one: Fraction(1)}
+    unit = {(0, one): 1}
     if total and local:
         raise PreconditionViolated("total reduction needs a global order")
 
-    # identity for the working element h:  h = unit * start + rep . basis
+    # identity for the working element h:  h = unit * start + rep . basis;
+    # h, unit, rep and done are owned here and updated in place, and a
+    # parked reducer holds copies
     h = dict(start)
-    stored: List[Tuple[Vec, Dict[Exponent, Fraction], Vec]] = []
+    # parked reducers: (vec, unit, rep, lead, ecart)
+    stored: List[Tuple[Vec, Vec, Vec, ModMono, int]] = []
     done: Vec = {}
 
     while h:
@@ -121,10 +167,8 @@ def _weak_nf(start: Vec, basis: List[_Elem], keyf, local: bool,
                 if best is None or cand < best:
                     best = cand
         if local:
-            for i, (svec, _, _) in enumerate(stored):
-                slt = max(svec, key=keyf)
+            for i, (_, _, _, slt, ec) in enumerate(stored):
                 if slt[0] == comp and _divides(slt[1], exp):
-                    ec = _vec_deg(svec) - sum(slt[1])
                     cand = (ec, 1, i)
                     if best is None or cand < best:
                         best = cand
@@ -134,30 +178,32 @@ def _weak_nf(start: Vec, basis: List[_Elem], keyf, local: bool,
                 del h[lt]
                 continue
             break
-        h_ecart = _vec_deg(h) - sum(exp)
-        if local and best[0] > h_ecart:
-            stored.append((dict(h), dict(unit), dict(rep)))
+        if local:
+            h_ecart = _vec_deg(h) - sum(exp)
+            if best[0] > h_ecart:
+                stored.append((dict(h), dict(unit), dict(rep), lt, h_ecart))
         if best[1] == 0:
             g = basis[best[2]]
-            shift = tuple(e - s for e, s in zip(exp, g.lt[1]))
-            c = ltc / g.ltc
-            h = _vec_sub_scaled(h, g.vec, c, shift)
+            gvec, glt = g.vec, g.lt
+        else:
+            gvec, sunit, srep, glt, _ = stored[best[2]]
+        shift = tuple(map(sub, exp, glt[1]))
+        d = gcd(gvec[glt], ltc)
+        a, b = gvec[glt] // d, ltc // d
+        if a != 1:
+            h, unit, rep, done = (_scaled(a, v) for v in (h, unit, rep, done))
+            lam *= a
+        _sub_into(h, b, gvec, shift)
+        if best[1] == 0:
             key = (best[2], shift)
-            nv = rep.get(key, _ZERO) + c
+            nv = rep.get(key, 0) + b
             if nv:
                 rep[key] = nv
             else:
                 rep.pop(key, None)
         else:
-            svec, sunit, srep = stored[best[2]]
-            slt = max(svec, key=keyf)
-            shift = tuple(e - s for e, s in zip(exp, slt[1]))
-            c = ltc / svec[slt]
-            h = _vec_sub_scaled(h, svec, c, shift)
-            unit = _vec_sub_scaled({(0, e): v for e, v in unit.items()},
-                                   {(0, e): v for e, v in sunit.items()}, c, shift)
-            unit = {e: v for (_, e), v in unit.items()}
-            rep = _vec_sub_scaled(rep, srep, c, shift)
+            _sub_into(unit, b, sunit, shift)
+            _sub_into(rep, b, srep, shift)
 
     if total:
         done.update(h)
@@ -165,7 +211,18 @@ def _weak_nf(start: Vec, basis: List[_Elem], keyf, local: bool,
     # rep was accumulated as subtractions applied to h, so flip its sign to
     # match the stated identity.
     rep = {m: -v for m, v in rep.items()}
-    return h, unit, rep
+    return h, unit, rep, lam
+
+
+def _lift_rep(unit: Vec, start_rep: Vec, rep: Vec, basis: List[_Elem]) -> Vec:
+    """The representation over the inputs of  unit * start + rep . basis,
+    where start_rep represents start."""
+    out: Vec = {}
+    for (_, e), v in unit.items():
+        _sub_into(out, -v, start_rep, e)
+    for (t, e), v in rep.items():
+        _sub_into(out, -v, basis[t].rep, e)
+    return out
 
 
 # -- Buchberger ---------------------------------------------------------------
@@ -176,27 +233,28 @@ def _spair_data(a: _Elem, b: _Elem):
     return comp, gamma
 
 
-def _buchberger(inputs: List[Vec], keyf, local: bool, rank: int) -> List[_Elem]:
-    basis: List[_Elem] = []
-    k = len(inputs)
-    for i, vec in enumerate(inputs):
-        if vec:
-            e = _Elem(dict(vec), keyf, {(i, tuple([0] * _nvars(vec))): Fraction(1)})
-            basis.append(_monic(e, keyf))
+def _buchberger(inputs: List[Tuple[Vec, Optional[Vec]]], keyf, local: bool,
+                rank: int) -> List[_Elem]:
+    """A standard basis of the nonzero input vectors.  Each input comes with
+    its representation over the inputs, or None where no lift is wanted
+    (syzygies read the relations off their tag components)."""
+    basis = [_Elem(vec, keyf, rep) for vec, rep in inputs if vec]
 
-    pairs = set()
-    for i, j in itertools.combinations(range(len(basis)), 2):
+    # pair ranks are computed once, when the pair is pushed; each ends in
+    # (i, j), so the pop order is the order of the ranks
+    pairs: List[tuple] = []
+
+    def push(i: int, j: int) -> None:
         if basis[i].lt[0] == basis[j].lt[0]:
-            pairs.add((i, j))
+            comp, gamma = _spair_data(basis[i], basis[j])
+            heapq.heappush(pairs, (sum(gamma), keyf((comp, gamma)), i, j))
+
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        push(i, j)
     processed = set()
 
     while pairs:
-        def pair_rank(p):
-            comp, gamma = _spair_data(basis[p[0]], basis[p[1]])
-            return (sum(gamma), keyf((comp, gamma)), p[0], p[1])
-
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
+        *_, i, j = heapq.heappop(pairs)
         processed.add((i, j))
         a, b = basis[i], basis[j]
         comp, gamma = _spair_data(a, b)
@@ -218,34 +276,26 @@ def _buchberger(inputs: List[Vec], keyf, local: bool, rank: int) -> List[_Elem]:
         if skip:
             continue
 
-        sa = tuple(g - e for g, e in zip(gamma, a.lt[1]))
-        sb = tuple(g - e for g, e in zip(gamma, b.lt[1]))
-        svec = _vec_sub_scaled(
-            _vec_sub_scaled({}, a.vec, Fraction(-1), sa), b.vec, Fraction(1), sb)
-        srep = _vec_sub_scaled(
-            _vec_sub_scaled({}, a.rep, Fraction(-1), sa), b.rep, Fraction(1), sb)
+        sa = tuple(map(sub, gamma, a.lt[1]))
+        sb = tuple(map(sub, gamma, b.lt[1]))
+        d = gcd(a.ltc, b.ltc)
+        ca, cb = b.ltc // d, a.ltc // d
+        svec = _sub_into(_sub_into({}, -ca, a.vec, sa), cb, b.vec, sb)
         if not svec:
             continue
-        nf, unit, rep = _weak_nf(svec, basis, keyf, local, total=False)
+        nf, unit, rep, _ = _weak_nf(svec, basis, keyf, local, total=False)
         if not nf:
             continue
-        # nf = unit * svec + rep . basis, svec = srep . inputs
-        new_rep: Vec = {}
-        for e, v in unit.items():
-            new_rep = _vec_sub_scaled(new_rep, srep, -v, e)
-        for (t, e), v in rep.items():
-            new_rep = _vec_sub_scaled(new_rep, basis[t].rep, -v, e)
-        new = _monic(_Elem(nf, keyf, new_rep), keyf)
+        new_rep = None
+        if a.rep is not None:
+            # nf = unit * svec + rep . basis, svec = srep . inputs
+            srep = _sub_into(_sub_into({}, -ca, a.rep, sa), cb, b.rep, sb)
+            new_rep = _lift_rep(unit, srep, rep, basis)
         t = len(basis)
-        basis.append(new)
+        basis.append(_Elem(nf, keyf, new_rep))
         for s in range(t):
-            if basis[s].lt[0] == new.lt[0]:
-                pairs.add((s, t))
+            push(s, t)
     return basis
-
-
-def _nvars(vec: Vec) -> int:
-    return len(next(iter(vec))[1])
 
 
 def _prune(basis: List[_Elem], keyf) -> List[_Elem]:
@@ -267,13 +317,13 @@ def _prune(basis: List[_Elem], keyf) -> List[_Elem]:
 
 # -- public layer -------------------------------------------------------------
 
-def _to_vec(element, varnames, rank: int) -> Vec:
+def _to_vec(element, varnames, rank: int) -> RatVec:
     if isinstance(element, Polynomial):
         element = (element,)
     if len(element) != rank:
         raise PreconditionViolated(
             f"expected a vector of {rank} entries, got {len(element)}")
-    vec: Vec = {}
+    vec: RatVec = {}
     for comp, p in enumerate(element):
         if isinstance(p, Jet):
             raise PreconditionViolated("basis inputs must be exact polynomials")
@@ -286,11 +336,15 @@ def _to_vec(element, varnames, rank: int) -> Vec:
     return vec
 
 
-def _from_vec(vec: Vec, varnames, rank: int) -> Tuple[Polynomial, ...]:
+def _rational(vec: Vec, scale, varnames, rank: int) -> Tuple[Polynomial, ...]:
+    """The integer vector divided by the nonzero rational scale, as rank
+    polynomials: the one place where the loop's integers become rationals."""
+    scale = Fraction(scale)
+    num, den = scale.numerator, scale.denominator
     buckets: List[Dict[Exponent, Fraction]] = [dict() for _ in range(rank)]
-    for (comp, exp), c in vec.items():
-        buckets[comp][exp] = c
-    return tuple(Polynomial(b, varnames) for b in buckets)
+    for (comp, exp), v in vec.items():
+        buckets[comp][exp] = Fraction(v * den, num)
+    return tuple(Polynomial._of(b, varnames) for b in buckets)
 
 
 def _family_shape(gens) -> Tuple[Tuple[str, ...], int]:
@@ -354,21 +408,24 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
     """
     varnames, rank = _family_shape(gens)
     order = _checked_order(ordering, varnames)
-    vecs = [_to_vec(g, varnames, rank) for g in gens]
+    zero = (0,) * len(varnames)
+    cleared = []
+    for i, g in enumerate(gens):
+        vec = _to_vec(g, varnames, rank)
+        den = _denominator(vec)
+        cleared.append((_cleared(vec, den), {(i, zero): den}))
     keyf = order.module_key
     local = order.is_local
-    basis = _buchberger(vecs, keyf, local, rank)
+    basis = _buchberger(cleared, keyf, local, rank)
     basis = _prune(basis, keyf)
     if not local:
         reduced: List[_Elem] = []
         for idx, e in enumerate(basis):
             others = [g for t, g in enumerate(basis) if t != idx]
             if others:
-                nf, _, rep = _weak_nf(e.vec, others, keyf, local=False, total=True)
-                new_rep = dict(e.rep)
-                for (t, exp), v in rep.items():
-                    new_rep = _vec_sub_scaled(new_rep, others[t].rep, -v, exp)
-                e = _monic(_Elem(nf, keyf, new_rep), keyf)
+                nf, unit, rep, _ = _weak_nf(e.vec, others, keyf, local=False,
+                                            total=True)
+                e = _Elem(nf, keyf, _lift_rep(unit, e.rep, rep, others))
             reduced.append(e)
         basis = reduced
     basis.sort(key=lambda e: e.key)
@@ -377,9 +434,9 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
     generators = []
     lifts = []
     for e in basis:
-        generators.append(_from_vec(e.vec, varnames, rank))
-        lifts.append(_from_vec(e.rep, varnames, k))
-    inputs = tuple(_from_vec(v, varnames, rank) for v in vecs)
+        generators.append(_rational(e.vec, e.ltc, varnames, rank))
+        lifts.append(_rational(e.rep, e.ltc, varnames, k))
+    inputs = tuple((g,) if isinstance(g, Polynomial) else tuple(g) for g in gens)
 
     sb = StandardBasis(tuple(generators), tuple(lifts), inputs, order, varnames, rank)
     _check_lifts(sb)
@@ -388,12 +445,10 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
 
 def _check_lifts(sb: StandardBasis) -> None:
     for g, lift in zip(sb.generators, sb.lifts):
-        acc = [Polynomial.zero(sb.varnames) for _ in range(sb.rank)]
-        for q, inp in zip(lift, sb.inputs):
-            for c in range(sb.rank):
-                acc[c] = acc[c] + q * inp[c]
-        if tuple(acc) != tuple(g):
-            raise CertificateFailure("standard basis lift failed to reproduce element")
+        for c in range(sb.rank):
+            if sum_of_products(zip(lift, (inp[c] for inp in sb.inputs))) != g[c]:
+                raise CertificateFailure(
+                    "standard basis lift failed to reproduce element")
 
 
 def default_precision(gens) -> int:
@@ -429,15 +484,11 @@ class MembershipCertificate:
         if isinstance(element, Polynomial):
             element = (element,)
         inputs = [(g,) if isinstance(g, Polynomial) else tuple(g) for g in inputs]
-        varnames = element[0].vars
-        rank = len(element)
-        acc = [Polynomial.zero(varnames) for _ in range(rank)]
-        for q, g in zip(self.quotients, inputs):
-            qq = q.poly if isinstance(q, Jet) else q
-            for c in range(rank):
-                acc[c] = acc[c] + qq * g[c]
-        for c in range(rank):
-            diff = acc[c] - element[c]
+        quotients = [q.poly if isinstance(q, Jet) else q for q in self.quotients]
+        for c in range(len(element)):
+            acc = sum_of_products(zip(quotients, (g[c] for g in inputs)),
+                                  self.precision)
+            diff = acc - element[c]
             if self.precision is None:
                 if not diff.is_zero():
                     return False
@@ -462,16 +513,23 @@ def membership(element, basis: StandardBasis,
     if not vec:
         zero = Polynomial.zero(varnames)
         return MembershipCertificate(True, tuple(zero for _ in range(k)), None,
-                                     _from_vec({}, varnames, rank),
+                                     _rational({}, 1, varnames, rank),
                                      Polynomial.const(varnames, Fraction(1)))
     keyf = basis.ordering.module_key
     local = basis.ordering.is_local
-    belems = [_Elem(_to_vec(g, varnames, rank), keyf,
-                    _to_vec(lift, varnames, k))
-              for g, lift in zip(basis.generators, basis.lifts)]
-    nf, unit, rep = _weak_nf(vec, belems, keyf, local, total=False)
-    unit_poly = Polynomial({e: c for e, c in unit.items()}, varnames)
-    nf_vec = _from_vec(nf, varnames, rank)
+    belems = []
+    for g, lift in zip(basis.generators, basis.lifts):
+        gvec, lvec = _to_vec(g, varnames, rank), _to_vec(lift, varnames, k)
+        den = _denominator(gvec, lvec)
+        belems.append(_Elem(_cleared(gvec, den), keyf, _cleared(lvec, den)))
+    den = _denominator(vec)
+    nf, unit, rep, lam = _weak_nf(_cleared(vec, den), belems, keyf, local,
+                                  total=False)
+    # the reduction started from den * element, so the rational one from
+    # element holds nf / (lam * den) and the unit / lam
+    unit_poly = _rational(unit, lam, varnames, 1)[0]
+    lam *= den
+    nf_vec = _rational(nf, lam, varnames, rank)
     if nf:
         return MembershipCertificate(False, None, None, nf_vec, unit_poly)
 
@@ -482,8 +540,8 @@ def membership(element, basis: StandardBasis,
     # inputs are -(rep pushed through the lifts) / unit.
     over_inputs: Vec = {}
     for (t, exp), v in rep.items():
-        over_inputs = _vec_sub_scaled(over_inputs, belems[t].rep, v, exp)
-    qpolys = _from_vec(over_inputs, varnames, k)
+        _sub_into(over_inputs, v, belems[t].rep, exp)
+    qpolys = _rational(over_inputs, lam, varnames, k)
 
     if unit_poly.total_degree() == 0:
         c = unit_poly.constant_term()
@@ -516,32 +574,29 @@ def syzygies(gens, ordering: Optional[OrderingSpec] = None) -> List[Tuple[Polyno
     varnames, rank = _family_shape(gens)
     order = _checked_order(ordering, varnames)
     k = len(gens)
-    vecs = [_to_vec(g, varnames, rank) for g in gens]
-    wide: List[Vec] = []
-    nvars = len(varnames)
-    zero_exp = tuple([0] * nvars)
-    for i, v in enumerate(vecs):
-        w = dict(v)
-        w[(rank + i, zero_exp)] = Fraction(1)
-        wide.append(w)
+    zero = (0,) * len(varnames)
+    wide: List[Tuple[Vec, None]] = []
+    for i, g in enumerate(gens):
+        vec = _to_vec(g, varnames, rank)
+        den = _denominator(vec)
+        w = _cleared(vec, den)
+        w[(rank + i, zero)] = den
+        wide.append((w, None))
     keyf = elimination_key(order, rank)
     basis = _buchberger(wide, keyf, order.is_local, rank + k)
     basis = _prune(basis, keyf)
     basis.sort(key=lambda e: e.key)
 
+    seqs = [(g,) if isinstance(g, Polynomial) else g for g in gens]
     out: List[Tuple[Polynomial, ...]] = []
     for e in basis:
         if any(comp < rank for comp, _ in e.vec):
             continue
         shifted = {(comp - rank, exp): c for (comp, exp), c in e.vec.items()}
-        syz = _from_vec(shifted, varnames, k)
-        acc = [Polynomial.zero(varnames) for _ in range(rank)]
-        for q, g in zip(syz, gens):
-            gseq = (g,) if isinstance(g, Polynomial) else g
-            for c in range(rank):
-                acc[c] = acc[c] + q * gseq[c]
-        if any(not a.is_zero() for a in acc):
-            raise CertificateFailure("syzygy failed re-multiplication")
+        syz = _rational(shifted, e.ltc, varnames, k)
+        for c in range(rank):
+            if not sum_of_products(zip(syz, (g[c] for g in seqs))).is_zero():
+                raise CertificateFailure("syzygy failed re-multiplication")
         out.append(syz)
     return out
 

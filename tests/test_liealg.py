@@ -142,6 +142,11 @@ def test_sn_refuses_a_mixed_rational_irrational_spectrum():
         sn_decompose([[1, 0, 0], [0, 0, 2], [0, 1, 0]])
 
 
+def test_sn_of_the_empty_matrix_is_the_empty_splitting():
+    dec = sn_decompose([])
+    assert (dec.semisimple, dec.nilpotent, dec.eigenvalues) == ([], [], {})
+
+
 def _divisor_search(coeffs):
     """The rational root search by the rational root theorem: +-p/q with p
     over the divisors of the constant and q over those of the lead, after

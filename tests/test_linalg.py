@@ -12,6 +12,7 @@ from logvf.linalg import (
     inverse,
     mat,
     mat_mul,
+    mat_pow,
     nullspace,
     rank,
     remainder,
@@ -26,6 +27,14 @@ def test_rref_pivots():
     assert pivots == [0, 1]
     assert R == mat([[1, 0, Fraction(-1, 2)], [0, 1, Fraction(-1, 3)]])
 
+
+
+def test_products_with_an_empty_matrix():
+    assert mat_pow([], 1) == []
+    assert mat_pow([], 0) == []
+    assert mat_mul([], []) == []
+    # an n x 0 matrix times the 0 x 0 one: n empty rows
+    assert mat_mul([[], []], []) == [[], []]
 
 def test_rank_and_nullspace():
     A = mat([[1, 2, 3], [2, 4, 6]])

@@ -25,6 +25,7 @@ from logvf.poly import (
     multihomog_decompose_poly,
     poly_parse,
     poly_to_str,
+    sum_of_products,
 )
 
 XY = ("x", "y")
@@ -286,3 +287,20 @@ class TestTruncatedProducts:
     def test_substitute_polynomial_images_matches_termwise_reference(self, p,
                                                                     images):
         assert p.substitute(images) == _reference_substitute(p, images)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(LOW_DEGREE_POLYS, LOW_DEGREE_POLYS), min_size=1,
+                    max_size=3), st.one_of(st.none(), st.integers(0, 7)))
+    def test_sum_of_products_equals_the_sum_of_the_products(self, pairs, order):
+        total = Polynomial.zero(XY)
+        for q, p in pairs:
+            total = total + q * p
+        if order is not None:
+            total = Jet(total, order).poly
+        assert sum_of_products(pairs, order) == total
+
+    def test_sum_of_products_refuses_empty_and_mixed_pairs(self):
+        with pytest.raises(PreconditionViolated):
+            sum_of_products([])
+        with pytest.raises(VariableMismatch):
+            sum_of_products([(P("x"), P("y")), (P("x"), P("z", ("x", "z")))])

@@ -1,12 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from logvf.errors import PrecisionRequired, PreconditionViolated
-from logvf.orderings import OrderingSpec
-from logvf.poly import Jet, Polynomial, poly_parse
-from logvf.standard_bases import (default_precision, ideal_dimension, membership,
+import logvf.standard_bases as sbm
+from logvf.errors import CertificateFailure, PrecisionRequired, PreconditionViolated
+from logvf.orderings import OrderingSpec, elimination_key
+from logvf.poly import Jet, Polynomial, poly_parse, sum_of_products
+from logvf.standard_bases import (MembershipCertificate, default_precision,
+                                  ideal_dimension, membership,
                                   module_intersection, standard_basis, syzygies)
 
 XY = ("x", "y")
@@ -309,3 +314,428 @@ def test_weighted_order_membership_agrees():
         a = membership(probe, standard_basis(gens)).member
         b = membership(probe, standard_basis(gens, w)).member
         assert a == b
+
+
+# -- certificates that fire ------------------------------------------------------
+#
+# Each test breaks the integer-to-rational conversion of one kind of output
+# and requires the re-multiplication check on that output to refuse it.
+
+def _break_conversion(monkeypatch, rank_to_break, change):
+    """Pass every converted vector of rank_to_break polynomials through
+    change; vectors of other ranks convert as before."""
+    original = sbm._rational
+
+    def broken(vec, scale, varnames, rank):
+        out = original(vec, scale, varnames, rank)
+        return change(out) if rank == rank_to_break else out
+
+    monkeypatch.setattr(sbm, "_rational", broken)
+
+
+def test_lift_check_refuses_a_rescaled_lift(monkeypatch):
+    gens = [p("x^2 + y"), p("y^2 - x")]
+    _break_conversion(monkeypatch, len(gens), lambda lift: tuple(2 * q for q in lift))
+    with pytest.raises(CertificateFailure, match="lift failed to reproduce"):
+        standard_basis(gens)
+
+
+@pytest.mark.parametrize("order", [None, LOCAL])
+def test_syzygy_check_refuses_a_rescaled_entry(monkeypatch, order):
+    gens = [p("x + x^2"), p("y")]
+    assert syzygies(gens, order)
+    _break_conversion(monkeypatch, len(gens),
+                      lambda syz: (2 * syz[0],) + syz[1:])
+    with pytest.raises(CertificateFailure, match="syzygy failed re-multiplication"):
+        syzygies(gens, order)
+
+
+def _drop_lowest_term(quotients):
+    # the lowest term of a quotient meets its generator below any precision
+    i = next(i for i, q in enumerate(quotients) if not q.is_zero())
+    low = min(quotients[i].terms, key=sum)
+    kept = {e: c for e, c in quotients[i].terms.items() if e != low}
+    return quotients[:i] + (Polynomial(kept, XY),) + quotients[i + 1:]
+
+
+@pytest.mark.parametrize("gens, elem, order, precision", [
+    ([p("x^2 + y"), p("y^2 - x")], p("x^3 + y^3 + y^2 - x"), None, None),
+    ([p("x + x^2"), p("y^2")], p("x + y^3"), LOCAL, 8),
+])
+def test_membership_check_refuses_a_dropped_term(monkeypatch, gens, elem,
+                                                 order, precision):
+    sb = standard_basis(gens, order)
+    cert = membership(elem, sb, precision)
+    assert cert.member and cert.precision == precision
+    _break_conversion(monkeypatch, len(gens), _drop_lowest_term)
+    with pytest.raises(CertificateFailure,
+                       match="membership quotients failed re-multiplication"):
+        membership(elem, sb, precision)
+
+
+# -- the rational reference loop -----------------------------------------------
+#
+# The Fraction loop that standard_bases ran before its integer core, kept
+# here unchanged as the reference: basis elements are monic, a reduction
+# subtracts (ltc_h / ltc_g) * x^s * g, and the next S-pair is the minimum
+# of its rank recomputed over all open pairs.  The public layer over it
+# below mirrors standard_basis, membership, syzygies and ideal_dimension.
+
+def _ref_sub_scaled(a, b, c, shift):
+    """a - c * x^shift * b, dropping zeros."""
+    out = dict(a)
+    for (comp, exp), v in b.items():
+        key = (comp, tuple(e + s for e, s in zip(exp, shift)))
+        nv = out.get(key, Fraction(0)) - c * v
+        if nv:
+            out[key] = nv
+        else:
+            out.pop(key, None)
+    return out
+
+
+class _RefElem:
+    __slots__ = ("vec", "lt", "ltc", "key", "ecart", "rep")
+
+    def __init__(self, vec, keyf, rep):
+        self.vec = vec
+        self.rep = rep
+        self.lt = max(vec, key=keyf)
+        self.ltc = vec[self.lt]
+        self.key = keyf(self.lt)
+        self.ecart = sbm._vec_deg(vec) - sum(self.lt[1])
+
+
+def _ref_monic(e, keyf):
+    if e.ltc == 1:
+        return e
+    inv = Fraction(1) / e.ltc
+    return _RefElem({m: inv * v for m, v in e.vec.items()}, keyf,
+                    {m: inv * v for m, v in e.rep.items()})
+
+
+def _reference_weak_nf(start, basis, keyf, local, total):
+    """(nf, unit, rep) with  nf = unit * start + rep . basis."""
+    unit, rep = {}, {}
+    if not start:
+        return {}, unit, rep
+    one = tuple([0] * len(next(iter(start))[1]))
+    unit = {one: Fraction(1)}
+    if total and local:
+        raise PreconditionViolated("total reduction needs a global order")
+    h = dict(start)
+    stored = []
+    done = {}
+    while h:
+        lt = max(h, key=keyf)
+        ltc = h[lt]
+        comp, exp = lt
+        best = None
+        for i, g in enumerate(basis):
+            if g.lt[0] == comp and sbm._divides(g.lt[1], exp):
+                cand = (g.ecart, 0, i)
+                if best is None or cand < best:
+                    best = cand
+        if local:
+            for i, (svec, _, _) in enumerate(stored):
+                slt = max(svec, key=keyf)
+                if slt[0] == comp and sbm._divides(slt[1], exp):
+                    cand = (sbm._vec_deg(svec) - sum(slt[1]), 1, i)
+                    if best is None or cand < best:
+                        best = cand
+        if best is None:
+            if total:
+                done[lt] = ltc
+                del h[lt]
+                continue
+            break
+        h_ecart = sbm._vec_deg(h) - sum(exp)
+        if local and best[0] > h_ecart:
+            stored.append((dict(h), dict(unit), dict(rep)))
+        if best[1] == 0:
+            g = basis[best[2]]
+            shift = tuple(e - s for e, s in zip(exp, g.lt[1]))
+            c = ltc / g.ltc
+            h = _ref_sub_scaled(h, g.vec, c, shift)
+            key = (best[2], shift)
+            nv = rep.get(key, Fraction(0)) + c
+            if nv:
+                rep[key] = nv
+            else:
+                rep.pop(key, None)
+        else:
+            svec, sunit, srep = stored[best[2]]
+            slt = max(svec, key=keyf)
+            shift = tuple(e - s for e, s in zip(exp, slt[1]))
+            c = ltc / svec[slt]
+            h = _ref_sub_scaled(h, svec, c, shift)
+            unit = _ref_sub_scaled({(0, e): v for e, v in unit.items()},
+                                   {(0, e): v for e, v in sunit.items()}, c, shift)
+            unit = {e: v for (_, e), v in unit.items()}
+            rep = _ref_sub_scaled(rep, srep, c, shift)
+    if total:
+        done.update(h)
+        h = done
+    return h, unit, {m: -v for m, v in rep.items()}
+
+
+def _reference_buchberger(inputs, keyf, local, rank):
+    basis = []
+    for i, vec in enumerate(inputs):
+        if vec:
+            zero = tuple([0] * len(next(iter(vec))[1]))
+            basis.append(_ref_monic(
+                _RefElem(dict(vec), keyf, {(i, zero): Fraction(1)}), keyf))
+    pairs = {(i, j) for i, j in itertools.combinations(range(len(basis)), 2)
+             if basis[i].lt[0] == basis[j].lt[0]}
+    processed = set()
+    while pairs:
+        def pair_rank(p):
+            comp, gamma = sbm._spair_data(basis[p[0]], basis[p[1]])
+            return (sum(gamma), keyf((comp, gamma)), p[0], p[1])
+
+        i, j = min(pairs, key=pair_rank)
+        pairs.discard((i, j))
+        processed.add((i, j))
+        a, b = basis[i], basis[j]
+        comp, gamma = sbm._spair_data(a, b)
+        if rank == 1 and tuple(x + y for x, y in zip(a.lt[1], b.lt[1])) == gamma:
+            continue
+        if any(t not in (i, j) and basis[t].lt[0] == comp
+               and sbm._divides(basis[t].lt[1], gamma)
+               and (min(i, t), max(i, t)) in processed
+               and (min(j, t), max(j, t)) in processed
+               for t in range(len(basis))):
+            continue
+        sa = tuple(g - e for g, e in zip(gamma, a.lt[1]))
+        sb = tuple(g - e for g, e in zip(gamma, b.lt[1]))
+        svec = _ref_sub_scaled(
+            _ref_sub_scaled({}, a.vec, Fraction(-1), sa), b.vec, Fraction(1), sb)
+        srep = _ref_sub_scaled(
+            _ref_sub_scaled({}, a.rep, Fraction(-1), sa), b.rep, Fraction(1), sb)
+        if not svec:
+            continue
+        nf, unit, rep = _reference_weak_nf(svec, basis, keyf, local, total=False)
+        if not nf:
+            continue
+        new_rep = {}
+        for e, v in unit.items():
+            new_rep = _ref_sub_scaled(new_rep, srep, -v, e)
+        for (t, e), v in rep.items():
+            new_rep = _ref_sub_scaled(new_rep, basis[t].rep, -v, e)
+        new = _ref_monic(_RefElem(nf, keyf, new_rep), keyf)
+        t = len(basis)
+        basis.append(new)
+        pairs.update((s, t) for s in range(t) if basis[s].lt[0] == new.lt[0])
+    return basis
+
+
+def _ref_from_vec(vec, varnames, rank):
+    buckets = [dict() for _ in range(rank)]
+    for (comp, exp), c in vec.items():
+        buckets[comp][exp] = c
+    return tuple(Polynomial(b, varnames) for b in buckets)
+
+
+def _reference_standard_basis(gens, ordering=None):
+    varnames, rank = sbm._family_shape(gens)
+    order = sbm._checked_order(ordering, varnames)
+    vecs = [sbm._to_vec(g, varnames, rank) for g in gens]
+    keyf = order.module_key
+    basis = sbm._prune(_reference_buchberger(vecs, keyf, order.is_local, rank),
+                       keyf)
+    if not order.is_local:
+        reduced = []
+        for idx, e in enumerate(basis):
+            others = [g for t, g in enumerate(basis) if t != idx]
+            if others:
+                nf, _, rep = _reference_weak_nf(e.vec, others, keyf, False, True)
+                new_rep = dict(e.rep)
+                for (t, exp), v in rep.items():
+                    new_rep = _ref_sub_scaled(new_rep, others[t].rep, -v, exp)
+                e = _ref_monic(_RefElem(nf, keyf, new_rep), keyf)
+            reduced.append(e)
+        basis = reduced
+    basis.sort(key=lambda e: e.key)
+    return sbm.StandardBasis(
+        tuple(_ref_from_vec(e.vec, varnames, rank) for e in basis),
+        tuple(_ref_from_vec(e.rep, varnames, len(gens)) for e in basis),
+        tuple(_ref_from_vec(v, varnames, rank) for v in vecs),
+        order, varnames, rank)
+
+
+def _reference_membership(element, basis, precision=None):
+    varnames, rank = basis.varnames, basis.rank
+    k = len(basis.inputs)
+    vec = sbm._to_vec(element, varnames, rank)
+    if not vec:
+        zero = Polynomial.zero(varnames)
+        return MembershipCertificate(True, tuple(zero for _ in range(k)), None,
+                                     _ref_from_vec({}, varnames, rank),
+                                     Polynomial.const(varnames, 1))
+    keyf = basis.ordering.module_key
+    local = basis.ordering.is_local
+    belems = [_RefElem(sbm._to_vec(g, varnames, rank), keyf,
+                       sbm._to_vec(lift, varnames, k))
+              for g, lift in zip(basis.generators, basis.lifts)]
+    nf, unit, rep = _reference_weak_nf(vec, belems, keyf, local, total=False)
+    unit_poly = Polynomial(unit, varnames)
+    nf_vec = _ref_from_vec(nf, varnames, rank)
+    if nf:
+        return MembershipCertificate(False, None, None, nf_vec, unit_poly)
+    if local and unit_poly.constant_term() == 0:
+        raise CertificateFailure("reduction multiplier vanishes at the origin")
+    over_inputs = {}
+    for (t, exp), v in rep.items():
+        over_inputs = _ref_sub_scaled(over_inputs, belems[t].rep, v, exp)
+    qpolys = _ref_from_vec(over_inputs, varnames, k)
+    if unit_poly.total_degree() == 0:
+        inv = Polynomial.const(varnames, 1 / unit_poly.constant_term())
+        return MembershipCertificate(True, tuple(q * inv for q in qpolys), None,
+                                     nf_vec, Polynomial.const(varnames, 1))
+    if precision is None:
+        raise PrecisionRequired(
+            "local membership has a power series quotient; pass a precision")
+    uinv = Jet(unit_poly, precision).inverse()
+    return MembershipCertificate(True, tuple(Jet(q, precision) * uinv
+                                             for q in qpolys),
+                                 precision, nf_vec, unit_poly)
+
+
+def _reference_syzygies(gens, ordering=None):
+    varnames, rank = sbm._family_shape(gens)
+    order = sbm._checked_order(ordering, varnames)
+    k = len(gens)
+    zero = (0,) * len(varnames)
+    wide = []
+    for i, g in enumerate(gens):
+        w = sbm._to_vec(g, varnames, rank)
+        w[(rank + i, zero)] = Fraction(1)
+        wide.append(w)
+    keyf = elimination_key(order, rank)
+    basis = sbm._prune(_reference_buchberger(wide, keyf, order.is_local,
+                                             rank + k), keyf)
+    basis.sort(key=lambda e: e.key)
+    return [_ref_from_vec({(comp - rank, exp): c
+                           for (comp, exp), c in e.vec.items()}, varnames, k)
+            for e in basis if all(comp >= rank for comp, _ in e.vec)]
+
+
+def _reference_dimension(gens, ordering=None):
+    n = len(gens[0].vars)
+    nonzero = [g for g in gens if not g.is_zero()]
+    if not nonzero:
+        return n
+    supports = [frozenset(i for i, e in enumerate(exp) if e > 0)
+                for _, exp in _reference_standard_basis(nonzero, ordering)
+                .leading_monomials()]
+    if frozenset() in supports:
+        return -1
+    return max(size for size in range(n + 1)
+               for combo in itertools.combinations(range(n), size)
+               if all(not supp <= set(combo) for supp in supports))
+
+
+# -- the integer core against the reference -------------------------------------
+
+def _terms(p):
+    """Terms in stored order, with a jet's order: equal values and equal
+    term order, so printed and iterated results agree too."""
+    if isinstance(p, Jet):
+        return ("jet", p.order, list(p.poly.terms.items()))
+    return list(p.terms.items())
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except (PrecisionRequired, CertificateFailure) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _same_certificates(got, ref):
+    assert got[0] == ref[0]
+    if got[0] != "ok":
+        assert got[1] == ref[1]
+        return
+    got, ref = got[1], ref[1]
+    assert got.member == ref.member
+    assert got.precision == ref.precision
+    assert (got.quotients is None) == (ref.quotients is None)
+    if got.quotients is not None:
+        assert [_terms(q) for q in got.quotients] == \
+            [_terms(q) for q in ref.quotients]
+    assert [_terms(q) for q in got.normal_form] == \
+        [_terms(q) for q in ref.normal_form]
+    assert _terms(got.unit) == _terms(ref.unit)
+
+
+ORDERS = (OrderingSpec(),
+          OrderingSpec.make("weighted-graded", weights=(2, 3)),
+          OrderingSpec.make("graded-reverse-lex",
+                            module_extension="position-over-term"),
+          LOCAL,
+          OrderingSpec.make("local-weighted", weights=(3, 1)),
+          OrderingSpec.make("local-anti-graded",
+                            module_extension="position-over-term"))
+
+_coefficients = st.builds(Fraction, st.sampled_from((-6, -5, -3, -2, -1, 1, 4)),
+                          st.integers(1, 19))
+
+
+def _polys(top=3):
+    exps = st.tuples(st.integers(0, top), st.integers(0, top))
+    return st.dictionaries(exps, _coefficients, max_size=3).map(
+        lambda terms: Polynomial(terms, XY))
+
+
+@st.composite
+def _families(draw):
+    # rank-2 families are kept smaller: three vectors of degree up to six
+    # can keep Mora's loop busy for many seconds under a local order
+    rank = draw(st.sampled_from((1, 2)))
+    if rank == 1:
+        gens = draw(st.lists(_polys(), min_size=1, max_size=3))
+    else:
+        gens = draw(st.lists(st.tuples(_polys(2), _polys(2)), min_size=1,
+                             max_size=2))
+    assume(any(not p.is_zero() for g in gens
+               for p in ((g,) if rank == 1 else g)))
+    return rank, gens
+
+
+def _probes(draw, rank, gens):
+    """A constructed member, the same times the local unit 1 + x (so a
+    local order needs a power series quotient), and a drawn element that
+    is usually not a member."""
+    seqs = [(g,) if rank == 1 else g for g in gens]
+    mults = draw(st.lists(_polys(2), min_size=len(gens), max_size=len(gens)))
+    member = tuple(sum_of_products(zip(mults, (s[c] for s in seqs)))
+                   for c in range(rank))
+    unit = p("1 + x")
+    other = tuple(draw(_polys(2)) for _ in range(rank))
+    return [v[0] if rank == 1 else v
+            for v in (member, tuple(unit * q for q in member), other)]
+
+
+@settings(max_examples=200)
+@given(_families(), st.sampled_from(ORDERS), st.data())
+def test_integer_core_matches_the_rational_reference(family, order, data):
+    rank, gens = family
+    sb = standard_basis(gens, order)
+    ref = _reference_standard_basis(gens, order)
+    assert [[_terms(p) for p in g] for g in sb.generators] == \
+        [[_terms(p) for p in g] for g in ref.generators]
+    assert [[_terms(p) for p in g] for g in sb.lifts] == \
+        [[_terms(p) for p in g] for g in ref.lifts]
+    assert sb.inputs == ref.inputs
+    assert sb.leading_monomials() == ref.leading_monomials()
+    for probe in _probes(data.draw, rank, gens):
+        for precision in (None, 6):
+            _same_certificates(
+                _outcome(lambda: membership(probe, sb, precision)),
+                _outcome(lambda: _reference_membership(probe, ref, precision)))
+    assert [[_terms(p) for p in rel] for rel in syzygies(gens, order)] == \
+        [[_terms(p) for p in rel] for rel in _reference_syzygies(gens, order)]
+    if rank == 1:
+        assert ideal_dimension(gens, order) == _reference_dimension(gens, order)
