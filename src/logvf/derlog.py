@@ -288,12 +288,28 @@ class EulerCheck:
     exact: bool
 
 
-def _diagonal_euler_witness(f: Polynomial) -> Optional[VectorField]:
+def _diagonal_euler_check(f: Polynomial) -> Optional[EulerCheck]:
+    """The exact diagonal witness of delta(f) = f, checked on f, or None
+    when the diagonal symmetries of f have no nonzero cofactor."""
     for lam, w in diagonal_symmetry_space(f):
         if lam != 0:
-            weights = tuple(x / lam for x in w)
-            return VectorField.diagonal(weights, f.vars)
+            witness = VectorField.diagonal(tuple(x / lam for x in w), f.vars)
+            if witness.apply(f) != f:
+                raise CertificateFailure("diagonal witness failed delta(f) = f")
+            return EulerCheck(True, witness, True)
     return None
+
+
+def _local_quotients(f: Polynomial, gens: List[Polynomial],
+                     precision: Optional[int]):
+    """(quotients, prec): q with sum q_k gens_k = f over the local ring, as
+    jets of precision prec where a quotient is a power series; quotients
+    is None when f is not in the ideal, as when every generator is zero."""
+    prec = precision if precision is not None else default_precision(gens + [f])
+    if all(g.is_zero() for g in gens):
+        return None, prec
+    cert = membership(f, standard_basis(gens, LOCAL), precision=prec)
+    return (cert.quotients if cert.member else None), prec
 
 
 def euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerCheck:
@@ -304,23 +320,15 @@ def euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerCheck:
     comes out of the membership certificate as a jet field.
     """
     _require_origin(f)
-    witness = _diagonal_euler_witness(f)
-    if witness is not None:
-        if witness.apply(f) != f:
-            raise CertificateFailure("diagonal witness failed delta(f) = f")
-        return EulerCheck(True, witness, True)
-    n = len(f.vars)
-    partials = [f.diff(i) for i in range(n)]
-    if all(p.is_zero() for p in partials):
+    diagonal = _diagonal_euler_check(f)
+    if diagonal is not None:
+        return diagonal
+    partials = [f.diff(i) for i in range(len(f.vars))]
+    quotients, _ = _local_quotients(f, partials, precision)
+    if quotients is None:
         return EulerCheck(False, None, True)
-    sb = standard_basis(partials, LOCAL)
-    prec = precision if precision is not None else default_precision(partials + [f])
-    cert = membership(f, sb, precision=prec)
-    if not cert.member:
-        return EulerCheck(False, None, True)
-    field = VectorField(list(cert.quotients))
-    exact = not any(isinstance(q, Jet) for q in cert.quotients)
-    return EulerCheck(True, field, exact)
+    exact = not any(isinstance(q, Jet) for q in quotients)
+    return EulerCheck(True, VectorField(list(quotients)), exact)
 
 
 def strong_euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerCheck:
@@ -331,11 +339,9 @@ def strong_euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerC
     diagonal shortcut applies here too.
     """
     _require_origin(f)
-    witness = _diagonal_euler_witness(f)
-    if witness is not None:
-        if witness.apply(f) != f:
-            raise CertificateFailure("diagonal witness failed delta(f) = f")
-        return EulerCheck(True, witness, True)
+    diagonal = _diagonal_euler_check(f)
+    if diagonal is not None:
+        return diagonal
     n = len(f.vars)
     varnames = f.vars
     gens = []
@@ -347,15 +353,11 @@ def strong_euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerC
         for j in range(n):
             gens.append(Polynomial.variable(varnames, j) * di)
             slots.append((i, j))
-    if not gens:
-        return EulerCheck(False, None, True)
-    sb = standard_basis(gens, LOCAL)
-    prec = precision if precision is not None else default_precision(gens + [f])
-    cert = membership(f, sb, precision=prec)
-    if not cert.member:
+    quotients, prec = _local_quotients(f, gens, precision)
+    if quotients is None:
         return EulerCheck(False, None, True)
     coeffs: List = [Jet(Polynomial.zero(varnames), prec)] * n
-    for q, (i, j) in zip(cert.quotients, slots):
+    for q, (i, j) in zip(quotients, slots):
         xj = Polynomial.variable(varnames, j)
         term = q * Jet(xj, q.order) if isinstance(q, Jet) else Jet(q * xj, prec)
         coeffs[i] = coeffs[i] + term

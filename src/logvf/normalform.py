@@ -26,11 +26,23 @@ semisimple part, multiply the equation by a unit so that the candidate's
 cofactor becomes homogeneous of degree zero as well, and re-extract
 diagonal symmetries in the new coordinates.
 
-Each step exists once: `_semisimple_diagonal` reads a field's weights,
-`_cofactor` divides exactly and falls back to the series quotient, and
-`_resonant_unit` is the unit loop of both `unit_adjust` and
+Each step exists once: `_diagonal` reads the weights off an S-N
+decomposition, `_cofactor` divides exactly and falls back to the series
+quotient, and `_resonant_unit` is the unit loop of both `unit_adjust` and
 `factor_structure`.  Final identities compose through the power table of
 the returned change.
+
+Each object is also computed once.  A round of `formal_structure` reads
+the weights W once and each generator once (`_Reading`): its components
+by W-multidegree and the S-N decomposition of its degree-zero component's
+linear part, shared by generators with the same linear part.  The
+candidate pick, `_pd_normalize` and the final pool all use that reading,
+and the reading after the last normalization makes the pool.  Each family
+of fields has one local standard basis, shared by the pool and the
+generation check and rebuilt only when a field is kept; each divisor has
+one global standard basis, built by the caller of `_exact_quotient`, and
+every exact quotient by it, the series quotient's by the lowest form
+included, reduces against it.
 """
 
 from dataclasses import dataclass
@@ -52,9 +64,9 @@ from .linalg import (inverse, is_zero_matrix, mat_pow, nullspace, solve,
 # unused here; perfbench's tracer test checks that this name is rebound
 from .linalg import rref  # noqa: F401
 from .orderings import OrderingSpec
-from .standard_bases import membership, standard_basis
+from .standard_bases import StandardBasis, membership, standard_basis
 from .derlog import Germ, as_germ, diagonal_symmetry_space
-from .liealg import sn_decompose
+from .liealg import SNDecomposition, sn_decompose
 
 Coeff = Union[Polynomial, Jet]
 
@@ -90,15 +102,6 @@ def _in_row_span(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
 def _wdeg(w: Sequence[Fraction], e: Tuple[int, ...]):
     """The weighted degree sum(w_i * e_i) of the monomial x^e."""
     return sum(wi * ei for wi, ei in zip(w, e))
-
-
-def _monomials(n: int, deg: int) -> List[Tuple[int, ...]]:
-    if n == 1:
-        return [(deg,)]
-    out = []
-    for e in range(deg, -1, -1):
-        out.extend((e,) + rest for rest in _monomials(n - 1, deg - e))
-    return out
 
 
 # -- coordinate changes ---------------------------------------------------------
@@ -384,18 +387,20 @@ def _solve_field_equation(delta0: VectorField, target: VectorField,
 # -- normalizing one field --------------------------------------------------------
 
 
-def _is_diagonal(M) -> bool:
-    return all(M[i][j] == 0 for i in range(len(M))
-               for j in range(len(M)) if i != j)
+def _diagonal(dec: SNDecomposition) -> Optional[List[Fraction]]:
+    """The diagonal of the semisimple part of an S-N decomposition, or None
+    when that semisimple part is not diagonal."""
+    S = dec.semisimple
+    n = len(S)
+    if any(S[i][j] != 0 for i in range(n) for j in range(n) if i != j):
+        return None
+    return [S[i][i] for i in range(n)]
 
 
 def _semisimple_diagonal(v: VectorField) -> Optional[List[Fraction]]:
     """The diagonal of the semisimple part of v's linear part, or None when
     that semisimple part is not diagonal."""
-    S = sn_decompose(v.linear_part()).semisimple
-    if not _is_diagonal(S):
-        return None
-    return [S[i][i] for i in range(len(S))]
+    return _diagonal(sn_decompose(v.linear_part()))
 
 
 def _weight_classes(W: WeightSystem, n: int) -> List[List[int]]:
@@ -538,20 +543,26 @@ def pd_normalize(delta: VectorField, weights: WeightSystem,
     return total, field
 
 
-def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int
+def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int,
+                  dec: Optional[SNDecomposition] = None
                   ) -> Tuple[CoordChange, VectorField, List[Fraction]]:
     """pd_normalize, plus the diagonal of the semisimple part of the
-    normalized field's linear part (its weights)."""
+    normalized field's linear part (its weights).
+
+    `dec` is the S-N decomposition of delta's linear part when the caller
+    has it (`formal_structure` read it to pick delta); else it is formed
+    here."""
     varnames = as_poly(delta.coeffs[0]).vars
     if not delta.vanishes_at_origin():
         raise PreconditionViolated("field must vanish at the origin")
     _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
     start = _chop_field(delta.as_polynomial_field(), order)
     cur, prep = start, None
-    w = _semisimple_diagonal(cur)
+    if dec is None:
+        dec = sn_decompose(start.linear_part())
+    w = _diagonal(dec)
     if w is None:
-        prep = _diagonalizing_prep(sn_decompose(cur.linear_part()), weights,
-                                   varnames, order)
+        prep = _diagonalizing_prep(dec, weights, varnames, order)
         cur = _chop_field(prep.push_field(cur), order)
         w = _semisimple_diagonal(cur)
         if w is None:
@@ -583,54 +594,48 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int
 
 
 def _series_quotient(g: Coeff, f: Coeff, order: int) -> Optional[Polynomial]:
-    """Some a with a*f = g below `order`, found degree by degree, or None."""
+    """Some a with a*f = g below `order`, found degree by degree, or None.
+
+    With F0 the lowest form of f, the degree-m part of a is the exact
+    quotient by F0 of what g's next homogeneous part leaves once the parts
+    of a found so far are multiplied out; multiplying by F0 is injective,
+    so that part is unique when it exists.
+    """
     fp = as_poly(f)
     gp = as_poly(g)
     if fp.is_zero():
         raise PreconditionViolated("cannot divide by zero")
     varnames = fp.vars
-    n = len(varnames)
     o = fp.low_degree()
     avail = order - o
     if avail <= 0:
         return Polynomial.zero(varnames) if _chop(gp, order).is_zero() else None
     fparts = graded_parts(fp)
     gparts = graded_parts(gp)
-    F0 = fparts[o]
-    akeep: Dict[int, Polynomial] = {}
+    lowest = standard_basis([fparts[o]], _GLOBAL)
+    aparts: List[Polynomial] = []
     for m in range(avail):
         target = gparts.get(m + o, Polynomial.zero(varnames))
         for k in range(1, m + 1):
-            fk = fparts.get(o + k)
-            if fk is not None and (m - k) in akeep:
-                target = target - akeep[m - k] * fk
-        cols = _monomials(n, m)
-        rows_ = _monomials(n, m + o)
-        row_index = {e: r for r, e in enumerate(rows_)}
-        M: List[Dict[int, Fraction]] = [{} for _ in rows_]
-        for cidx, mono in enumerate(cols):
-            prod = Polynomial.monomial(varnames, mono) * F0
-            for e, c in prod.terms.items():
-                M[row_index[e]][cidx] = c
-        b = [target.coeff(e) for e in rows_]
-        x = solve(M, b, len(cols))
-        if x is None:
+            if o + k in fparts:
+                target = target - aparts[m - k] * fparts[o + k]
+        am = _exact_quotient(target, lowest)
+        if am is None:
             return None
-        terms = {cols[i]: x[i] for i in range(len(cols)) if x[i] != 0}
-        if terms:
-            akeep[m] = Polynomial(terms, varnames)
-    a = sum(akeep.values(), Polynomial.zero(varnames))
+        aparts.append(am)
+    a = sum(aparts, Polynomial.zero(varnames))
     if not _chop(a * fp - gp, order).is_zero():
         return None
     return a
 
 
-def _exact_quotient(p: Polynomial, g: Polynomial) -> Optional[Polynomial]:
-    """The polynomial p / g when g divides p exactly, else None."""
+def _exact_quotient(p: Polynomial, divisor: StandardBasis
+                    ) -> Optional[Polynomial]:
+    """The polynomial p / g when g divides p exactly, else None; `divisor`
+    is the global standard basis of (g), built once by the caller."""
     if p.is_zero():
         return Polynomial.zero(p.vars)
-    basis = standard_basis([g], _GLOBAL)
-    cert = membership(p, basis)
+    cert = membership(p, divisor)
     if cert.member and cert.precision is None:
         return as_poly(cert.quotients[0])
     return None
@@ -640,7 +645,7 @@ def _cofactor(delta: VectorField, f: Polynomial, order: int) -> Polynomial:
     """a with delta(f) = a*f below `order`: the exact quotient of delta(f)
     (cut below `order`) by f when f divides it, else the series quotient."""
     df = _chop(delta.apply(f), order)
-    a = _exact_quotient(df, f)
+    a = _exact_quotient(df, standard_basis([f], _GLOBAL))
     if a is None:
         a = _series_quotient(df, f, order)
     if a is None:
@@ -840,34 +845,68 @@ def _weight_system_of(fd: Polynomial) -> Tuple[WeightSystem, List[Fraction]]:
     return W, [Fraction(lam) for lam, _ in rows]
 
 
-def _is_sterile(cand: VectorField, W: WeightSystem) -> bool:
-    diag = _semisimple_diagonal(cand)
-    return diag is not None and _in_row_span(W.rows, diag) is not None
+class _Reading:
+    """A generator read against one round's weights W.
+
+    `parts` are its components by W-multidegree and `zero` the one of
+    degree zero, or None when that is absent or zero.  The S-N
+    decomposition of zero's linear part (`sn`) and the diagonal of its
+    semisimple part (`diagonal`, None when not diagonal) are formed once,
+    when first read: by the candidate pick, by `_pd_normalize` for the
+    pick, and by the final pool.  The readings of one round share
+    `decompositions`, keyed by the matrix, so generators whose components
+    have the same linear part (often zero) share its decomposition.
+    """
+
+    def __init__(self, g: VectorField, W: WeightSystem,
+                 decompositions: Dict[tuple, SNDecomposition]):
+        self.parts = multihomog_decompose(g, W)
+        zero = self.parts.get((Fraction(0),) * W.s)
+        self.zero = None if zero is None or zero.is_zero() else zero
+        self._decompositions = decompositions
+
+    @cached_property
+    def sn(self) -> SNDecomposition:
+        A = self.zero.linear_part()
+        key = tuple(tuple(row) for row in A)
+        if key not in self._decompositions:
+            self._decompositions[key] = sn_decompose(A)
+        return self._decompositions[key]
+
+    @cached_property
+    def diagonal(self) -> Optional[List[Fraction]]:
+        return _diagonal(self.sn)
 
 
-def _pick_candidate(gens: Sequence[VectorField], W: WeightSystem):
-    zkey = (Fraction(0),) * W.s
-    cands = []
-    for g in gens:
-        comp = multihomog_decompose(g, W).get(zkey)
-        if comp is None or comp.is_zero():
-            continue
-        if _is_sterile(comp, W):
-            continue
-        cands.append(comp)
+def _pick_candidate(readings: Sequence[_Reading], W: WeightSystem
+                    ) -> Optional[_Reading]:
+    """The reading whose degree-zero component is the next field to
+    normalize: the lowest (then first by text) among those whose
+    semisimple part is not a diagonal symmetry for W, or None."""
+    cands = [rd for rd in readings if rd.zero is not None and (
+        rd.diagonal is None or _in_row_span(W.rows, rd.diagonal) is None)]
     if not cands:
         return None
-    cands.sort(key=lambda v: (v.low_field_degree(), vf_to_str(v)))
-    return cands[0]
+    return min(cands, key=lambda rd: (rd.zero.low_field_degree(),
+                                      vf_to_str(rd.zero)))
 
 
-def _local_member(field: VectorField, family: Sequence[VectorField],
-                  precision: int) -> bool:
+def _local_basis(family: Sequence[VectorField]) -> Optional[StandardBasis]:
+    """The local standard basis of a family of fields, None when empty."""
     if not family:
+        return None
+    return standard_basis([[as_poly(c) for c in g.coeffs] for g in family],
+                          _LOCAL)
+
+
+def _local_member(field: VectorField, basis: Optional[StandardBasis],
+                  precision: int) -> bool:
+    """Exact local (Mora) membership of `field` in the family whose
+    `_local_basis` is `basis`, with jet quotients of that precision; a
+    `PrecisionRequired` from the test counts as membership."""
+    if basis is None:
         return field.is_zero()
     elem = [as_poly(c) for c in field.coeffs]
-    gens = [[as_poly(c) for c in g.coeffs] for g in family]
-    basis = standard_basis(gens, _LOCAL)
     try:
         cert = membership(elem, basis, precision=precision)
     except PrecisionRequired:
@@ -883,9 +922,11 @@ def _field_multidegree(v: VectorField, W: WeightSystem):
     return keys[0]
 
 
-def _kill_diagonal_part(comp: VectorField, W: WeightSystem,
+def _kill_diagonal_part(comp: VectorField, diag: Optional[List[Fraction]],
+                        W: WeightSystem,
                         sigmas: Sequence[VectorField]) -> VectorField:
-    diag = _semisimple_diagonal(comp)
+    """comp less the sigmas that make up its semisimple part, whose
+    diagonal `diag` (None when not diagonal) the caller has read."""
     if diag is None:
         raise CertificateFailure(
             "generator has a non-diagonal semisimple part at this truncation")
@@ -907,7 +948,14 @@ def formal_structure(f: Union[Germ, Polynomial],
     Returns diagonal symmetry fields, nilpotent complements with their
     bracket eigenvalues, the accumulated unit and coordinate change, and a
     flag telling whether the symmetry space stopped growing before the round
-    cap.  All claims hold below the truncation degree.
+    cap.  All claims hold below the truncation degree d.
+
+    The generation check tests exact local (Mora) membership of each
+    module generator, cut below d, in the module of the sigmas and the
+    kept fields; the pool keeps a field only when that same test fails.
+    The claim that holds in general is generation modulo m^d Der, which
+    exact membership of cut fields can miss; the fix for that, open in
+    ROADMAP.md, changes only `_local_member`.
     """
     germ = as_germ(f)
     f = germ.f
@@ -932,15 +980,22 @@ def formal_structure(f: Union[Germ, Polynomial],
     unit_rep = Polynomial.const(varnames, 1)
     change = CoordChange.identity(varnames, d_work)
     stabilized = False
-    for _ in range(ROUND_CAP):
-        W, lams = _weight_system_of(_chop(fcur, d))
-        cand = _pick_candidate(gens, W)
+    for rnd in range(ROUND_CAP + 1):
+        # each round reads the weights and the generators once; the
+        # reading after the last normalization also makes the pool
+        fd = _chop(fcur, d)
+        W, lams = _weight_system_of(fd)
+        decompositions: Dict[tuple, SNDecomposition] = {}
+        readings = [_Reading(g, W, decompositions) for g in gens]
+        if rnd == ROUND_CAP:
+            break
+        cand = _pick_candidate(readings, W)
         if cand is None:
             stabilized = True
             break
         # the tangent steps keep the linear part, so wnew, the diagonal
         # of its semisimple part, is the one the normalization used
-        ch1, delta_n, wnew = _pd_normalize(cand, W, d_work)
+        ch1, delta_n, wnew = _pd_normalize(cand.zero, W, d_work, cand.sn)
         sig_old = [VectorField.diagonal(row, varnames) for row in W.rows]
         fcur = ch1.apply(fcur)
         gens = [_chop_field(ch1.push_field(g), d_work) for g in gens]
@@ -968,36 +1023,36 @@ def formal_structure(f: Union[Germ, Polynomial],
             raise CertificateFailure(
                 "equation failed to become weighted homogeneous")
 
-    fd = _chop(fcur, d)
-    W, lams = _weight_system_of(fd)
     s = W.s
     sigmas = [VectorField.diagonal(row, varnames) for row in W.rows]
     degrees = list(lams)
-    gens_d = [_chop_field(g, d) for g in gens]
     zkey = (Fraction(0),) * s
     pool = []
-    for g in gens_d:
-        comps = multihomog_decompose(g, W)
-        for key in sorted(comps):
-            comp = _chop_field(comps[key], d)
+    for rd in readings:
+        for key in sorted(rd.parts):
+            comp = _chop_field(rd.parts[key], d)
             if comp.is_zero():
                 continue
             if key == zkey:
-                comp = _kill_diagonal_part(comp, W, sigmas)
+                comp = _kill_diagonal_part(comp, rd.diagonal, W, sigmas)
                 if comp.is_zero():
                     continue
             pool.append(comp)
     pool.sort(key=lambda v: (v.low_field_degree(), vf_to_str(v)))
+    # one local basis of sigmas + kept, rebuilt after each accepted field,
+    # serves the pool and the generation check
     kept: List[VectorField] = []
+    basis = _local_basis(sigmas)
     for cand in pool:
         if len(kept) == k - s:
             break
-        if not _local_member(cand, sigmas + kept, d):
+        if not _local_member(cand, basis, d):
             kept.append(cand)
+            basis = _local_basis(sigmas + kept)
     if len(kept) != k - s:
         raise CertificateFailure("could not complete a generating system")
-    for g in gens_d:
-        if not _local_member(g, sigmas + kept, d):
+    for g in gens:
+        if not _local_member(_chop_field(g, d), basis, d):
             raise CertificateFailure("completed system fails to generate")
     eigentable = []
     for i in range(s):
@@ -1131,8 +1186,9 @@ def factor_structure(fs: FormalStructure, f: Polynomial,
     mults = []
     for g in factors:
         count = 0
+        divisor = standard_basis([g], _GLOBAL)
         while True:
-            q = _exact_quotient(rem, g)
+            q = _exact_quotient(rem, divisor)
             if q is None:
                 break
             rem = q

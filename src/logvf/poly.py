@@ -367,7 +367,10 @@ def poly_to_str(p: Polynomial) -> str:
 
 # -- parsing ------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[-+*/^()]))")
+# an identifier token, the only form a variable name may take
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(
+    rf"\s*(?:(\d+)|({_IDENT.pattern})|(\*\*|[-+*/^()]))")
 
 
 def _tokenize(text: str):

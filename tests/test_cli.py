@@ -295,7 +295,8 @@ def test_bad_factor_exits_2_in_both_subcommands(capsys):
         assert "input error" in err
 
 
-@pytest.mark.parametrize("line", ["x,x", "x,,y", "x, "])
+@pytest.mark.parametrize("line", ["x,x", "x,,y", "x, ", "x,y z", "x,1y",
+                                  "x,y^2", "x,y-1", "x,\u00e9"])
 def test_one_variable_list_parser(line, tmp_path, capsys):
     with pytest.raises(LogvfError):
         rp.parse_vars(line)
@@ -306,6 +307,16 @@ def test_one_variable_list_parser(line, tmp_path, capsys):
     assert code == 2
     assert "input error" in err
     assert run(capsys, "derlog", "--vars", line, "--poly", "x")[0] == 2
+
+
+def test_a_name_the_parser_cannot_read_is_refused(capsys):
+    # "y z" once printed d_y z, which does not parse back
+    code, out, err = run(capsys, "derlog", "--vars", "x,y z",
+                         "--poly", "x^2+x")
+    assert code == 2
+    assert out == ""
+    assert "bad variable list 'x,y z'" in err
+    assert rp.parse_vars(" x_1 , _y,Z9 ") == ("x_1", "_y", "Z9")
 
 
 def _count_module_builds(monkeypatch):

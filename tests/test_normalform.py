@@ -14,7 +14,7 @@ from logvf.vfield import (VectorField, field_graded_parts, lie_bracket,
                           vf_to_str)
 from logvf.derlog import derlog_generators, minimalize
 from logvf.linalg import identity as mat_identity
-from logvf.linalg import inverse
+from logvf.linalg import inverse, solve
 from logvf.liealg import sn_decompose
 from logvf.normalform import (CoordChange, constant_field_split,
                               default_truncation, diagonal_symmetries,
@@ -475,10 +475,110 @@ def test_unit_adjust_without_weights_matches_the_reference_loop(case):
     VectorField([Y + X**2, Y**3]),      # nilpotent linear part
 ])
 def test_kill_diagonal_part_keeps_a_field_with_zero_semisimple_part(comp):
-    assert _kill_diagonal_part(comp, WeightSystem.make([]), []) == comp
+    diag = _semisimple_diagonal(comp)
+    assert _kill_diagonal_part(comp, diag, WeightSystem.make([]), []) == comp
     sigma = VectorField.diagonal((1, 1), V2)
     assert _kill_diagonal_part(
-        comp, WeightSystem.make([(1, 1)]), [sigma]) == comp
+        comp, diag, WeightSystem.make([(1, 1)]), [sigma]) == comp
+
+
+def _reference_series_quotient(g, f, order):
+    """_series_quotient by one dense linear system per degree: the degree-m
+    part of a solves M.a_m = target over the monomials of degree m, with
+    M the matrix of multiplication by the lowest form of f."""
+    fp, gp = as_poly(f), as_poly(g)
+    varnames = fp.vars
+    o = fp.low_degree()
+    avail = order - o
+    if avail <= 0:
+        return Polynomial.zero(varnames) if chop(gp, order).is_zero() else None
+
+    def monomials(n, deg):
+        if n == 1:
+            return [(deg,)]
+        return [(e,) + rest for e in range(deg, -1, -1)
+                for rest in monomials(n - 1, deg - e)]
+
+    fparts, gparts = graded_parts(fp), graded_parts(gp)
+    akeep = {}
+    for m in range(avail):
+        target = gparts.get(m + o, Polynomial.zero(varnames))
+        for k in range(1, m + 1):
+            if o + k in fparts and m - k in akeep:
+                target = target - akeep[m - k] * fparts[o + k]
+        cols = monomials(len(varnames), m)
+        rows = monomials(len(varnames), m + o)
+        row_index = {e: r for r, e in enumerate(rows)}
+        M = [{} for _ in rows]
+        for cidx, mono in enumerate(cols):
+            prod = Polynomial.monomial(varnames, mono) * fparts[o]
+            for e, c in prod.terms.items():
+                M[row_index[e]][cidx] = c
+        x = solve(M, [target.coeff(e) for e in rows], len(cols))
+        if x is None:
+            return None
+        terms = {cols[i]: x[i] for i in range(len(cols)) if x[i] != 0}
+        if terms:
+            akeep[m] = Polynomial(terms, varnames)
+    a = sum(akeep.values(), Polynomial.zero(varnames))
+    if not chop(a * fp - gp, order).is_zero():
+        return None
+    return a
+
+
+@st.composite
+def _series_quotient_cases(draw):
+    n = draw(st.integers(1, 3))
+    varnames = V3[:n]
+
+    def poly(low, high, max_terms):
+        exps = st.tuples(*[st.integers(0, high)] * n).filter(
+            lambda e: low <= sum(e) <= high)
+        terms = draw(st.dictionaries(exps, SMALL, max_size=max_terms))
+        return Polynomial({e: Fraction(c) for e, c in terms.items()},
+                          varnames)
+
+    def monomial(low, high):
+        e = draw(st.tuples(*[st.integers(0, high)] * n).filter(
+            lambda e: low <= sum(e) <= high))
+        return Polynomial.monomial(varnames, e) * \
+            draw(st.sampled_from([-2, -1, 1, 3]))
+
+    o = draw(st.integers(1, 2))
+    lowest = poly(o, o, 2) + monomial(o, o)
+    if lowest.is_zero():
+        lowest = monomial(o, o)
+    # f has a part in at least one degree above its lowest form
+    f = lowest + poly(o + 1, o + 3, 3) + monomial(o + 1, o + 2)
+    order = o + draw(st.integers(0, 4))
+    # a*f plus terms at or above the order is divisible below it; one
+    # more term below the order, or a g drawn at random, seldom is
+    g = poly(0, 3, 4) * f + poly(order, order + 2, 2)
+    kind = draw(st.sampled_from(["divisible", "bumped", "random"]))
+    if kind == "bumped":
+        g = g + monomial(0, max(order - 1, 0))
+    elif kind == "random":
+        g = poly(0, order + 1, 5)
+    return g, f, order
+
+
+@settings(max_examples=150)
+@given(_series_quotient_cases())
+def test_series_quotient_matches_the_dense_reference(case):
+    g, f, order = case
+    assert _series_quotient(g, f, order) == \
+        _reference_series_quotient(g, f, order)
+
+
+def test_series_quotient_cases_cover_both_answers():
+    # a divisible and a non-divisible g over an f with three graded parts
+    f = X**2 + X * Y**2 + Y**4
+    unit = 1 + X + Y**2
+    assert _series_quotient(chop(unit * f, 7), f, 7) == chop(unit, 5)
+    assert _reference_series_quotient(chop(unit * f, 7), f, 7) == \
+        chop(unit, 5)
+    assert _series_quotient(Y**2 + X**3, f, 7) is None
+    assert _reference_series_quotient(Y**2 + X**3, f, 7) is None
 
 
 # -- straightening ------------------------------------------------------------
@@ -610,8 +710,8 @@ def _corpus_germs():
             yield name, parse_div(fh.read())[1]
 
 
-def _assert_pd_matches_reference(delta, weights, order):
-    change, field, w = _pd_normalize(delta, weights, order)
+def _assert_pd_matches_reference(delta, weights, order, dec=None):
+    change, field, w = _pd_normalize(delta, weights, order, dec)
     ref_change, ref_field, ref_w = _reference_pd_normalize(delta, weights,
                                                            order)
     assert change.images == ref_change.images
@@ -656,11 +756,12 @@ def test_pd_normalize_matches_the_reference_on_every_corpus_candidate(
     # the corpus germs are weighted homogeneous, so no candidate of theirs
     # is normalized; moved by a tangent change, most of them give one, and
     # every field formal_structure normalizes, in every round, is compared
+    # with the decomposition formal_structure read when it picked the field
     calls = []
 
-    def record(delta, weights, order):
-        calls.append((delta, weights, order))
-        return _pd_normalize(delta, weights, order)
+    def record(delta, weights, order, dec):
+        calls.append((delta, weights, order, dec))
+        return _pd_normalize(delta, weights, order, dec)
 
     monkeypatch.setattr(normalform, "_pd_normalize", record)
     for name, f in _corpus_germs():
@@ -670,8 +771,8 @@ def test_pd_normalize_matches_the_reference_on_every_corpus_candidate(
             except ProductInput:
                 pass
     assert len(calls) >= 6
-    for delta, weights, order in calls:
-        _assert_pd_matches_reference(delta, weights, order)
+    for delta, weights, order, dec in calls:
+        _assert_pd_matches_reference(delta, weights, order, dec)
 
 
 @st.composite
@@ -761,6 +862,92 @@ def test_formal_structure_reuses_the_normalized_weights(monkeypatch):
     monkeypatch.setattr(normalform, "unit_adjust", refuse)
     fs = formal_structure((X + Y**2) ** 2 + Y**3, 8)
     assert fs.change.images[0] == X - Y**2
+
+
+def _formal_structure_on_moved_corpus(before_each=lambda: None):
+    """formal_structure on every corpus germ and its tangent-moved version,
+    the inputs of the corpus-candidate test above."""
+    for name, f in _corpus_germs():
+        for g in (f, _tangent_moved(f)):
+            before_each()
+            try:
+                formal_structure(g)
+            except ProductInput:
+                pass
+
+
+def test_formal_structure_decomposes_no_matrix_twice_in_a_round(monkeypatch):
+    # a round reads each generator's degree-zero component once: the pick,
+    # the normalization of the picked field and the final pool share the
+    # S-N decomposition of its linear part, and equal linear parts share
+    # one; a round starts where its weights are read
+    seen, repeats, calls = set(), [], []
+    decompose = normalform.sn_decompose
+    weights_of = normalform._weight_system_of
+
+    def new_round(fd):
+        seen.clear()
+        return weights_of(fd)
+
+    def record(A):
+        key = tuple(tuple(row) for row in A)
+        calls.append(key)
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return decompose(A)
+
+    monkeypatch.setattr(normalform, "_weight_system_of", new_round)
+    monkeypatch.setattr(normalform, "sn_decompose", record)
+    _formal_structure_on_moved_corpus()
+    assert len(calls) >= 10
+    assert repeats == []
+
+
+def test_generation_check_builds_each_family_once(monkeypatch):
+    # the pool and the final check share one local standard basis of
+    # sigmas + kept fields, rebuilt only when a field is kept
+    per_call, builds = [], normalform.standard_basis
+
+    def record(gens, ordering=None):
+        if ordering is normalform._LOCAL:
+            per_call[-1].append(tuple(tuple(str(c) for c in g) for g in gens))
+        return builds(gens, ordering)
+
+    monkeypatch.setattr(normalform, "standard_basis", record)
+    _formal_structure_on_moved_corpus(lambda: per_call.append([]))
+    assert sum(len(families) for families in per_call) >= 20
+    for families in per_call:
+        assert len(set(families)) == len(families)
+
+
+@pytest.mark.parametrize("cap, normalizations", [(0, 0), (1, 1), (2, 1)])
+def test_round_cap_stops_the_normalizations(monkeypatch, cap, normalizations):
+    # the perturbed cusp needs one normalization; a cap of one stops right
+    # after it, unstabilized, and the pool of the last reading still gives
+    # the answer the uncapped run gives; a cap of zero normalizes nothing,
+    # and the pool refuses the unmoved Euler-like generator
+    f = (X + Y**2) ** 2 + Y**3
+    full = formal_structure(f, 8)
+    calls = []
+    normalize = normalform._pd_normalize
+
+    def record(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(normalform, "ROUND_CAP", cap)
+    monkeypatch.setattr(normalform, "_pd_normalize", record)
+    if cap == 0:
+        with pytest.raises(CertificateFailure, match="escapes the symmetry"):
+            formal_structure(f, 8)
+        assert calls == []
+        return
+    fs = formal_structure(f, 8)
+    assert len(calls) == normalizations
+    assert fs.stabilized == (cap > normalizations)
+    assert fs.nus == full.nus and fs.sigmas == full.sigmas
+    assert fs.change.images == full.change.images
 
 
 # -- the full pipeline ---------------------------------------------------------
