@@ -5,9 +5,20 @@ projecting a Laurent polynomial onto that span is a term filter, and a
 logarithmic basis acts on it coordinate-wise through d1.  A nonzero common
 kernel vector refutes the necessary condition for the comparison theorem;
 an empty kernel inside the searched box proves nothing.
+
+The box search builds the matrix of d1 on the box term by term.  A term
+c*x^a of the coefficient a_k of a field sends x^e to e_k*c*x^(e+s), with
+s = a - 1_k, and the image stays all-negative exactly when e_m < -s_m for
+every m; so each term visits only that sub-box of exponents, and no image
+term is formed to be projected away.  Each field is first multiplied by
+the lcm of its coefficient denominators, which scales its rows by one
+nonzero constant: the row space, and with it the canonical kernel and the
+witness, is unchanged, and every entry is an integer.
 """
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -135,9 +146,13 @@ def d1_kernel_search(basis: Sequence[VectorField],
     system is exact and any kernel vector is a genuine witness; None only
     means no witness exists inside this box.  The fields must be
     polynomial fields over the variables of the first.  The column of x^e
-    holds the all-negative terms of `VectorField.monomial_image(e)` for
-    each field; the kernel is the canonical one of `linalg.nullspace`, and
-    `d1_apply` re-checks the witness independently.
+    holds the all-negative terms of delta(x^e) for each field delta, times
+    the lcm of delta's coefficient denominators; a term of delta with
+    shift s adds to the columns of its sub-box only, those x^e whose image
+    e + s is all negative (see the module docstring).  Entries that cancel
+    are dropped, and no row is empty.  The kernel is the canonical one of
+    `linalg.nullspace`, which the row order and the row scaling leave
+    alone, and `d1_apply` re-checks the witness independently.
     """
     if not basis:
         raise PreconditionViolated("need at least one field")
@@ -149,14 +164,31 @@ def d1_kernel_search(basis: Sequence[VectorField],
             raise VariableMismatch(f"{delta.vars} vs {varnames}")
         if not all(isinstance(c, Polynomial) for c in delta.coeffs):
             raise PreconditionViolated("d1 needs polynomial fields")
-    box = sorted(itertools.product(range(-bound, 0), repeat=len(varnames)))
-    # one sparse row per (field, image exponent), one column per box exponent
-    rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Fraction]] = {}
-    for j, e in enumerate(box):
-        for i, delta in enumerate(basis):
-            for ie, v in delta.monomial_image(e).items():
-                if all(k < 0 for k in ie):
-                    rows.setdefault((i, ie), {})[j] = v
+    n = len(varnames)
+    box = sorted(itertools.product(range(-bound, 0), repeat=n))
+    column = {e: j for j, e in enumerate(box)}
+    # one sparse row per (field, image exponent), one column per box
+    # exponent; the terms of one field that share a shift meet in the same
+    # entries, so they are grouped and each entry is formed once
+    rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
+    for i, delta in enumerate(basis):
+        scale = math.lcm(*(c.denominator for a in delta.coeffs
+                           for c in a.terms.values()))
+        # shift -> the scaled coefficient of its term in each a_k
+        shifts: Dict[Tuple[int, ...], List[int]] = {}
+        for k, a in enumerate(delta.coeffs):
+            for exp, c in a.terms.items():
+                s = exp[:k] + (exp[k] - 1,) + exp[k + 1:]
+                shifts.setdefault(s, [0] * n)[k] = \
+                    c.numerator * (scale // c.denominator)
+        for s, w in shifts.items():
+            # e and its image e + s run over two boxes in step
+            sub = itertools.product(*(range(-bound, min(0, -t)) for t in s))
+            img = itertools.product(*(range(t - bound, min(t, 0)) for t in s))
+            for e, ie in zip(sub, img):
+                v = sum(map(operator.mul, e, w))
+                if v:
+                    rows.setdefault((i, ie), {})[column[e]] = v
     kernel = nullspace(list(rows.values()), len(box))
     if not kernel:
         return None

@@ -373,6 +373,13 @@ _TOKEN = re.compile(
     rf"\s*(?:(\d+)|({_IDENT.pattern})|(\*\*|[-+*/^()]))")
 
 
+def _readable_names(varnames: Sequence[str]) -> bool:
+    """Is each name one identifier token and none repeated, so that the
+    printed form of a polynomial over them parses back?"""
+    return (all(isinstance(v, str) and _IDENT.fullmatch(v) for v in varnames)
+            and len(set(varnames)) == len(varnames))
+
+
 def _tokenize(text: str):
     pos = 0
     tokens = []
@@ -488,8 +495,14 @@ class _Parser:
 
 
 def poly_parse(text: str, varnames: Sequence[str]) -> Polynomial:
-    """Parse an expression over the declared variables into a Polynomial."""
-    return _Parser(text, tuple(varnames)).parse()
+    """Parse an expression over the declared variables into a Polynomial.
+
+    The names must be distinct identifiers, as the parser reads them."""
+    varnames = tuple(varnames)
+    if not _readable_names(varnames):
+        raise ParseError(f"variable names must be distinct identifiers, "
+                         f"got {varnames!r}")
+    return _Parser(text, varnames).parse()
 
 
 # -- jets ---------------------------------------------------------------------

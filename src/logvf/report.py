@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CertificateFailure, LogvfError, NotFree, ProductInput,
                      WrongCount)
-from .poly import _IDENT, Polynomial, as_poly, poly_parse
+from .poly import Polynomial, _readable_names, as_poly, poly_parse
 from .vfield import vf_to_str
 from .derlog import (Germ, as_germ, euler_check, koszul_free_check,
                      require_nonzero, saito_free_check, squarefree_check,
@@ -251,8 +251,7 @@ def parse_vars(text: str) -> Tuple[str, ...]:
     """Comma-separated variable names, none repeated, each one identifier
     as the polynomial parser reads it, so printed output parses back."""
     varnames = tuple(v.strip() for v in text.split(","))
-    if any(not _IDENT.fullmatch(v) for v in varnames) or \
-            len(set(varnames)) != len(varnames):
+    if not _readable_names(varnames):
         raise LogvfError(f"bad variable list {text!r}")
     return varnames
 

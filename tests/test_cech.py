@@ -344,3 +344,108 @@ def test_kernel_search_witness_with_several_terms():
     skew = [VectorField([X * (-2) + Y * (-2), X * (-1) + Y * 2])]
     assert d1_kernel_search(skew, 3) == cls(
         {(-3, -1): 1, (-2, -2): -1, (-1, -3): Fraction(-1, 2)})
+
+
+# -- what the sub-box build relies on: scaling, shifts <= 0, cancellation ---------
+
+
+V1 = ("x",)
+RATIONAL = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                     st.integers(1, 6))
+
+
+@st.composite
+def laurent_fields(draw):
+    """One to three fields in one to three variables.  Coefficients are
+    rationals with denominators, and exponents run from -2 to 2, so a
+    coefficient may hold a constant or a Laurent term and a shift may have
+    entries at or below zero.  One shift of each field may be shared by
+    terms in several coefficients, which then meet at every image exponent
+    and may cancel there."""
+    varnames = draw(st.sampled_from((V1, V2, V3)))
+    n = len(varnames)
+    exps = list(itertools.product(range(-2, 3), repeat=n))
+    coeff = st.dictionaries(st.sampled_from(exps), RATIONAL, max_size=2)
+    basis = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = [draw(coeff) for _ in varnames]
+        if draw(st.booleans()):
+            s = draw(st.sampled_from(exps))
+            for k in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+                terms[k][s[:k] + (s[k] + 1,) + s[k + 1:]] = draw(RATIONAL)
+        basis.append(VectorField([laurent(t, varnames) for t in terms]))
+    return basis
+
+
+@settings(max_examples=120)
+@given(laurent_fields(), st.integers(1, 4))
+def test_kernel_search_matches_dense_reference_on_laurent_fields(basis,
+                                                                  bound):
+    assert d1_kernel_search(basis, bound) == _dense_kernel_witness(basis, bound)
+
+
+@settings(max_examples=60)
+@given(laurent_fields(), st.integers(1, 4), RATIONAL, st.randoms())
+def test_witness_ignores_field_scaling_and_basis_order(basis, bound, c, rnd):
+    w = d1_kernel_search(basis, bound)
+    k = rnd.randrange(len(basis))
+    scaled = basis[:k] + [basis[k].scale(c)] + basis[k + 1:]
+    assert d1_kernel_search(scaled, bound) == w
+    shuffled = list(basis)
+    rnd.shuffle(shuffled)
+    assert d1_kernel_search(shuffled, bound) == w
+
+
+def test_kernel_search_cancels_terms_that_meet():
+    # x d_x - y d_y sends x^a y^b to (a - b) x^a y^b: both terms have
+    # shift 0 and cancel on the diagonal, whose first point is the witness
+    hyperbolic = [VectorField([X, Y * (-1)])]
+    for b in (1, 2, 3, 4):
+        assert d1_kernel_search(hyperbolic, b) == CechClass(
+            {(-b, -b): Fraction(1)}, V2)
+        assert d1_kernel_search(hyperbolic, b) == \
+            _dense_kernel_witness(hyperbolic, b)
+
+
+def test_kernel_search_scales_rational_fields_to_integers():
+    # x/2 d_x - y/3 d_y sends x^a y^b to (a/2 - b/3) x^a y^b
+    basis = [VectorField([X * Fraction(1, 2), Y * Fraction(-1, 3)])]
+    assert d1_kernel_search(basis, 2) is None
+    assert d1_kernel_search(basis, 3) == cls({(-2, -3): 1})
+    assert d1_kernel_search(basis, 4) == _dense_kernel_witness(basis, 4)
+
+
+def test_kernel_search_with_constant_and_laurent_terms():
+    # d_x has shift (-1, 0): every box exponent keeps its image, and x^e
+    # dies only when e_x = 0, which the box never holds; y^-1 d_x shifts
+    # into the tail from the whole box as well
+    for basis in ([VectorField([Polynomial.const(V2, 1), Z2])],
+                  [VectorField([laurent({(0, -1): 1}), Z2])]):
+        for b in (1, 2, 3):
+            assert d1_kernel_search(basis, b) is None
+            assert _dense_kernel_witness(basis, b) is None
+    # x^-1 d_y - y^-1 d_x: x^a y^b goes to (b - a) x^(a-1) y^(b-1)
+    twist = [VectorField([laurent({(0, -1): -1}), laurent({(-1, 0): 1})])]
+    assert d1_kernel_search(twist, 3) == cls({(-3, -3): 1})
+    assert d1_kernel_search(twist, 3) == _dense_kernel_witness(twist, 3)
+
+
+def test_kernel_search_forms_no_image_through_monomial_image(monkeypatch):
+    # the box rows are built from the field terms directly; the witnesses
+    # of the corpus germs at bound 3 are those of the dense reference
+    bases = {}
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            _, f, _ = rp.parse_div(fh.read())
+        bases[name] = minimalize(derlog_generators(f)).fields
+
+    def refuse(self, e):
+        raise AssertionError("monomial_image called")
+    monkeypatch.setattr(VectorField, "monomial_image", refuse)
+    found = {}
+    for name, basis in bases.items():
+        w = d1_kernel_search(basis, 3)
+        assert w == _dense_kernel_witness(basis, 3), name
+        if w is not None:
+            found[name] = w.to_json()
+    assert found == {"07_curve_deg5.div": {"-1,-1": "1"}}

@@ -319,6 +319,14 @@ def test_a_name_the_parser_cannot_read_is_refused(capsys):
     assert rp.parse_vars(" x_1 , _y,Z9 ") == ("x_1", "_y", "Z9")
 
 
+@pytest.mark.parametrize("line", ["x,1y", "x,x", "x,y z"])
+def test_bad_variable_list_message_is_kept(line, capsys):
+    # the parser refuses these names too, but the list is refused first
+    code, out, err = run(capsys, "derlog", "--vars", line, "--poly", "x^2+x")
+    assert (code, out) == (2, "")
+    assert err == f"input error: LogvfError: bad variable list {line!r}\n"
+
+
 def _count_module_builds(monkeypatch):
     """Wrap derlog_generators under every name the package binds it to."""
     calls = []

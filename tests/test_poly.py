@@ -68,6 +68,35 @@ class TestParse:
             with pytest.raises(ParseError):
                 P(bad)
 
+    @pytest.mark.parametrize("names", [("x", "1y"), ("x", "y z"),
+                                       ("x", "x"), ("x", ""), ("x", " y"),
+                                       ("x", "y^2"), ("x", "é")])
+    def test_refuses_names_it_cannot_read_back(self, names):
+        # over ("x", "1y") the printed "1y" reads as 1*y, and over
+        # ("x", "x") the second name can never be written
+        with pytest.raises(ParseError):
+            poly_parse("x^2 + x", names)
+        with pytest.raises(ParseError):
+            poly_parse("1", names)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.text("xy1_ z^", min_size=1, max_size=3),
+                    min_size=1, max_size=3),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    def test_what_it_takes_prints_back(self, names, coeffs):
+        # a refused tuple has a name that is no identifier or a repeat;
+        # over an accepted one, printed output parses back
+        try:
+            gens = [poly_parse(v, names) for v in names]
+        except ParseError:
+            assert any(not v or " " in v or "^" in v or v[0] == "1"
+                       for v in names) or len(set(names)) < len(names)
+            return
+        f = sum((g ** (k + 1) * c
+                 for k, (g, c) in enumerate(zip(gens, coeffs))),
+                Polynomial.zero(tuple(names)))
+        assert poly_parse(poly_to_str(f), names) == f
+
     def test_example41_polynomial(self):
         vs = ("x1", "x2", "x3", "x4")
         f = poly_parse(
