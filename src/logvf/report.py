@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (CertificateFailure, LogvfError, NotFree, ProductInput,
-                     WrongCount)
+from .errors import (CertificateFailure, LogvfError, NotFree,
+                     PreconditionViolated, ProductInput, WrongCount)
 from .poly import Polynomial, _readable_names, as_poly, poly_parse
 from .vfield import vf_to_str
 from .derlog import (Germ, as_germ, euler_check, koszul_free_check,
@@ -222,10 +222,15 @@ STAGES = (
 def analyze(f: Polynomial, trunc: Optional[int] = None,
             witness_bound: int = 3,
             factors: Optional[Sequence[Polynomial]] = None) -> dict:
-    """Full pipeline report for one polynomial; the zero polynomial is
-    refused with PreconditionViolated before any stage runs."""
+    """Full pipeline report for one polynomial.  The zero polynomial, and
+    variable names that the printed report could not be parsed back over
+    (repeated, or not one identifier each), are refused with
+    PreconditionViolated before any stage runs."""
     germ = as_germ(f)
     require_nonzero(germ.f)
+    if not _readable_names(germ.f.vars):
+        raise PreconditionViolated(f"variable names must be distinct "
+                                   f"identifiers, got {germ.f.vars!r}")
     rq = _Request(germ, trunc, witness_bound, factors, germ)
     f = germ.f
     report: dict = {"schema": SCHEMA, "vars": list(f.vars), "f": str(f),

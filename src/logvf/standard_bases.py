@@ -36,6 +36,14 @@ normal form carries the scalar lam with h = lam * h_Q, and membership
 divides by it to return the normal form and the Mora unit of the rational
 reduction.
 
+Sort keys and reducers are each formed once.  standard_basis and syzygies
+wrap their key (module_key or elimination_key) in a _Keys memo that lives
+for that one computation; every lead pick, working element, pair rank,
+prune and final sort reads it.  A StandardBasis forms its own memo and its
+integer reducers, the primitive pairs with a positive lead that the loop
+keeps, from its frozen fields the first time membership needs them, and
+keeps them as long as it lives.  No memo outlives its computation or basis.
+
 The rational loop this one replaces is kept in tests/test_standard_bases.py
 as _reference_weak_nf and _reference_buchberger, and a property test
 requires equal results from both.
@@ -47,9 +55,10 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from operator import add, sub
-from typing import Dict, List, Optional, Tuple
+from operator import add, le, sub
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateFailure, PrecisionRequired, PreconditionViolated
 from .orderings import Exponent, ModMono, OrderingSpec, elimination_key
@@ -83,7 +92,7 @@ def _vec_deg(a: Vec) -> int:
 
 
 def _divides(small: Exponent, big: Exponent) -> bool:
-    return all(s <= b for s, b in zip(small, big))
+    return all(map(le, small, big))
 
 
 def _cleared(vec: RatVec, den: int) -> Vec:
@@ -93,6 +102,21 @@ def _cleared(vec: RatVec, den: int) -> Vec:
 
 def _denominator(*vecs: RatVec) -> int:
     return lcm(*(c.denominator for vec in vecs for c in vec.values()))
+
+
+class _Keys(dict):
+    """Sort keys of module monomials, each built by key on its first
+    look-up; pass the memo on as its __getitem__."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self._key = key
+
+    def __missing__(self, m: ModMono):
+        k = self[m] = self._key(m)
+        return k
 
 
 class _Elem:
@@ -121,7 +145,7 @@ class _Elem:
 
 # -- normal form --------------------------------------------------------------
 
-def _weak_nf(start: Vec, basis: List[_Elem], keyf, local: bool,
+def _weak_nf(start: Vec, basis: Sequence[_Elem], keyf, local: bool,
              total: bool) -> Tuple[Vec, Vec, Vec, Fraction]:
     """Reduce start against basis.
 
@@ -376,7 +400,8 @@ class StandardBasis:
     """A standard basis together with lifts to the original inputs.
 
     generators[j] is a vector of rank polynomials; lifts[j][k] satisfies
-    generators[j] = sum_k lifts[j][k] * inputs[k].
+    generators[j] = sum_k lifts[j][k] * inputs[k].  membership reduces
+    against integer forms of these fields, made on first use and kept.
     """
 
     generators: Tuple[Tuple[Polynomial, ...], ...]
@@ -386,12 +411,25 @@ class StandardBasis:
     varnames: Tuple[str, ...]
     rank: int
 
-    def leading_monomials(self) -> List[ModMono]:
+    @cached_property
+    def _keyf(self):
+        return _Keys(self.ordering.module_key).__getitem__
+
+    @cached_property
+    def _reducers(self) -> Tuple[_Elem, ...]:
+        """The generators with their lifts as integer working elements,
+        formed on first use and kept for the basis's lifetime."""
+        varnames, rank, k = self.varnames, self.rank, len(self.inputs)
         out = []
-        for g in self.generators:
-            vec = _to_vec(g, self.varnames, self.rank)
-            out.append(max(vec, key=self.ordering.module_key))
-        return out
+        for g, lift in zip(self.generators, self.lifts):
+            gvec, lvec = _to_vec(g, varnames, rank), _to_vec(lift, varnames, k)
+            den = _denominator(gvec, lvec)
+            out.append(_Elem(_cleared(gvec, den), self._keyf, _cleared(lvec, den)))
+        return tuple(out)
+
+    def leading_monomials(self) -> List[ModMono]:
+        return [max(_to_vec(g, self.varnames, self.rank), key=self._keyf)
+                for g in self.generators]
 
     def polynomials(self) -> List[Polynomial]:
         if self.rank != 1:
@@ -414,7 +452,7 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
         vec = _to_vec(g, varnames, rank)
         den = _denominator(vec)
         cleared.append((_cleared(vec, den), {(i, zero): den}))
-    keyf = order.module_key
+    keyf = _Keys(order.module_key).__getitem__
     local = order.is_local
     basis = _buchberger(cleared, keyf, local, rank)
     basis = _prune(basis, keyf)
@@ -515,16 +553,11 @@ def membership(element, basis: StandardBasis,
         return MembershipCertificate(True, tuple(zero for _ in range(k)), None,
                                      _rational({}, 1, varnames, rank),
                                      Polynomial.const(varnames, Fraction(1)))
-    keyf = basis.ordering.module_key
     local = basis.ordering.is_local
-    belems = []
-    for g, lift in zip(basis.generators, basis.lifts):
-        gvec, lvec = _to_vec(g, varnames, rank), _to_vec(lift, varnames, k)
-        den = _denominator(gvec, lvec)
-        belems.append(_Elem(_cleared(gvec, den), keyf, _cleared(lvec, den)))
+    belems = basis._reducers
     den = _denominator(vec)
-    nf, unit, rep, lam = _weak_nf(_cleared(vec, den), belems, keyf, local,
-                                  total=False)
+    nf, unit, rep, lam = _weak_nf(_cleared(vec, den), belems, basis._keyf,
+                                  local, total=False)
     # the reduction started from den * element, so the rational one from
     # element holds nf / (lam * den) and the unit / lam
     unit_poly = _rational(unit, lam, varnames, 1)[0]
@@ -582,7 +615,7 @@ def syzygies(gens, ordering: Optional[OrderingSpec] = None) -> List[Tuple[Polyno
         w = _cleared(vec, den)
         w[(rank + i, zero)] = den
         wide.append((w, None))
-    keyf = elimination_key(order, rank)
+    keyf = _Keys(elimination_key(order, rank)).__getitem__
     basis = _buchberger(wide, keyf, order.is_local, rank + k)
     basis = _prune(basis, keyf)
     basis.sort(key=lambda e: e.key)

@@ -8,8 +8,8 @@ import pytest
 
 import logvf.derlog as derlog
 from logvf.cli import main
-from logvf.errors import CertificateFailure, LogvfError
-from logvf.poly import poly_parse
+from logvf.errors import CertificateFailure, LogvfError, PreconditionViolated
+from logvf.poly import Polynomial, poly_parse
 from logvf import report as rp
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -327,6 +327,18 @@ def test_bad_variable_list_message_is_kept(line, capsys):
     assert err == f"input error: LogvfError: bad variable list {line!r}\n"
 
 
+@pytest.mark.parametrize("varnames", [("x", "x"), ("x", "y z"), ("x", "")],
+                         ids=["repeated", "space", "empty"])
+def test_analyze_refuses_names_the_parser_cannot_read(varnames, monkeypatch):
+    # a report over these names would print fields that no parser call
+    # reads back, so analyze refuses them before the module is built
+    calls = _count_module_builds(monkeypatch)
+    f = Polynomial({(2, 0): 1, (0, 3): 1}, varnames)
+    with pytest.raises(PreconditionViolated, match="distinct identifiers"):
+        rp.analyze(f)
+    assert calls == []
+
+
 def _count_module_builds(monkeypatch):
     """Wrap derlog_generators under every name the package binds it to."""
     calls = []
@@ -374,8 +386,9 @@ def _cli_json(capsys, *argv):
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.div")),
                          ids=lambda p: p.name)
 def test_cli_agrees_with_analyze_on_corpus(path, capsys):
-    varnames, f, _ = rp.parse_div(path.read_text())
+    varnames, f, expect = rp.parse_div(path.read_text())
     report = rp.analyze(f)
+    assert all(ok for *_, ok in rp.check_expectations(report, expect))
     args = ("--vars", ",".join(varnames), "--poly", str(f))
     assert _cli_json(capsys, "derlog", *args) == report["derlog"]
     assert _cli_json(capsys, "free", *args) == report["free"]

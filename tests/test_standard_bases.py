@@ -739,3 +739,44 @@ def test_integer_core_matches_the_rational_reference(family, order, data):
         [[_terms(p) for p in rel] for rel in _reference_syzygies(gens, order)]
     if rank == 1:
         assert ideal_dimension(gens, order) == _reference_dimension(gens, order)
+
+
+# -- per-basis reducers and per-computation keys ---------------------------------
+
+@settings(max_examples=100)
+@given(_families(), st.sampled_from(ORDERS), st.data())
+def test_membership_reducers_carry_no_state_between_calls(family, order, data):
+    # a basis forms its integer reducers and key memo on first use and keeps
+    # them: the same probes asked in either order, and asked of a fresh
+    # basis built from the same fields, get the same certificates
+    rank, gens = family
+    sb = standard_basis(gens, order)
+    calls = [(probe, precision) for probe in _probes(data.draw, rank, gens)
+             for precision in (None, 6)]
+    forward = [_outcome(lambda: membership(q, sb, prec)) for q, prec in calls]
+    backward = [_outcome(lambda: membership(q, sb, prec))
+                for q, prec in reversed(calls)][::-1]
+    fresh = sbm.StandardBasis(sb.generators, sb.lifts, sb.inputs, sb.ordering,
+                              sb.varnames, sb.rank)
+    again = [_outcome(lambda: membership(q, fresh, prec)) for q, prec in calls]
+    for got in (backward, again):
+        for a, b in zip(got, forward):
+            _same_certificates(a, b)
+
+
+_MEMO_ORDERS = ORDERS + (
+    OrderingSpec.make("local-anti-graded", module_extension="schreyer",
+                      schreyer_anchors=((1, 0), (0, 2), (0, 0), (3, 1))),)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3),
+                          st.tuples(st.integers(0, 4), st.integers(0, 4))),
+                unique=True, max_size=12),
+       st.sampled_from(_MEMO_ORDERS), st.integers(0, 4))
+def test_key_memo_sorts_as_its_key(monos, order, front_rank):
+    for key in (order.module_key, elimination_key(order, front_rank)):
+        memo = sbm._Keys(key).__getitem__
+        assert sorted(monos, key=memo) == sorted(monos, key=key)
+        # the second pass reads every key from the memo
+        assert sorted(reversed(monos), key=memo) == sorted(monos, key=key)
+        assert [memo(m) for m in monos] == [key(m) for m in monos]
