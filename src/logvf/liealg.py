@@ -54,51 +54,42 @@ LOCAL = OrderingSpec.make("local-anti-graded")
 # -- rational semisimple/nilpotent splitting -----------------------------------
 
 def _rational_roots(coeffs: List[Fraction]) -> Dict[Fraction, int]:
-    """All roots with multiplicity of the monic polynomial given by
-    descending coefficients, provided every root is rational; raises
-    NonRationalEigenvalues otherwise."""
+    """All roots with multiplicity of the polynomial given by descending
+    coefficients, provided every root is rational; raises
+    NonRationalEigenvalues otherwise.
+
+    Past the roots at zero, y = lead * x makes the rational roots the
+    integer roots of a monic integer polynomial, all found by one Sturm
+    bisection (`_integer_roots`) in time that grows with the bit length of
+    the coefficients, not with the divisors of the constant.  Each is then
+    divided out exactly for as long as it divides.
+    """
     work = [Fraction(c) for c in coeffs]
     roots: Dict[Fraction, int] = {}
-    while len(work) > 1:
-        if work[-1] == 0:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            work = work[:-1]
-            continue
-        root = _find_rational_root(work)
-        if root is None:
-            raise NonRationalEigenvalues(
-                "matrix has eigenvalues outside the rationals")
-        roots[root] = roots.get(root, 0) + 1
-        out = [work[0]]
-        for c in work[1:-1]:
-            out.append(c + out[-1] * root)
-        rem = work[-1] + out[-1] * root
-        if rem != 0:
-            raise CertificateFailure("deflation left a nonzero remainder")
-        work = out
+    while len(work) > 1 and work[-1] == 0:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        work = work[:-1]
+    if len(work) > 1:
+        lcm = math.lcm(*(c.denominator for c in work))
+        ints = [int(c * lcm) for c in work]
+        lead = ints[0]
+        monic = [1] + [c * lead ** (i - 1) for i, c in enumerate(ints[1:], 1)]
+        for y in _integer_roots(monic):
+            root = Fraction(y, lead)
+            while len(work) > 1:
+                out = [work[0]]
+                for c in work[1:-1]:
+                    out.append(c + out[-1] * root)
+                if work[-1] + out[-1] * root != 0:
+                    break
+                roots[root] = roots.get(root, 0) + 1
+                work = out
+            if root not in roots:
+                raise CertificateFailure("deflation left a nonzero remainder")
+    if len(work) > 1:
+        raise NonRationalEigenvalues(
+            "matrix has eigenvalues outside the rationals")
     return roots
-
-
-def _find_rational_root(coeffs: List[Fraction]) -> Optional[Fraction]:
-    """The rational root a/b (lowest terms) with the least |a|, then the
-    least b, the positive one first; None when there is none.  The
-    constant coefficient must be nonzero.
-
-    This is the root that trying +-p/q, p over the divisors of the constant
-    and q over those of the lead after clearing denominators, meets first.
-    It is found without listing divisors, since trial division takes time
-    proportional to the square root of the constant: y = lead * x turns
-    the rational roots into the integer roots of a monic integer
-    polynomial, which bisection on its Sturm sequence locates in time
-    that grows with the bit length of the coefficients.
-    """
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * lcm) for c in coeffs]
-    lead = ints[0]
-    monic = [1] + [c * lead ** (i - 1) for i, c in enumerate(ints[1:], 1)]
-    roots = [Fraction(y, lead) for y in _integer_roots(monic)]
-    return min(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0),
-               default=None)
 
 
 def _integer_roots(q: List[int]) -> List[int]:

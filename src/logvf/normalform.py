@@ -39,10 +39,9 @@ linear part, shared by generators with the same linear part.  The
 candidate pick, `_pd_normalize` and the final pool all use that reading,
 and the reading after the last normalization makes the pool.  Each family
 of fields has one local standard basis, shared by the pool and the
-generation check and rebuilt only when a field is kept; each divisor has
-one global standard basis, built by the caller of `_exact_quotient`, and
-every exact quotient by it, the series quotient's by the lowest form
-included, reduces against it.
+generation check and rebuilt only when a field is kept: the only standard
+basis formed here, since {g} is one for (g) and `_exact_quotient` is plain
+long division by g, as is each degree of the series quotient by F0.
 """
 
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ from .errors import (CertificateFailure, NotAtOrigin, NotFree,
                      PrecisionRequired, PreconditionViolated, ProductInput,
                      TruncationTooSmall, VanishesAtOrigin)
 from .poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly,
-                   graded_parts, multihomog_decompose_poly)
+                   graded_parts, multihomog_decompose_poly, sum_of_products)
 from .vfield import (VectorField, lie_bracket, multihomog_decompose,
                      vf_to_str)
 from .linalg import identity as mat_identity
@@ -71,7 +70,6 @@ from .liealg import SNDecomposition, sn_decompose
 Coeff = Union[Polynomial, Jet]
 
 _LOCAL = OrderingSpec.make("local-anti-graded")
-_GLOBAL = OrderingSpec.make("graded-reverse-lex")
 
 ROUND_CAP = 10
 
@@ -596,56 +594,58 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int,
 def _series_quotient(g: Coeff, f: Coeff, order: int) -> Optional[Polynomial]:
     """Some a with a*f = g below `order`, found degree by degree, or None.
 
-    With F0 the lowest form of f, the degree-m part of a is the exact
-    quotient by F0 of what g's next homogeneous part leaves once the parts
-    of a found so far are multiplied out; multiplying by F0 is injective,
-    so that part is unique when it exists.
+    With F0 the lowest form of f, each step divides the lowest form of the
+    remainder r = g - a*f (cut below `order`) exactly by F0 and adds the
+    quotient to a, which clears that degree of r; multiplying by F0 is
+    injective, so each part of a is unique when it exists.
     """
     fp = as_poly(f)
-    gp = as_poly(g)
     if fp.is_zero():
         raise PreconditionViolated("cannot divide by zero")
-    varnames = fp.vars
-    o = fp.low_degree()
-    avail = order - o
-    if avail <= 0:
-        return Polynomial.zero(varnames) if _chop(gp, order).is_zero() else None
-    fparts = graded_parts(fp)
-    gparts = graded_parts(gp)
-    lowest = standard_basis([fparts[o]], _GLOBAL)
-    aparts: List[Polynomial] = []
-    for m in range(avail):
-        target = gparts.get(m + o, Polynomial.zero(varnames))
-        for k in range(1, m + 1):
-            if o + k in fparts:
-                target = target - aparts[m - k] * fparts[o + k]
-        am = _exact_quotient(target, lowest)
+    f0 = graded_parts(fp)[fp.low_degree()]
+    a = Polynomial.zero(fp.vars)
+    r = _chop(g, order)
+    while not r.is_zero():
+        am = _exact_quotient(graded_parts(r)[r.low_degree()], f0)
         if am is None:
             return None
-        aparts.append(am)
-    a = sum(aparts, Polynomial.zero(varnames))
-    if not _chop(a * fp - gp, order).is_zero():
-        return None
+        a = a + am
+        r = r - sum_of_products([(am, fp)], order)
     return a
 
 
-def _exact_quotient(p: Polynomial, divisor: StandardBasis
-                    ) -> Optional[Polynomial]:
-    """The polynomial p / g when g divides p exactly, else None; `divisor`
-    is the global standard basis of (g), built once by the caller."""
-    if p.is_zero():
-        return Polynomial.zero(p.vars)
-    cert = membership(p, divisor)
-    if cert.member and cert.precision is None:
-        return as_poly(cert.quotients[0])
-    return None
+def _exact_quotient(p: Polynomial, g: Polynomial) -> Optional[Polynomial]:
+    """p / g when g divides p exactly, else None: long division by the
+    graded-lex lead term of g, whose remainder vanishes exactly when g
+    divides, since {g} is a standard basis of (g).  The unique quotient is
+    re-multiplied before it is returned."""
+    if g.is_zero():
+        raise PreconditionViolated("cannot divide by zero")
+    p._check_vars(g)
+    lead, lc = g.items_sorted()[0]
+    rem, quot = dict(p.terms), {}
+    while rem:
+        e = max(rem, key=lambda e: (sum(e), e))
+        shift = tuple(x - y for x, y in zip(e, lead))
+        if min(shift, default=0) < 0:
+            return None
+        quot[shift] = k = rem[e] / lc
+        for te, tc in g.terms.items():
+            m = tuple(x + y for x, y in zip(te, shift))
+            rem[m] = rem.get(m, 0) - k * tc
+            if not rem[m]:
+                del rem[m]
+    q = Polynomial._of(quot, p.vars)
+    if sum_of_products([(q, g)]) != p:
+        raise CertificateFailure("exact quotient failed re-multiplication")
+    return q
 
 
 def _cofactor(delta: VectorField, f: Polynomial, order: int) -> Polynomial:
     """a with delta(f) = a*f below `order`: the exact quotient of delta(f)
     (cut below `order`) by f when f divides it, else the series quotient."""
     df = _chop(delta.apply(f), order)
-    a = _exact_quotient(df, standard_basis([f], _GLOBAL))
+    a = _exact_quotient(df, f)
     if a is None:
         a = _series_quotient(df, f, order)
     if a is None:
@@ -1185,10 +1185,13 @@ def factor_structure(fs: FormalStructure, f: Polynomial,
     rem = f
     mults = []
     for g in factors:
+        if g.is_zero():
+            raise PreconditionViolated("a supplied factor does not divide")
+        if g.total_degree() == 0:
+            raise PreconditionViolated("a supplied factor is a nonzero constant")
         count = 0
-        divisor = standard_basis([g], _GLOBAL)
         while True:
-            q = _exact_quotient(rem, divisor)
+            q = _exact_quotient(rem, g)
             if q is None:
                 break
             rem = q

@@ -87,6 +87,40 @@ def test_analyze_factors_block(capsys):
     assert data["factors"]["multiplicities"] == [2, 1]
 
 
+def test_constant_factor_is_refused_promptly(capsys):
+    # a constant divides any number of times; counting its multiplicity
+    # never ended before it was refused
+    argv = ["normalize", "--vars", "x,y", "--poly", "x^2+y^3",
+            "--factors", "3"]
+    fresh = subprocess.run([sys.executable, "-m", "logvf.cli", *argv],
+                           capture_output=True, text=True, timeout=20,
+                           env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert fresh.returncode == 0
+    assert fresh.stdout == ("normalize: PreconditionViolated: a supplied "
+                            "factor is a nonzero constant\n")
+    assert run(capsys, *argv) == (0, fresh.stdout, fresh.stderr)
+
+
+def test_analyze_embeds_constant_and_zero_factor_refusals():
+    script = ("import json\n"
+              "from logvf.poly import poly_parse\n"
+              "from logvf.report import analyze\n"
+              "V = ('x', 'y')\n"
+              "for c in ('2', '0'):\n"
+              "    report = analyze(poly_parse('x*y', V), factors=["
+              "poly_parse('x', V), poly_parse(c, V)])\n"
+              "    print(json.dumps(report['factors']))\n")
+    fresh = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True, timeout=20,
+                           env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert fresh.returncode == 0
+    assert [json.loads(line) for line in fresh.stdout.splitlines()] == [
+        {"error": "PreconditionViolated",
+         "detail": "a supplied factor is a nonzero constant"},
+        {"error": "PreconditionViolated",
+         "detail": "a supplied factor does not divide"}]
+
+
 def test_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "--vars", "x,y",
                        "--poly", "x^2 + + y")

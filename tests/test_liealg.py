@@ -16,8 +16,8 @@ from logvf.derlog import Germ, derlog_generators, minimalize, saito_free_check
 from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
                           ProductInput, PreconditionViolated)
 from logvf.liealg import (LOCAL, LieAlgebraPresentation, _QuotientCoordinates,
-                          _express_in_generators, _find_rational_root,
-                          _low_terms, _poly_eval, ad_matrix, center_dimension,
+                          _express_in_generators, _low_terms, _poly_eval,
+                          _rational_roots, ad_matrix, center_dimension,
                           is_solvable, nilpotency_check, sn_decompose,
                           truncated_lie_algebra)
 from logvf.linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
@@ -166,6 +166,33 @@ def _divisor_search(coeffs):
     return None
 
 
+def _reference_rational_roots(coeffs):
+    """The rational roots with multiplicity by per-root deflation: a root
+    at zero while the constant vanishes, else the one `_divisor_search`
+    meets first, divided out exactly, until no degree is left."""
+    work = [Fraction(c) for c in coeffs]
+    roots = {}
+    while len(work) > 1:
+        root = Fraction(0) if work[-1] == 0 else _divisor_search(work)
+        if root is None:
+            raise NonRationalEigenvalues(
+                "matrix has eigenvalues outside the rationals")
+        roots[root] = roots.get(root, 0) + 1
+        out = [work[0]]
+        for c in work[1:-1]:
+            out.append(c + out[-1] * root)
+        assert work[-1] + out[-1] * root == 0
+        work = out
+    return roots
+
+
+def _roots_or_refusal(roots_of, coeffs):
+    try:
+        return roots_of(coeffs)
+    except NonRationalEigenvalues as err:
+        return ("refused", str(err))
+
+
 def _poly_product(factors):
     out = [Fraction(1)]
     for f in factors:
@@ -179,9 +206,11 @@ def _poly_product(factors):
 
 ROOTS = st.fractions(min_value=-9, max_value=9, max_denominator=8).filter(
     lambda r: r != 0)
-# linear factors x - r, some repeated, and quadratics that may not split
+# linear factors x - r, some repeated, x itself, and quadratics that may
+# not split
 FACTORS = st.one_of(
     ROOTS.map(lambda r: [Fraction(1), -r]),
+    st.just([Fraction(1), Fraction(0)]),
     st.tuples(st.integers(-6, 6), st.integers(1, 9)).map(
         lambda bc: [Fraction(1), Fraction(bc[0]), Fraction(bc[1], 2)]))
 
@@ -192,16 +221,8 @@ FACTORS = st.one_of(
            lambda c: c != 0))
 def test_find_rational_root_matches_divisor_search(factors, lead):
     coeffs = [lead * c for c in _poly_product(factors)]
-    assert _find_rational_root(coeffs) == _divisor_search(coeffs)
-
-
-def test_find_rational_root_order():
-    # least numerator first, then least denominator, then the positive root
-    for roots, first in (([-2, 2], 2), ([Fraction(1, 3), Fraction(-1, 2)],
-                                         Fraction(-1, 2)),
-                         ([3, Fraction(-1, 4)], Fraction(-1, 4))):
-        coeffs = _poly_product([[Fraction(1), -Fraction(r)] for r in roots])
-        assert _find_rational_root(coeffs) == first == _divisor_search(coeffs)
+    assert _roots_or_refusal(_rational_roots, coeffs) == \
+        _roots_or_refusal(_reference_rational_roots, coeffs)
 
 
 def test_find_rational_root_large_coefficients():
@@ -209,12 +230,19 @@ def test_find_rational_root_large_coefficients():
     # x^2 + y^5 + 17/16*x*y^3: its cleared constant has 15 digits
     small, large = Fraction(13107200, 751689), Fraction(32768000, 751689)
     coeffs = _poly_product([[Fraction(1), -large], [Fraction(1), -small]])
-    assert _find_rational_root(coeffs) == small
+    assert _rational_roots(coeffs) == {small: 1, large: 1}
     big = 10 ** 15 + 37
-    assert _find_rational_root([Fraction(1), Fraction(0),
-                                Fraction(-2 * big * big)]) is None
-    assert _find_rational_root([Fraction(1), Fraction(2 * big),
-                                Fraction(big * big)]) == -big
+    with pytest.raises(NonRationalEigenvalues):
+        _rational_roots([Fraction(1), Fraction(0), Fraction(-2 * big * big)])
+    assert _rational_roots([Fraction(1), Fraction(2 * big),
+                            Fraction(big * big)]) == {-big: 2}
+
+
+def test_rational_roots_checks_each_deflation():
+    # a root the isolation reports must divide the polynomial exactly
+    with mock.patch.object(liealg, "_integer_roots", return_value=[5]):
+        with pytest.raises(CertificateFailure):
+            _rational_roots([Fraction(1), Fraction(-3), Fraction(2)])
 
 
 # -- hand-built presentations ----------------------------------------------------

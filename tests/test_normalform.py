@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
                           NotAtOrigin, NotFree, PreconditionViolated,
-                          ProductInput, TruncationTooSmall, VanishesAtOrigin)
+                          ProductInput, TruncationTooSmall, VanishesAtOrigin,
+                          VariableMismatch)
 from logvf.poly import Jet, Polynomial, WeightSystem, as_poly, graded_parts
 from logvf.vfield import (VectorField, field_graded_parts, lie_bracket,
                           vf_to_str)
@@ -24,7 +25,8 @@ from logvf.normalform import (CoordChange, constant_field_split,
                               verify_cor16)
 from logvf import normalform
 from logvf.normalform import (_chop_field, _diagonalizing_prep,
-                              _kill_diagonal_part, _pd_normalize,
+                              _exact_quotient, _kill_diagonal_part,
+                              _pd_normalize,
                               _semisimple_diagonal, _series_quotient,
                               _solve_field_equation, _unit_inverse, _wdeg)
 from logvf.orderings import OrderingSpec
@@ -579,6 +581,83 @@ def test_series_quotient_cases_cover_both_answers():
         chop(unit, 5)
     assert _series_quotient(Y**2 + X**3, f, 7) is None
     assert _reference_series_quotient(Y**2 + X**3, f, 7) is None
+
+
+def _reference_exact_quotient(p, g):
+    """p / g through the standard-basis layer: membership of p in a
+    graded-reverse-lex standard basis of (g), exact quotients only."""
+    if p.is_zero():
+        return Polynomial.zero(p.vars)
+    cert = membership(p, standard_basis(
+        [g], OrderingSpec.make("graded-reverse-lex")))
+    if cert.member and cert.precision is None:
+        return as_poly(cert.quotients[0])
+    return None
+
+
+@st.composite
+def _division_cases(draw):
+    n = draw(st.integers(1, 3))
+    varnames = V3[:n]
+
+    def exponent(low, high):
+        return draw(st.tuples(*[st.integers(0, high)] * n).filter(
+            lambda e: low <= sum(e) <= high))
+
+    def poly(low, high, max_terms, nonzero=False):
+        exps = st.tuples(*[st.integers(0, high)] * n).filter(
+            lambda e: low <= sum(e) <= high)
+        coeffs = st.integers(-3, 3).filter(bool).map(
+            lambda c: Fraction(c, draw(st.sampled_from([1, 2, 3]))))
+        terms = draw(st.dictionaries(exps, coeffs, min_size=int(nonzero),
+                                     max_size=max_terms))
+        return Polynomial(terms, varnames)
+
+    kind = draw(st.sampled_from(["multiple", "bumped", "homogeneous",
+                                 "homogeneous random"]))
+    if kind.startswith("homogeneous"):
+        o, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        g = poly(o, o, 3, nonzero=True)
+        p = poly(m, m, 3) * g if kind == "homogeneous" else \
+            poly(m + o, m + o, 4)
+        return p, g
+    g = poly(0, 3, 4, nonzero=True)
+    p = poly(0, 3, 4) * g
+    if kind == "bumped":
+        # a g of two or more terms divides no single term, a monomial g
+        # only the terms whose exponents lie above its own
+        e = exponent(0, 5)
+        if len(g.terms) == 1:
+            (lead,) = g.terms
+            assume(any(a < b for a, b in zip(e, lead)))
+        p = p + Polynomial.monomial(varnames, e, draw(st.sampled_from([-1, 2])))
+    return p, g
+
+
+@settings(max_examples=200)
+@given(_division_cases())
+def test_exact_quotient_matches_the_standard_basis_reference(case):
+    p, g = case
+    assert _exact_quotient(p, g) == _reference_exact_quotient(p, g)
+
+
+def test_exact_quotient_cases_cover_both_answers():
+    g = X**2 - X * Y + 3 * Y**3
+    q = 1 + X * Y - Y**4
+    assert _exact_quotient(q * g, g) == q == \
+        _reference_exact_quotient(q * g, g)
+    assert _exact_quotient(q * g + X * Y, g) is None
+    assert _reference_exact_quotient(q * g + X * Y, g) is None
+    assert _exact_quotient(Polynomial.zero(V2), g) == Polynomial.zero(V2)
+
+
+def test_exact_quotient_refuses_a_zero_or_foreign_divisor():
+    with pytest.raises(PreconditionViolated):
+        _exact_quotient(CUSP, Polynomial.zero(V2))
+    with pytest.raises(PreconditionViolated):
+        _exact_quotient(Polynomial.zero(V2), Polynomial.zero(V2))
+    with pytest.raises(VariableMismatch):
+        _exact_quotient(CUSP, Polynomial.variable(V3, 0))
 
 
 # -- straightening ------------------------------------------------------------
