@@ -252,7 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CertificateFailure as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 3
-    except (LogvfError, OSError) as err:
+    except (LogvfError, OSError, UnicodeDecodeError) as err:
         print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

@@ -22,14 +22,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import (CertificateFailure, NotAtOrigin, NotFree, NotLogarithmic,
                      PrecisionRequired, PreconditionViolated, WrongCount)
 from .linalg import echelon, nullspace, remainder
-from .orderings import OrderingSpec
+from .orderings import LOCAL
 from .poly import Jet, Polynomial
 from .standard_bases import (StandardBasis, default_precision,
                              ideal_dimension, membership, standard_basis,
                              syzygies)
 from .vfield import VectorField, vf_to_str
-
-LOCAL = OrderingSpec.make("local-anti-graded")
 
 
 @dataclass(frozen=True)

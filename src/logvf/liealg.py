@@ -43,12 +43,10 @@ from .errors import (CertificateFailure, NonRationalEigenvalues, ProductInput,
 from .linalg import (charpoly, echelon, identity, inverse, is_zero_matrix,
                      mat_mul, mat_pow, mat_scale, mat_sub, nullspace, rank,
                      remainder, transpose)
-from .orderings import OrderingSpec
+from .orderings import LOCAL
 from .poly import Exponent, Jet, Polynomial
 from .standard_bases import membership, standard_basis, syzygies
 from .vfield import VectorField
-
-LOCAL = OrderingSpec.make("local-anti-graded")
 
 
 # -- rational semisimple/nilpotent splitting -----------------------------------

@@ -62,14 +62,12 @@ from .linalg import (inverse, is_zero_matrix, mat_pow, nullspace, solve,
                      transpose)
 # unused here; perfbench's tracer test checks that this name is rebound
 from .linalg import rref  # noqa: F401
-from .orderings import OrderingSpec
+from .orderings import LOCAL
 from .standard_bases import StandardBasis, membership, standard_basis
 from .derlog import Germ, as_germ, diagonal_symmetry_space
 from .liealg import SNDecomposition, sn_decompose
 
 Coeff = Union[Polynomial, Jet]
-
-_LOCAL = OrderingSpec.make("local-anti-graded")
 
 ROUND_CAP = 10
 
@@ -896,7 +894,7 @@ def _local_basis(family: Sequence[VectorField]) -> Optional[StandardBasis]:
     if not family:
         return None
     return standard_basis([[as_poly(c) for c in g.coeffs] for g in family],
-                          _LOCAL)
+                          LOCAL)
 
 
 def _local_member(field: VectorField, basis: Optional[StandardBasis],

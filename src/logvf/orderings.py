@@ -1,90 +1,57 @@
 """Monomial and module term orders.
 
 Every order is realized as a sort key: larger key = larger monomial, so
-leading terms are max() picks.  Global kinds (graded-reverse-lex,
-weighted-graded with positive weights) make 1 the smallest monomial; local
-kinds (local-anti-graded, local-weighted) make 1 the largest, which is what
-germ-level computations reduce against.
+leading terms are max() picks.  There are two orders.  GLOBAL
+(graded-reverse-lex) makes 1 the smallest monomial; it serves syzygies and
+the dimension counts.  LOCAL (local-anti-graded) makes 1 the largest, which
+is what germ-level computations reduce against.
 
-Module monomials are (component, exponent) pairs.  The extension is
-term-over-position (default), position-over-term (component dominates,
-lower index first), or a Schreyer order induced by anchor monomials.
+Module monomials are (component, exponent) pairs, ordered term over
+position: the monomial first, then the lower component.  elimination_key
+widens a module order for reading syzygies off a basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Tuple
 
 from .errors import PreconditionViolated
 
 Exponent = Tuple[int, ...]
 ModMono = Tuple[int, Exponent]
 
-KINDS = ("graded-reverse-lex", "weighted-graded", "local-anti-graded", "local-weighted")
-MODULE_EXTENSIONS = ("term-over-position", "position-over-term", "schreyer")
+KINDS = ("graded-reverse-lex", "local-anti-graded")
 
 
 @dataclass(frozen=True)
 class OrderingSpec:
-    """A monomial order plus its module extension."""
+    """A monomial order, extended to modules term over position."""
 
-    kind: str = "graded-reverse-lex"
-    weights: Optional[Tuple[Fraction, ...]] = None
-    module_extension: str = "term-over-position"
-    schreyer_anchors: Optional[Tuple[Exponent, ...]] = None
+    kind: str
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PreconditionViolated(f"unknown ordering kind {self.kind!r}")
-        if self.module_extension not in MODULE_EXTENSIONS:
-            raise PreconditionViolated(
-                f"unknown module extension {self.module_extension!r}")
-        if self.kind in ("weighted-graded", "local-weighted"):
-            if not self.weights:
-                raise PreconditionViolated(f"{self.kind} needs weights")
-            if any(w <= 0 for w in self.weights):
-                raise PreconditionViolated("order weights must be positive")
-        if self.module_extension == "schreyer" and self.schreyer_anchors is None:
-            raise PreconditionViolated("schreyer extension needs anchor monomials")
-
-    @classmethod
-    def make(cls, kind: str = "graded-reverse-lex",
-             weights: Optional[Sequence] = None,
-             module_extension: str = "term-over-position",
-             schreyer_anchors: Optional[Sequence[Exponent]] = None) -> "OrderingSpec":
-        w = None if weights is None else tuple(Fraction(x) for x in weights)
-        a = None if schreyer_anchors is None else tuple(tuple(e) for e in schreyer_anchors)
-        return cls(kind, w, module_extension, a)
 
     @property
     def is_local(self) -> bool:
-        return self.kind.startswith("local")
+        return self.kind == "local-anti-graded"
 
     # -- keys ------------------------------------------------------------------
 
     def mono_key(self, exp: Exponent):
         deg = sum(exp)
         tail = tuple(-e for e in reversed(exp))
-        if self.kind == "graded-reverse-lex":
-            return (deg, tail)
-        if self.kind == "local-anti-graded":
-            return (-deg, tail)
-        wdeg = sum(w * e for w, e in zip(self.weights, exp))
-        if self.kind == "weighted-graded":
-            return (wdeg, deg, tail)
-        return (-wdeg, -deg, tail)
+        return (-deg if self.is_local else deg, tail)
 
     def module_key(self, m: ModMono):
         comp, exp = m
-        if self.module_extension == "position-over-term":
-            return (-comp, self.mono_key(exp))
-        if self.module_extension == "schreyer":
-            anchor = self.schreyer_anchors[comp]
-            shifted = tuple(a + e for a, e in zip(anchor, exp))
-            return (self.mono_key(shifted), -comp)
         return (self.mono_key(exp), -comp)
+
+
+GLOBAL = OrderingSpec("graded-reverse-lex")
+LOCAL = OrderingSpec("local-anti-graded")
 
 
 def elimination_key(order: OrderingSpec, front_rank: int) -> Callable[[ModMono], tuple]:

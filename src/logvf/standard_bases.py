@@ -22,14 +22,13 @@ once; a working element is a pair (vec, rep) of integer vectors with their
 common content divided out and a positive lead coefficient, and rep holds
 integer multiples of the rational inputs.  A reduction cross-multiplies:
 h <- (ltc_g/d) * h - (ltc_h/d) * x^s * g with d = gcd(ltc_g, ltc_h), and the
-Mora unit, the representation and the finished tail terms are scaled with
-h.  The choice of reducer depends only on lead monomials, ecarts and
-supports, never on coefficient values, and every integer vector is a
-nonzero multiple of the vector a reduction over Q with monic basis elements
-would hold at the same step, with the same support.  So the loop takes the
-rational path, and dividing an element by its lead coefficient gives the
-monic rational generator and its lift exactly.  Rationals appear only at
-the public boundary.
+Mora unit and the representation are scaled with h.  The choice of reducer
+depends only on lead monomials, ecarts and supports, never on coefficient
+values, and every integer vector is a nonzero multiple of the vector a
+reduction over Q with monic basis elements would hold at the same step,
+with the same support.  So the loop takes the rational path, and dividing
+an element by its lead coefficient gives the monic rational generator and
+its lift exactly.  Rationals appear only at the public boundary.
 
 The multiple matters where a result is not divided by its lead: the weak
 normal form carries the scalar lam with h = lam * h_Q, and membership
@@ -61,7 +60,7 @@ from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateFailure, PrecisionRequired, PreconditionViolated
-from .orderings import Exponent, ModMono, OrderingSpec, elimination_key
+from .orderings import GLOBAL, Exponent, ModMono, OrderingSpec, elimination_key
 from .poly import Jet, Polynomial, sum_of_products
 
 Vec = Dict[ModMono, int]
@@ -145,8 +144,8 @@ class _Elem:
 
 # -- normal form --------------------------------------------------------------
 
-def _weak_nf(start: Vec, basis: Sequence[_Elem], keyf, local: bool,
-             total: bool) -> Tuple[Vec, Vec, Vec, Fraction]:
+def _weak_nf(start: Vec, basis: Sequence[_Elem], keyf,
+             local: bool) -> Tuple[Vec, Vec, Vec, Fraction]:
     """Reduce start against basis.
 
     Returns (nf, unit, rep, lam) satisfying  nf = unit * start + rep . basis,
@@ -158,8 +157,6 @@ def _weak_nf(start: Vec, basis: Sequence[_Elem], keyf, local: bool,
     unit / lam and rep[t] * ltc(basis[t]) / lam.  For global orders unit is
     the constant lam.  Mora's variant may park intermediate results as
     extra reducers; each carries its own identity so the final one is exact.
-    total=True (global orders only) also reduces trailing terms, producing
-    the unique normal form.
     """
     unit: Vec = {}
     rep: Vec = {}
@@ -169,16 +166,13 @@ def _weak_nf(start: Vec, basis: Sequence[_Elem], keyf, local: bool,
     nvars = len(next(iter(start))[1])
     one = tuple([0] * nvars)
     unit = {(0, one): 1}
-    if total and local:
-        raise PreconditionViolated("total reduction needs a global order")
 
     # identity for the working element h:  h = unit * start + rep . basis;
-    # h, unit, rep and done are owned here and updated in place, and a
-    # parked reducer holds copies
+    # h, unit and rep are owned here and updated in place, and a parked
+    # reducer holds copies
     h = dict(start)
     # parked reducers: (vec, unit, rep, lead, ecart)
     stored: List[Tuple[Vec, Vec, Vec, ModMono, int]] = []
-    done: Vec = {}
 
     while h:
         lt = max(h, key=keyf)
@@ -197,10 +191,6 @@ def _weak_nf(start: Vec, basis: Sequence[_Elem], keyf, local: bool,
                     if best is None or cand < best:
                         best = cand
         if best is None:
-            if total:
-                done[lt] = ltc
-                del h[lt]
-                continue
             break
         if local:
             h_ecart = _vec_deg(h) - sum(exp)
@@ -215,7 +205,7 @@ def _weak_nf(start: Vec, basis: Sequence[_Elem], keyf, local: bool,
         d = gcd(gvec[glt], ltc)
         a, b = gvec[glt] // d, ltc // d
         if a != 1:
-            h, unit, rep, done = (_scaled(a, v) for v in (h, unit, rep, done))
+            h, unit, rep = (_scaled(a, v) for v in (h, unit, rep))
             lam *= a
         _sub_into(h, b, gvec, shift)
         if best[1] == 0:
@@ -229,9 +219,6 @@ def _weak_nf(start: Vec, basis: Sequence[_Elem], keyf, local: bool,
             _sub_into(unit, b, sunit, shift)
             _sub_into(rep, b, srep, shift)
 
-    if total:
-        done.update(h)
-        h = done
     # rep was accumulated as subtractions applied to h, so flip its sign to
     # match the stated identity.
     rep = {m: -v for m, v in rep.items()}
@@ -307,7 +294,7 @@ def _buchberger(inputs: List[Tuple[Vec, Optional[Vec]]], keyf, local: bool,
         svec = _sub_into(_sub_into({}, -ca, a.vec, sa), cb, b.vec, sb)
         if not svec:
             continue
-        nf, unit, rep, _ = _weak_nf(svec, basis, keyf, local, total=False)
+        nf, unit, rep, _ = _weak_nf(svec, basis, keyf, local)
         if not nf:
             continue
         new_rep = None
@@ -326,7 +313,7 @@ def _prune(basis: List[_Elem], keyf) -> List[_Elem]:
     """Drop elements whose lead is divisible by another kept lead.
 
     Scanning by ascending lead degree sees divisors before their multiples
-    under every order kind, so the kept leads are pairwise indivisible.
+    under both orders, so the kept leads are pairwise indivisible.
     """
     order = sorted(range(len(basis)),
                    key=lambda i: (sum(basis[i].lt[1]), basis[i].key))
@@ -385,16 +372,6 @@ def _family_shape(gens) -> Tuple[Tuple[str, ...], int]:
     return entry.vars, len(first)
 
 
-def _checked_order(ordering: Optional[OrderingSpec],
-                   varnames: Tuple[str, ...]) -> OrderingSpec:
-    """The given order, or the default one; an order whose weights do not
-    match the variables is refused."""
-    order = ordering or OrderingSpec()
-    if order.weights is not None and len(order.weights) != len(varnames):
-        raise PreconditionViolated("order weights must match the variable count")
-    return order
-
-
 @dataclass(frozen=True)
 class StandardBasis:
     """A standard basis together with lifts to the original inputs.
@@ -441,11 +418,11 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
     """Compute a standard basis (Groebner basis for global orders).
 
     gens is a list of Polynomial (ideal case) or a list of equal-length
-    sequences of Polynomial (module case).  The result is pruned, monic,
-    sorted by ascending lead, and for global orders fully tail-reduced.
+    sequences of Polynomial (module case).  The result is pruned, monic and
+    sorted by ascending lead.
     """
     varnames, rank = _family_shape(gens)
-    order = _checked_order(ordering, varnames)
+    order = ordering or GLOBAL
     zero = (0,) * len(varnames)
     cleared = []
     for i, g in enumerate(gens):
@@ -453,19 +430,8 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
         den = _denominator(vec)
         cleared.append((_cleared(vec, den), {(i, zero): den}))
     keyf = _Keys(order.module_key).__getitem__
-    local = order.is_local
-    basis = _buchberger(cleared, keyf, local, rank)
+    basis = _buchberger(cleared, keyf, order.is_local, rank)
     basis = _prune(basis, keyf)
-    if not local:
-        reduced: List[_Elem] = []
-        for idx, e in enumerate(basis):
-            others = [g for t, g in enumerate(basis) if t != idx]
-            if others:
-                nf, unit, rep, _ = _weak_nf(e.vec, others, keyf, local=False,
-                                            total=True)
-                e = _Elem(nf, keyf, _lift_rep(unit, e.rep, rep, others))
-            reduced.append(e)
-        basis = reduced
     basis.sort(key=lambda e: e.key)
 
     k = len(gens)
@@ -557,7 +523,7 @@ def membership(element, basis: StandardBasis,
     belems = basis._reducers
     den = _denominator(vec)
     nf, unit, rep, lam = _weak_nf(_cleared(vec, den), belems, basis._keyf,
-                                  local, total=False)
+                                  local)
     # the reduction started from den * element, so the rational one from
     # element holds nf / (lam * den) and the unit / lam
     unit_poly = _rational(unit, lam, varnames, 1)[0]
@@ -605,7 +571,7 @@ def syzygies(gens, ordering: Optional[OrderingSpec] = None) -> List[Tuple[Polyno
     over the polynomial ring; with a local order over the local ring.
     """
     varnames, rank = _family_shape(gens)
-    order = _checked_order(ordering, varnames)
+    order = ordering or GLOBAL
     k = len(gens)
     zero = (0,) * len(varnames)
     wide: List[Tuple[Vec, None]] = []
@@ -668,14 +634,13 @@ def ideal_dimension(gens, ordering: Optional[OrderingSpec] = None) -> int:
     monomial support.
     """
     varnames, rank = _family_shape(gens)
-    order = _checked_order(ordering, varnames)
     if rank != 1:
         raise PreconditionViolated("ideal_dimension takes an ideal, not a module")
     nonzero = [g for g in gens if not g.is_zero()]
     n = len(varnames)
     if not nonzero:
         return n
-    sb = standard_basis(nonzero, order)
+    sb = standard_basis(nonzero, ordering)
     supports = []
     for comp, exp in sb.leading_monomials():
         supp = frozenset(i for i, e in enumerate(exp) if e > 0)

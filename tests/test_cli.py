@@ -177,6 +177,24 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    # a byte that is not UTF-8 is a bad input, not a corpus failure
+    bad = tmp_path / "f.txt"
+    bad.write_bytes(b"x^2 + y^3\xff\n")
+    code, out, err = run(capsys, "derlog", "--vars", "x,y",
+                         "--file", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: UnicodeDecodeError: ")
+
+
+def test_undecodable_corpus_file_exits_2(tmp_path, capsys):
+    (tmp_path / "bad.div").write_bytes(b"x,y\nx^2 + y^3\xff\n")
+    code, _, err = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith("input error: UnicodeDecodeError: ")
+
+
 def test_bad_flags_exit_2(capsys):
     assert run(capsys, "analyze", "--vars", "x,y")[0] == 2
     assert run(capsys, "nonsense")[0] == 2

@@ -12,7 +12,7 @@ from logvf.derlog import (EulerCheck, Germ, LogDerModule, coefficient_matrix,
                           saito_free_check, squarefree_check, strong_euler_check)
 from logvf.errors import (NotAtOrigin, NotFree, NotLogarithmic,
                           PrecisionRequired, PreconditionViolated, WrongCount)
-from logvf.orderings import OrderingSpec
+from logvf.orderings import LOCAL
 from logvf.poly import Polynomial, poly_parse
 from logvf.report import analyze, parse_div
 from logvf.standard_bases import membership, standard_basis
@@ -21,7 +21,6 @@ from test_liealg import BP_CURVES, GENERATED, PLANE_CURVES, brieskorn_pham
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
-LOCAL = OrderingSpec.make("local-anti-graded")
 
 CUSP = poly_parse("x^2 + y^3", XY)
 

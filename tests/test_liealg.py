@@ -15,13 +15,14 @@ from logvf import report as rp
 from logvf.derlog import Germ, derlog_generators, minimalize, saito_free_check
 from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
                           ProductInput, PreconditionViolated)
-from logvf.liealg import (LOCAL, LieAlgebraPresentation, _QuotientCoordinates,
+from logvf.liealg import (LieAlgebraPresentation, _QuotientCoordinates,
                           _express_in_generators, _low_terms, _poly_eval,
                           _rational_roots, ad_matrix, center_dimension,
                           is_solvable, nilpotency_check, sn_decompose,
                           truncated_lie_algebra)
 from logvf.linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
                           mat_sub, rank, rref)
+from logvf.orderings import LOCAL
 from logvf.poly import Polynomial, poly_parse
 from logvf.standard_bases import standard_basis, syzygies
 

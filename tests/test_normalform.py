@@ -29,7 +29,7 @@ from logvf.normalform import (_chop_field, _diagonalizing_prep,
                               _pd_normalize,
                               _semisimple_diagonal, _series_quotient,
                               _solve_field_equation, _unit_inverse, _wdeg)
-from logvf.orderings import OrderingSpec
+from logvf.orderings import GLOBAL, LOCAL
 from logvf.report import parse_div
 from logvf.standard_bases import membership, standard_basis
 
@@ -404,8 +404,7 @@ def _reference_cofactor(delta, f, order):
     """a with delta(f) = a*f below `order`: exact division through a
     standard basis of (f), else the series quotient."""
     df = chop(delta.apply(f), order)
-    cert = membership(df, standard_basis(
-        [f], OrderingSpec.make("graded-reverse-lex")))
+    cert = membership(df, standard_basis([f], GLOBAL))
     if cert.member and cert.precision is None:
         return as_poly(cert.quotients[0])
     a = _series_quotient(df, f, order)
@@ -588,8 +587,7 @@ def _reference_exact_quotient(p, g):
     graded-reverse-lex standard basis of (g), exact quotients only."""
     if p.is_zero():
         return Polynomial.zero(p.vars)
-    cert = membership(p, standard_basis(
-        [g], OrderingSpec.make("graded-reverse-lex")))
+    cert = membership(p, standard_basis([g], GLOBAL))
     if cert.member and cert.precision is None:
         return as_poly(cert.quotients[0])
     return None
@@ -989,7 +987,7 @@ def test_generation_check_builds_each_family_once(monkeypatch):
     per_call, builds = [], normalform.standard_basis
 
     def record(gens, ordering=None):
-        if ordering is normalform._LOCAL:
+        if ordering is LOCAL:
             per_call[-1].append(tuple(tuple(str(c) for c in g) for g in gens))
         return builds(gens, ordering)
 

@@ -1,13 +1,11 @@
-from fractions import Fraction
-
 import pytest
 
 from logvf.errors import PreconditionViolated
-from logvf.orderings import OrderingSpec, elimination_key
+from logvf.orderings import GLOBAL, LOCAL, OrderingSpec, elimination_key
 
 
 def test_grevlex_variable_chain():
-    o = OrderingSpec.make("graded-reverse-lex")
+    o = GLOBAL
     x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     assert o.mono_key(x) > o.mono_key(y) > o.mono_key(z)
 
@@ -15,84 +13,45 @@ def test_grevlex_variable_chain():
 def test_grevlex_discriminating_pair():
     # same degree, same first exponent comparison under plain lex would
     # differ; grevlex ranks by smaller exponent in the last variable
-    o = OrderingSpec.make("graded-reverse-lex")
+    o = GLOBAL
     assert o.mono_key((1, 2, 0)) > o.mono_key((2, 0, 1))
     assert o.mono_key((0, 0, 2)) < o.mono_key((0, 1, 1))
 
 
 def test_grevlex_degree_dominates():
-    o = OrderingSpec.make("graded-reverse-lex")
+    o = GLOBAL
     assert o.mono_key((3, 0)) > o.mono_key((1, 1))
     assert o.mono_key((0, 0)) < o.mono_key((0, 1))
 
 
 def test_local_reverses_degree():
-    o = OrderingSpec.make("local-anti-graded")
+    o = LOCAL
     assert o.mono_key((0, 0)) > o.mono_key((1, 0))
     assert o.mono_key((1, 0)) > o.mono_key((2, 0))
     # ties within a degree break the same way as graded-reverse-lex
     assert o.mono_key((1, 0)) > o.mono_key((0, 1))
 
 
-def test_weighted_key_uses_weights():
-    o = OrderingSpec.make("weighted-graded", weights=(3, 2))
-    # x has weight 3, y weight 2, so y^2 outweighs x
-    assert o.mono_key((0, 2)) > o.mono_key((1, 0))
-    # x^2 and y^3 tie at weight 6; total degree breaks the tie
-    assert o.mono_key((0, 3)) > o.mono_key((2, 0))
-
-
-def test_local_weighted():
-    o = OrderingSpec.make("local-weighted", weights=(3, 2))
-    assert o.mono_key((0, 0)) > o.mono_key((0, 1)) > o.mono_key((1, 0))
-
-
-def test_weights_must_be_positive():
-    with pytest.raises(PreconditionViolated):
-        OrderingSpec.make("weighted-graded", weights=(1, 0))
-    with pytest.raises(PreconditionViolated):
-        OrderingSpec.make("weighted-graded")
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(PreconditionViolated):
-        OrderingSpec.make("lexicographic")
-    with pytest.raises(PreconditionViolated):
-        OrderingSpec.make(module_extension="sideways")
+        OrderingSpec("lexicographic")
 
 
 def test_module_top_versus_pot():
-    top = OrderingSpec.make("graded-reverse-lex", module_extension="term-over-position")
-    pot = OrderingSpec.make("graded-reverse-lex", module_extension="position-over-term")
+    # term over position: the monomial decides before the component
+    top = GLOBAL
     xe1 = (1, (1, 0))
     ye0 = (0, (0, 1))
     assert top.module_key(xe1) > top.module_key(ye0)
-    assert pot.module_key(ye0) > pot.module_key(xe1)
-    # equal monomials: the lower component wins in both extensions
+    # equal monomials: the lower component wins
     assert top.module_key((0, (1, 0))) > top.module_key((1, (1, 0)))
-    assert pot.module_key((0, (1, 0))) > pot.module_key((1, (1, 0)))
-
-
-def test_schreyer_extension():
-    # anchors x^2 on component 0 and y on component 1: e1 compares like x^2,
-    # e2 like y, so x*e2 (as x*y) loses against e1 (as x^2) at degree 2
-    o = OrderingSpec.make("graded-reverse-lex", module_extension="schreyer",
-                          schreyer_anchors=((2, 0), (0, 1)))
-    assert o.module_key((0, (0, 0))) > o.module_key((1, (1, 0)))
-    assert o.module_key((1, (3, 0))) > o.module_key((0, (0, 1)))
-    # equal shifted monomials fall back to the lower component
-    assert o.module_key((0, (0, 1))) > o.module_key((1, (2, 0)))
-    with pytest.raises(PreconditionViolated):
-        OrderingSpec.make("graded-reverse-lex", module_extension="schreyer")
 
 
 def test_keys_are_multiplicative():
     # multiplying both sides by a monomial never flips a comparison
     import random
     rng = random.Random(7)
-    for kind, w in (("graded-reverse-lex", None), ("local-anti-graded", None),
-                    ("weighted-graded", (2, 5, 1)), ("local-weighted", (2, 5, 1))):
-        o = OrderingSpec.make(kind, weights=w)
+    for o in (GLOBAL, LOCAL):
         for _ in range(200):
             a = tuple(rng.randrange(4) for _ in range(3))
             b = tuple(rng.randrange(4) for _ in range(3))
@@ -106,7 +65,7 @@ def test_keys_are_multiplicative():
 
 
 def test_elimination_key_blocks():
-    o = OrderingSpec.make("local-anti-graded")
+    o = LOCAL
     key = elimination_key(o, front_rank=2)
     # anything in the front block beats anything behind it
     assert key((1, (5, 5))) > key((2, (0, 0)))
@@ -117,7 +76,5 @@ def test_elimination_key_blocks():
 
 
 def test_is_local_flag():
-    assert OrderingSpec.make("local-anti-graded").is_local
-    assert OrderingSpec.make("local-weighted", weights=(1, 1)).is_local
-    assert not OrderingSpec.make("graded-reverse-lex").is_local
-    assert not OrderingSpec.make("weighted-graded", weights=(1, 1)).is_local
+    assert LOCAL.is_local
+    assert not GLOBAL.is_local
