@@ -54,7 +54,8 @@ from .errors import (CertificateFailure, NotAtOrigin, NotFree,
                      PrecisionRequired, PreconditionViolated, ProductInput,
                      TruncationTooSmall, VanishesAtOrigin)
 from .poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly,
-                   graded_parts, multihomog_decompose_poly, sum_of_products)
+                   graded_parts, multihomog_decompose_poly, remultiplies,
+                   sum_of_products)
 from .vfield import (VectorField, lie_bracket, multihomog_decompose,
                      vf_to_str)
 from .linalg import identity as mat_identity
@@ -634,7 +635,7 @@ def _exact_quotient(p: Polynomial, g: Polynomial) -> Optional[Polynomial]:
             if not rem[m]:
                 del rem[m]
     q = Polynomial._of(quot, p.vars)
-    if sum_of_products([(q, g)]) != p:
+    if not remultiplies([(q,)], [(g,)], [(p,)]):
         raise CertificateFailure("exact quotient failed re-multiplication")
     return q
 

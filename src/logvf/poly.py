@@ -48,6 +48,10 @@ def _canon_key(item):
 # A lifted term map holds integer numerators over one common denominator:
 # products and sums of lifted maps cost integer operations per term pair,
 # and a Fraction is made once per output term when the map is unlifted.
+# Every lifted map made here is canonical: no zero numerators, a positive
+# denominator, and no common factor of the denominator and the numerators.
+# Two lifted maps are then equal exactly when their rational maps are, so
+# remultiplies compares them as they are, without unlifting.
 Lifted = Tuple[Dict[Exponent, int], int]
 
 
@@ -99,10 +103,9 @@ def _lifted_product(a: Lifted, b: Lifted, order: Optional[int] = None) -> Lifted
 def _lifted_combination(parts: Iterable[Tuple[Scalar, Lifted]]) -> Lifted:
     """The sum of c * lifted over the (c, lifted) pairs, accumulated in one
     integer map over the least common denominator."""
-    scaled = []
-    for c, (ints, den) in parts:
-        c = Fraction(c)
-        scaled.append((c.numerator, c.denominator * den, ints))
+    # an int and a Fraction both carry numerator and denominator
+    scaled = [(c.numerator, c.denominator * den, ints)
+              for c, (ints, den) in parts]
     den = lcm(*(d for _, d, _ in scaled))
     acc: Dict[Exponent, int] = {}
     get = acc.get
@@ -131,6 +134,48 @@ def sum_of_products(pairs: Iterable[Tuple["Polynomial", "Polynomial"]],
         (1, _lifted_product(_lift(q.terms), _lift(p.terms), order))
         for q, p in pairs)
     return Polynomial._of(_unlift(total), varnames)
+
+
+def remultiplies(rows: Sequence[Sequence["Polynomial"]],
+                 inputs: Sequence[Sequence["Polynomial"]],
+                 targets: Sequence[Sequence["Polynomial"]],
+                 order: Optional[int] = None) -> bool:
+    """Does sum_k rows[j][k] * inputs[k][c] equal targets[j][c] for every
+    row j and component c?  With `order`, both sides are compared below
+    total degree `order`.  Each row holds one polynomial per input, each
+    input and target one per component; on any other shape the identity
+    does not hold as stated, and the answer is False.
+
+    Each input component, row entry and target is lifted once, and the
+    sums are formed with _lifted_product and _lifted_combination and
+    compared on integer numerators, with no Fraction made.  The comparison
+    keeps its exact strength because every lifted map here is canonical.
+    _lift puts the numerators over den, the lcm of the reduced
+    denominators; for each prime p of den some term's denominator holds
+    p's full power in den, so that term's numerator is prime to p, and
+    gcd(den, numerators) = 1.  _lifted_product and _lifted_combination
+    drop zero numerators and divide out that gcd, and the zero map is
+    ({}, 1) either way.  Equal lifted maps are therefore equal rational
+    maps, and equal rational maps have equal lifted maps."""
+    ranks = {len(seq) for seq in (*inputs, *targets)}
+    if (len(ranks) > 1 or len(rows) != len(targets)
+            or any(len(row) != len(inputs) for row in rows)):
+        return False
+    names = {p.vars for seq in (*rows, *inputs, *targets) for p in seq}
+    if len(names) > 1:
+        raise VariableMismatch(f"mixed variable tuples {sorted(names)}")
+    columns = [[_lift(g[c].terms) for g in inputs]
+               for c in range(max(ranks, default=0))]
+    for row, target in zip(rows, targets):
+        lifted = [_lift(q.terms) for q in row]
+        for column, t in zip(columns, target):
+            total = _lifted_combination(
+                (1, _lifted_product(q, g, order))
+                for q, g in zip(lifted, column) if q[0] and g[0])
+            terms = t.terms if order is None else _trunc_terms(t.terms, order)
+            if total != _lift(terms):
+                return False
+    return True
 
 
 def _mul_terms(a: TermMap, b: TermMap, order: Optional[int] = None) -> TermMap:

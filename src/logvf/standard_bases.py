@@ -12,6 +12,13 @@ family, so three things come out with proofs attached:
   * syzygies: generators of the relation module, each re-multiplied against
     the inputs and checked to vanish before being returned.
 
+Each of the three is re-multiplied by poly.remultiplies on the returned
+rational generators, lifts, quotients and syzygies, never on the loop's
+integer vectors: each input component and each returned polynomial is
+lifted once to integer numerators over one denominator, and the sums are
+formed and compared as canonical lifted maps, which are equal exactly when
+the rational polynomials are.
+
 Elements of a rank-r module are stored flat as dicts mapping
 (component, exponent) to a coefficient.  Representations over k inputs use
 the same shape with the input index as component, so one set of arithmetic
@@ -61,7 +68,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateFailure, PrecisionRequired, PreconditionViolated
 from .orderings import GLOBAL, Exponent, ModMono, OrderingSpec, elimination_key
-from .poly import Jet, Polynomial, sum_of_products
+from .poly import Jet, Polynomial, as_poly, remultiplies, sum_of_products
 
 Vec = Dict[ModMono, int]
 RatVec = Dict[ModMono, Fraction]
@@ -448,11 +455,9 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
 
 
 def _check_lifts(sb: StandardBasis) -> None:
-    for g, lift in zip(sb.generators, sb.lifts):
-        for c in range(sb.rank):
-            if sum_of_products(zip(lift, (inp[c] for inp in sb.inputs))) != g[c]:
-                raise CertificateFailure(
-                    "standard basis lift failed to reproduce element")
+    if not remultiplies(sb.lifts, sb.inputs, sb.generators):
+        raise CertificateFailure(
+            "standard basis lift failed to reproduce element")
 
 
 def default_precision(gens) -> int:
@@ -483,23 +488,18 @@ class MembershipCertificate:
     unit: Polynomial
 
     def verify(self, element, inputs) -> bool:
+        """Do the quotients, one per input, re-multiply against inputs
+        to give back element?  False when the element is not a member, when
+        the number of inputs is not the number of quotients, or when the
+        element and the inputs differ in rank."""
         if not self.member:
             return False
         if isinstance(element, Polynomial):
             element = (element,)
         inputs = [(g,) if isinstance(g, Polynomial) else tuple(g) for g in inputs]
-        quotients = [q.poly if isinstance(q, Jet) else q for q in self.quotients]
-        for c in range(len(element)):
-            acc = sum_of_products(zip(quotients, (g[c] for g in inputs)),
-                                  self.precision)
-            diff = acc - element[c]
-            if self.precision is None:
-                if not diff.is_zero():
-                    return False
-            else:
-                if not diff.truncate(self.precision).is_zero():
-                    return False
-        return True
+        quotients = tuple(as_poly(q) for q in self.quotients)
+        return remultiplies([quotients], inputs, [tuple(element)],
+                            self.precision)
 
 
 def membership(element, basis: StandardBasis,
@@ -586,17 +586,16 @@ def syzygies(gens, ordering: Optional[OrderingSpec] = None) -> List[Tuple[Polyno
     basis = _prune(basis, keyf)
     basis.sort(key=lambda e: e.key)
 
-    seqs = [(g,) if isinstance(g, Polynomial) else g for g in gens]
     out: List[Tuple[Polynomial, ...]] = []
     for e in basis:
         if any(comp < rank for comp, _ in e.vec):
             continue
         shifted = {(comp - rank, exp): c for (comp, exp), c in e.vec.items()}
-        syz = _rational(shifted, e.ltc, varnames, k)
-        for c in range(rank):
-            if not sum_of_products(zip(syz, (g[c] for g in seqs))).is_zero():
-                raise CertificateFailure("syzygy failed re-multiplication")
-        out.append(syz)
+        out.append(_rational(shifted, e.ltc, varnames, k))
+    seqs = [(g,) if isinstance(g, Polynomial) else tuple(g) for g in gens]
+    zeros = (Polynomial.zero(varnames),) * rank
+    if not remultiplies(out, seqs, [zeros] * len(out)):
+        raise CertificateFailure("syzygy failed re-multiplication")
     return out
 
 
@@ -608,17 +607,15 @@ def module_intersection(fam_a, fam_b, ordering: Optional[OrderingSpec] = None
     sum a_i u_i + sum b_j v_j = 0 exhibits sum a_i u_i as a member of both
     spans.
     """
-    varnames, rank = _family_shape(fam_a)
+    _, rank = _family_shape(fam_a)
     both = list(fam_a) + list(fam_b)
     rels = syzygies(both, ordering)
+    seqs = [(g,) if isinstance(g, Polynomial) else g for g in fam_a]
     out = []
     for rel in rels:
-        acc = [Polynomial.zero(varnames) for _ in range(rank)]
-        for q, g in zip(rel[:len(fam_a)], fam_a):
-            gseq = (g,) if isinstance(g, Polynomial) else g
-            for c in range(rank):
-                acc[c] = acc[c] + q * gseq[c]
-        vec = tuple(acc)
+        mults = rel[:len(seqs)]
+        vec = tuple(sum_of_products(zip(mults, (g[c] for g in seqs)))
+                    for c in range(rank))
         if any(not p.is_zero() for p in vec):
             out.append(vec[0] if rank == 1 and isinstance(fam_a[0], Polynomial) else vec)
     return out

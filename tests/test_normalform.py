@@ -649,6 +649,23 @@ def test_exact_quotient_cases_cover_both_answers():
     assert _exact_quotient(Polynomial.zero(V2), g) == Polynomial.zero(V2)
 
 
+def test_exact_quotient_check_refuses_a_rescaled_quotient(monkeypatch):
+    g = X**2 - X * Y + 3 * Y**3
+    q = 1 + X * Y - Y**4
+
+    class Rescaled(Polynomial):
+        # the quotient is the one polynomial _exact_quotient builds
+        @classmethod
+        def _of(cls, terms, varnames):
+            return Polynomial._of({e: 2 * c for e, c in terms.items()},
+                                  varnames)
+
+    monkeypatch.setattr(normalform, "Polynomial", Rescaled)
+    with pytest.raises(CertificateFailure,
+                       match="exact quotient failed re-multiplication"):
+        _exact_quotient(q * g, g)
+
+
 def test_exact_quotient_refuses_a_zero_or_foreign_divisor():
     with pytest.raises(PreconditionViolated):
         _exact_quotient(CUSP, Polynomial.zero(V2))

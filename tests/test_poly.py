@@ -25,6 +25,7 @@ from logvf.poly import (
     multihomog_decompose_poly,
     poly_parse,
     poly_to_str,
+    remultiplies,
     sum_of_products,
 )
 
@@ -237,12 +238,14 @@ class TestWeights:
 
 PROPERTY = settings(max_examples=60)
 COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# denominators up to 19, so that lifted maps meet many primes at once
+FINE_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=19)
 
 
-def polys(varnames=XY, low=0, high=4, max_terms=5):
+def polys(varnames=XY, low=0, high=4, max_terms=5, coeffs=COEFFS):
     exps = st.tuples(*[st.integers(0, high)] * len(varnames)).filter(
         lambda e: low <= sum(e) <= high)
-    return st.dictionaries(exps, COEFFS, max_size=max_terms).map(
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda terms: Polynomial(terms, varnames))
 
 
@@ -327,6 +330,62 @@ class TestTruncatedProducts:
         if order is not None:
             total = Jet(total, order).poly
         assert sum_of_products(pairs, order) == total
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_remultiplies_agrees_with_the_fraction_reference(self, data):
+        draw = data.draw
+        k, rank = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+        order = draw(st.one_of(st.none(), st.integers(0, 5)))
+        entries = polys(high=3, max_terms=4, coeffs=FINE_COEFFS)
+        inputs = [tuple(draw(entries) for _ in range(rank)) for _ in range(k)]
+        rows = [tuple(draw(entries) for _ in range(k))
+                for _ in range(draw(st.integers(1, 2)))]
+        targets = [tuple(sum_of_products(zip(row, (g[c] for g in inputs)))
+                         for c in range(rank)) for row in rows]
+        kind = draw(st.sampled_from(["true", "dropped", "changed",
+                                     "rescaled", "zero"]))
+        j = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, rank - 1))
+        terms = dict(targets[j][c].terms)
+        if kind == "dropped" and terms:
+            del terms[draw(st.sampled_from(sorted(terms)))]
+        elif kind == "changed":
+            e = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+            terms[e] = terms.get(e, 0) + draw(FINE_COEFFS.filter(bool))
+        elif kind == "rescaled":
+            scale = draw(FINE_COEFFS.filter(lambda q: q not in (0, 1)))
+            terms = {e: v * scale for e, v in terms.items()}
+        targets[j] = (targets[j][:c] + (Polynomial(terms, XY),)
+                      + targets[j][c + 1:])
+        if kind == "zero":
+            targets = [(Polynomial.zero(XY),) * rank for _ in rows]
+
+        def cut(t):
+            return t if order is None else Jet(t, order).poly
+
+        reference = all(sum_of_products(zip(row, (g[c] for g in inputs)),
+                                        order) == cut(target[c])
+                        for row, target in zip(rows, targets)
+                        for c in range(rank))
+        assert remultiplies(rows, inputs, targets, order) == reference
+
+    def test_remultiplies_answers_both_ways_and_refuses_other_shapes(self):
+        f, g = P("1/3*x + y^2"), P("x*y - 1/7")
+        q, r = P("1/2 - x"), P("1/5*y")
+        total = q * f + r * g
+        assert remultiplies([(q, r)], [(f,), (g,)], [(total,)])
+        assert not remultiplies([(q, r)], [(f,), (g,)], [(2 * total,)])
+        assert remultiplies([(q, r)], [(f,), (g,)],
+                            [(total + P("x^3"),)], 3)
+        assert not remultiplies([(q, r)], [(f,), (g,)],
+                                [(total + P("x^2"),)], 3)
+        # a quotient per input and one rank for inputs and targets
+        assert not remultiplies([(q,)], [(f,), (g,)], [(total,)])
+        assert not remultiplies([(q, r)], [(f,), (g, f)], [(total,)])
+        assert not remultiplies([(q, r)], [(f,), (g,)], [(total, total)])
+        with pytest.raises(VariableMismatch):
+            remultiplies([(q,)], [(f,)], [(P("x", ("x", "z")),)])
 
     def test_sum_of_products_refuses_empty_and_mixed_pairs(self):
         with pytest.raises(PreconditionViolated):

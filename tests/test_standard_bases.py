@@ -339,6 +339,29 @@ def test_membership_check_refuses_a_dropped_term(monkeypatch, gens, elem,
         membership(elem, sb, precision)
 
 
+def test_verify_refuses_a_family_of_another_length():
+    gens = [p("x^2"), p("y^3")]
+    elem = p("x^2*y + y^4")
+    cert = membership(elem, standard_basis(gens))
+    assert cert.quotients == (p("y"), p("y"))
+    assert cert.verify(elem, gens)
+    # y * x^2 alone is x^2*y, but the second quotient has no input
+    assert not cert.verify(p("x^2*y"), [p("x^2")])
+    # and the third input has no quotient
+    assert not cert.verify(elem, gens + [p("x")])
+
+
+def test_verify_refuses_an_element_of_another_rank():
+    gens = [(p("x"), p("0")), (p("0"), p("y"))]
+    elem = (p("x"), p("y"))
+    cert = membership(elem, standard_basis(gens))
+    assert cert.quotients == (p("1"), p("1"))
+    assert cert.verify(elem, gens)
+    # the first component alone agrees, the element has rank 1
+    assert not cert.verify(p("x"), gens)
+    assert not cert.verify(elem + (p("0"),), gens)
+
+
 # -- the rational reference loop -----------------------------------------------
 #
 # The Fraction loop that standard_bases ran before its integer core, kept
