@@ -28,9 +28,11 @@ diagonal symmetries in the new coordinates.
 
 Each step exists once: `_diagonal` reads the weights off an S-N
 decomposition, `_cofactor` divides exactly and falls back to the series
-quotient, and `_resonant_unit` is the unit loop of both `unit_adjust` and
-`factor_structure`.  Final identities compose through the power table of
-the returned change.
+quotient, `_off_resonance` is the Jacobi loop of both homological
+equations (on functions in `homological_solve`, on fields in
+`_solve_field_equation`), and `_resonant_unit` is the unit loop of both
+`unit_adjust` and `factor_structure`, with one solve per degree.  Final
+identities compose through the power table of the returned change.
 
 Each object is also computed once.  A round of `formal_structure` reads
 the weights W once and each generator once (`_Reading`): its components
@@ -44,6 +46,7 @@ basis formed here, since {g} is one for (g) and `_exact_quotient` is plain
 long division by g, as is each degree of the series quotient by F0.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -90,6 +93,12 @@ def _chop_field(v: VectorField, order: int) -> VectorField:
     return VectorField([_chop(c, order) for c in v.coeffs])
 
 
+def _require_order(coeffs: Sequence[Coeff], order: int):
+    """Refuse jet inputs known only below a lower order than `order`."""
+    if any(isinstance(c, Jet) and c.order < order for c in coeffs):
+        raise PrecisionRequired("jet input known to lower order than requested")
+
+
 def _in_row_span(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
     """Coefficients expressing vec over the rows, or None."""
     return solve([[r[i] for r in rows] for i in range(len(vec))], vec,
@@ -112,7 +121,8 @@ class CoordChange:
     substituting the images into the old equation gives the new one.
     inverse_images[i] expresses the new x_i in the old coordinates.  Both
     directions compose to the identity below degree `order`.  `make` finds
-    the inverse by Newton's method and checks both round trips; `reorder`
+    the inverse by Newton's method and checks both round trips (jet images
+    must be known below `order`, else `PrecisionRequired`); `reorder`
     checks them at its lower order; `then` composes two checked changes
     without a check of its own, which algebra makes unnecessary.  A field
     moved by a change is certified apart from it: `push_field` is exact
@@ -151,6 +161,7 @@ class CoordChange:
     def make(cls, images: Sequence[Coeff], order: int) -> "CoordChange":
         if order < 1:
             raise PreconditionViolated("order must be at least 1")
+        _require_order(images, order)
         imgs = [_chop(p, order) for p in images]
         varnames = imgs[0].vars
         n = len(varnames)
@@ -311,45 +322,49 @@ def _check_multihomog(obj, W: WeightSystem, key=None):
         raise PreconditionViolated("multidegree does not match")
 
 
-def homological_solve(delta: VectorField, p: Coeff, lam,
-                      weights: Optional[WeightSystem] = None,
-                      multidegree=None) -> Coeff:
+def _off_resonance(start: Dict, residual: Callable[[Dict], Dict],
+                   eig: Callable[..., Fraction]) -> Optional[Dict]:
+    """The Jacobi loop of both homological equations: from zero, whose
+    residual is `start`, each pass subtracts r/eig(key) from every term of
+    the residual r (a map from term keys to coefficients) whose eigenvalue
+    is nonzero, until no such term is left.  None when 200 residual checks
+    after the first guess do not end it."""
+    sol: Dict = {}
+    r = start
+    for checks in itertools.count():
+        stuck = {k: c for k, c in r.items() if eig(k) != 0}
+        if not stuck:
+            return sol
+        if checks == 200:
+            return None
+        for k, c in stuck.items():
+            sol[k] = sol.get(k, Fraction(0)) - c / eig(k)
+        r = residual(sol)
+
+
+def homological_solve(delta: VectorField, p: Coeff, lam) -> Coeff:
     """A function q with delta(q) - lam*q + p supported on weight lam.
 
     delta must be linear; the weights are read off its diagonal entries and
-    the off-diagonal part is eliminated by back-substitution.  When a weight
-    system is given, p must be multihomogeneous and q is too.
+    the off-diagonal part is eliminated by `_off_resonance`.
     """
     _require_linear(delta)
     lam = Fraction(lam)
-    varnames = as_poly(p).vars
-    n = len(varnames)
+    pp = as_poly(p)
     A = delta.linear_part()
-    w = [A[i][i] for i in range(n)]
-    if weights is not None:
-        _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
-        _check_multihomog(p, weights, key=multidegree)
-    off = {e: c for e, c in as_poly(p).terms.items() if _wdeg(w, e) != lam}
-    q: Dict[Tuple[int, ...], Fraction] = {}
-    if off:
-        for e, c in off.items():
-            q[e] = -c / (_wdeg(w, e) - lam)
-        p_off = Polynomial(dict(off), varnames)
-        for _ in range(200):
-            qp = Polynomial(dict(q), varnames)
-            r = as_poly(delta.apply(qp)) - qp * lam + p_off
-            stuck = {e: c for e, c in r.terms.items() if _wdeg(w, e) != lam}
-            if not stuck:
-                break
-            for e, c in stuck.items():
-                q[e] = q.get(e, Fraction(0)) - c / (_wdeg(w, e) - lam)
-        else:
-            raise PreconditionViolated(
-                "resonance elimination does not terminate for these weights")
-    qp = Polynomial(dict(q), varnames)
-    result = as_poly(delta.apply(qp)) - qp * lam + as_poly(p)
-    if any(_wdeg(w, e) != lam for e in result.terms):
+    w = [A[i][i] for i in range(len(A))]
+
+    def residual(q):
+        qp = Polynomial(q, pp.vars)
+        return (as_poly(delta.apply(qp)) - qp * lam + pp).terms
+
+    q = _off_resonance(pp.terms, residual, lambda e: _wdeg(w, e) - lam)
+    if q is None:
+        raise PreconditionViolated(
+            "resonance elimination does not terminate for these weights")
+    if any(_wdeg(w, e) != lam for e in residual(q)):
         raise CertificateFailure("solver left terms off the target weight")
+    qp = Polynomial(q, pp.vars)
     if isinstance(p, Jet):
         return Jet(qp, p.order)
     return qp
@@ -357,28 +372,36 @@ def homological_solve(delta: VectorField, p: Coeff, lam,
 
 def _solve_field_equation(delta0: VectorField, target: VectorField,
                           w: Sequence[Fraction]) -> VectorField:
-    """H with [delta0, H] = target, for target supported off the resonance."""
-    varnames = target.coeffs[0].vars
-    n = len(varnames)
-    H: List[Dict[Tuple[int, ...], Fraction]] = [dict() for _ in range(n)]
-    for i, c in enumerate(target.coeffs):
-        for e, coef in as_poly(c).terms.items():
-            eig = _wdeg(w, e) - w[i]
-            if eig == 0:
-                raise PreconditionViolated("resonant term in field equation")
-            H[i][e] = coef / eig
-    for _ in range(200):
-        Hf = VectorField([Polynomial(dict(m), varnames) for m in H])
-        r = lie_bracket(delta0, Hf) - target
-        if r.is_zero():
-            return Hf
-        for i, c in enumerate(r.coeffs):
-            for e, coef in as_poly(c).terms.items():
-                eig = _wdeg(w, e) - w[i]
-                if eig == 0:
-                    raise CertificateFailure("field solver hit a resonance")
-                H[i][e] = H[i].get(e, Fraction(0)) - coef / eig
-    raise CertificateFailure("field homological equation did not converge")
+    """H with [delta0, H] = target, for target supported off the resonance:
+    `_off_resonance` on the terms x^e d_i, keyed (i, e), with eigenvalue
+    <w,e> - w_i."""
+    varnames = target.vars
+
+    def eig(key):
+        return _wdeg(w, key[1]) - w[key[0]]
+
+    def terms(v: VectorField):
+        return {(i, e): c for i, p in enumerate(v.coeffs)
+                for e, c in as_poly(p).terms.items()}
+
+    def field(H) -> VectorField:
+        return VectorField([Polynomial({e: c for (j, e), c in H.items()
+                                        if j == i}, varnames)
+                            for i in range(len(varnames))])
+
+    def residual(H):
+        r = terms(lie_bracket(delta0, field(H)) - target)
+        if any(eig(k) == 0 for k in r):
+            raise CertificateFailure("field solver hit a resonance")
+        return r
+
+    start = {k: -c for k, c in terms(target).items()}
+    if any(eig(k) == 0 for k in start):
+        raise PreconditionViolated("resonant term in field equation")
+    H = _off_resonance(start, residual, eig)
+    if H is None:
+        raise CertificateFailure("field homological equation did not converge")
+    return field(H)
 
 
 # -- normalizing one field --------------------------------------------------------
@@ -534,8 +557,10 @@ def pd_normalize(delta: VectorField, weights: WeightSystem,
     preparation and tangent-to-identity steps, one per degree below `order`,
     applied forward only (`_tangent_steps`).  It is inverted and its round
     trip checked once, as a whole, and the field is certified as the
-    transport of the input under it.
+    transport of the input under it.  Jet coefficients must be known below
+    `order`, else `PrecisionRequired`.
     """
+    _require_order(delta.coeffs, order)
     total, field, _ = _pd_normalize(delta, weights, order)
     return total, field
 
@@ -663,19 +688,21 @@ def _resonant_unit(delta: VectorField, frep: Polynomial, w: Sequence[Fraction],
 
     w is the diagonal of the semisimple part of delta's linear part.  Each
     degree of the cofactor that is not resonant costs one homological solve
-    per W-multidegree component (one component when W is empty).
+    on the whole degree part.  delta0, the linear part, is checked once to
+    have W-multidegree zero, so it maps each W-component into itself; the
+    solver acts term by term and leaves a converged component alone, so
+    that solve is, term for term, the sum of the components' solves.
     """
     varnames = frep.vars
     delta0 = VectorField.from_matrix(delta.linear_part(), varnames)
+    _check_multihomog(delta0, weights, key=(Fraction(0),) * weights.s)
     a = _cofactor(delta, frep, order)
     u = Polynomial.const(varnames, 1)
     for m in range(1, order):
         am = graded_parts(a).get(m)
         if am is None or all(_wdeg(w, e) == 0 for e in am.terms):
             continue
-        q = Polynomial.zero(varnames)
-        for key, comp in sorted(multihomog_decompose_poly(am, weights).items()):
-            q = q + as_poly(homological_solve(delta0, comp, 0, weights, key))
+        q = homological_solve(delta0, am, 0)
         factor = Polynomial.const(varnames, 1) + q
         u = _chop(u * factor, order)
         shift = _chop(as_poly(delta.apply(factor)) * _unit_inverse(factor, order),
@@ -693,8 +720,10 @@ def unit_adjust(f: Coeff, delta: VectorField, weights: WeightSystem,
     part.  When f is multihomogeneous, u comes out multihomogeneous of
     degree zero for `weights`.  The loop is `_resonant_unit`, which
     `factor_structure` shares; here it is followed by the checks of both
-    claims on u*f.
+    claims on u*f.  Jet inputs must be known below `order`, else
+    `PrecisionRequired`.
     """
+    _require_order([f, *delta.coeffs], order)
     w = _semisimple_diagonal(delta)
     if w is None:
         raise PreconditionViolated("semisimple part must be diagonal")

@@ -739,24 +739,18 @@ def as_poly(obj: Union[Polynomial, Jet]) -> Polynomial:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """A stack of s rational weight rows on n variables, with optional degrees."""
+    """A stack of s rational weight rows on n variables."""
 
     rows: Tuple[Tuple[Fraction, ...], ...]
-    degrees: Optional[Tuple[Fraction, ...]] = None
 
     def __post_init__(self):
         n = {len(r) for r in self.rows}
         if len(n) > 1:
             raise VariableMismatch("weight rows of unequal length")
-        if self.degrees is not None and len(self.degrees) != len(self.rows):
-            raise VariableMismatch("one degree per weight row required")
 
     @classmethod
-    def make(cls, rows: Iterable[Iterable[Scalar]],
-             degrees: Optional[Iterable[Scalar]] = None) -> "WeightSystem":
-        r = tuple(tuple(Fraction(w) for w in row) for row in rows)
-        d = None if degrees is None else tuple(Fraction(x) for x in degrees)
-        return cls(r, d)
+    def make(cls, rows: Iterable[Iterable[Scalar]]) -> "WeightSystem":
+        return cls(tuple(tuple(Fraction(w) for w in row) for row in rows))
 
     @property
     def s(self) -> int:

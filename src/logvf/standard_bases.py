@@ -544,8 +544,7 @@ def membership(element, basis: StandardBasis,
 
     if unit_poly.total_degree() == 0:
         c = unit_poly.constant_term()
-        quotients = tuple(q * Polynomial.const(varnames, Fraction(1) / c)
-                          for q in qpolys)
+        quotients = tuple(q * (Fraction(1) / c) for q in qpolys)
         cert = MembershipCertificate(True, quotients, None, nf_vec,
                                      Polynomial.const(varnames, Fraction(1)))
         if not cert.verify(element, basis.inputs):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -7,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
-                          NotAtOrigin, NotFree, PreconditionViolated,
-                          ProductInput, TruncationTooSmall, VanishesAtOrigin,
+                          NotAtOrigin, NotFree, PrecisionRequired,
+                          PreconditionViolated, ProductInput,
+                          TruncationTooSmall, VanishesAtOrigin,
                           VariableMismatch)
-from logvf.poly import Jet, Polynomial, WeightSystem, as_poly, graded_parts
+from logvf.poly import (Jet, Polynomial, WeightSystem, as_poly, graded_parts,
+                        multihomog_decompose_poly)
 from logvf.vfield import (VectorField, field_graded_parts, lie_bracket,
                           vf_to_str)
 from logvf.derlog import derlog_generators, minimalize
@@ -24,7 +27,8 @@ from logvf.normalform import (CoordChange, constant_field_split,
                               straighten_unit_field, unit_adjust,
                               verify_cor16)
 from logvf import normalform
-from logvf.normalform import (_chop_field, _diagonalizing_prep,
+from logvf.normalform import (_check_multihomog, _chop_field,
+                              _diagonalizing_prep,
                               _exact_quotient, _kill_diagonal_part,
                               _pd_normalize,
                               _semisimple_diagonal, _series_quotient,
@@ -70,6 +74,15 @@ def test_coordchange_rejects_singular_linear_part():
 def test_coordchange_requires_vanishing_at_origin():
     with pytest.raises(PreconditionViolated):
         CoordChange.make([X + Polynomial.const(V2, 1), Y], 5)
+
+
+def test_coordchange_refuses_jet_images_below_its_order():
+    # Jet(x + y^2, 2) is x known below degree 2; a change valid below 5
+    # cannot be made from it
+    with pytest.raises(PrecisionRequired):
+        CoordChange.make([Jet(X + Y**2, 2), Y], 5)
+    ch = CoordChange.make([Jet(X + Y**2, 5), Y], 5)
+    assert ch == CoordChange.make([X + Y**2, Y], 5)
 
 
 def test_coordchange_composition_matches_substitution():
@@ -285,6 +298,206 @@ def test_homological_solve_requires_linear_field():
         homological_solve(VectorField([X * X, Y]), X, 2)
 
 
+def _reference_homological_solve(delta, p, lam, weights=None,
+                                 multidegree=None):
+    """homological_solve as its own Jacobi loop, with the per-component
+    checks it ran when called on one W-component of a degree part."""
+    lam = Fraction(lam)
+    varnames = as_poly(p).vars
+    n = len(varnames)
+    A = delta.linear_part()
+    w = [A[i][i] for i in range(n)]
+    if weights is not None:
+        _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
+        _check_multihomog(p, weights, key=multidegree)
+    off = {e: c for e, c in as_poly(p).terms.items() if _wdeg(w, e) != lam}
+    q = {}
+    if off:
+        for e, c in off.items():
+            q[e] = -c / (_wdeg(w, e) - lam)
+        p_off = Polynomial(dict(off), varnames)
+        for _ in range(200):
+            qp = Polynomial(dict(q), varnames)
+            r = as_poly(delta.apply(qp)) - qp * lam + p_off
+            stuck = {e: c for e, c in r.terms.items() if _wdeg(w, e) != lam}
+            if not stuck:
+                break
+            for e, c in stuck.items():
+                q[e] = q.get(e, Fraction(0)) - c / (_wdeg(w, e) - lam)
+        else:
+            raise PreconditionViolated(
+                "resonance elimination does not terminate for these weights")
+    qp = Polynomial(dict(q), varnames)
+    result = as_poly(delta.apply(qp)) - qp * lam + as_poly(p)
+    if any(_wdeg(w, e) != lam for e in result.terms):
+        raise CertificateFailure("solver left terms off the target weight")
+    return qp
+
+
+def _reference_field_solve(delta0, target, w):
+    """_solve_field_equation as its own Jacobi loop."""
+    varnames = target.coeffs[0].vars
+    n = len(varnames)
+    H = [dict() for _ in range(n)]
+    for i, c in enumerate(target.coeffs):
+        for e, coef in as_poly(c).terms.items():
+            eig = _wdeg(w, e) - w[i]
+            if eig == 0:
+                raise PreconditionViolated("resonant term in field equation")
+            H[i][e] = coef / eig
+    for _ in range(200):
+        Hf = VectorField([Polynomial(dict(m), varnames) for m in H])
+        r = lie_bracket(delta0, Hf) - target
+        if r.is_zero():
+            return Hf
+        for i, c in enumerate(r.coeffs):
+            for e, coef in as_poly(c).terms.items():
+                eig = _wdeg(w, e) - w[i]
+                if eig == 0:
+                    raise CertificateFailure("field solver hit a resonance")
+                H[i][e] = H[i].get(e, Fraction(0)) - coef / eig
+    raise CertificateFailure("field homological equation did not converge")
+
+
+@st.composite
+def _linear_parts(draw, two_blocks=False):
+    """(delta0, w, W): delta0 = S + N with S diagonal of weights w and N
+    strictly upper triangular inside each of one or two blocks of
+    variables of equal weight, so nilpotent and commuting with S.  W has
+    s >= 1 rows constant on the blocks, so delta0 has W-multidegree zero,
+    and its first row tells two blocks apart, so a degree part then splits
+    into several W-components."""
+    varnames = draw(st.sampled_from([V2, V3]))
+    n = len(varnames)
+    split = draw(st.integers(1, n - 1 if two_blocks else n))
+    blocks = [0] * split + [1] * (n - split)
+    block_w = [Fraction(draw(st.integers(-2, 3)), draw(st.integers(1, 2)))
+               for _ in range(2)]
+    w = [block_w[b] for b in blocks]
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        A[i][i] = w[i]
+        for j in range(i + 1, n):
+            if blocks[i] == blocks[j]:
+                A[i][j] = Fraction(draw(NONZERO))
+    first = draw(st.integers(-1, 1))
+    rows = [[first, first + draw(NONZERO)]] + [
+        [draw(SMALL), draw(SMALL)] for _ in range(draw(st.integers(0, 1)))]
+    W = WeightSystem.make([[r[b] for b in blocks] for r in rows])
+    return VectorField.from_matrix(A, varnames), w, W
+
+
+NONZERO = st.sampled_from([-2, -1, 1, 2])
+
+
+def _polys(varnames, degrees):
+    """Polynomials of two to five terms, each of total degree in
+    `degrees`."""
+    exps = [e for e in itertools.product(range(max(degrees) + 1),
+                                         repeat=len(varnames))
+            if sum(e) in degrees]
+    return st.dictionaries(st.sampled_from(exps), NONZERO, min_size=2,
+                           max_size=5).map(
+        lambda terms: Polynomial(terms, varnames))
+
+
+@settings(max_examples=60)
+@given(_linear_parts(), st.data())
+def test_homological_solve_matches_the_reference_loop(case, data):
+    delta0, w, _ = case
+    p = data.draw(_polys(delta0.vars, range(1, 5)))
+    lam = data.draw(st.sampled_from([Fraction(0), w[0], w[-1], Fraction(1)]))
+    assert homological_solve(delta0, p, lam) == \
+        _reference_homological_solve(delta0, p, lam)
+    jet = homological_solve(delta0, Jet(p, 5), lam)
+    assert jet.order == 5 and as_poly(jet) == as_poly(
+        homological_solve(delta0, p, lam))
+
+
+@settings(max_examples=60)
+@given(_linear_parts(), st.data())
+def test_field_solve_matches_the_reference_loop(case, data):
+    delta0, w, _ = case
+    varnames = delta0.vars
+    coeffs = [data.draw(_polys(varnames, range(1, 4)))
+              for _ in range(len(varnames))]
+    # off-resonant targets only: the up-front check refuses the others
+    target = VectorField([Polynomial(
+        {e: c for e, c in p.terms.items() if _wdeg(w, e) != w[i]}, varnames)
+        for i, p in enumerate(coeffs)])
+    H = _solve_field_equation(delta0, target, w)
+    assert H == _reference_field_solve(delta0, target, w)
+    assert lie_bracket(delta0, H) == target
+
+
+@settings(max_examples=60)
+@given(_linear_parts(two_blocks=True), st.data())
+def test_one_solve_per_degree_is_the_sum_of_the_component_solves(case, data):
+    # what _resonant_unit relies on: delta0 keeps each W-component, so the
+    # solve of a whole degree part is the sum of its components' solves
+    delta0, w, W = case
+    am = data.draw(_polys(delta0.vars, [data.draw(st.integers(1, 3))]))
+    parts = sorted(multihomog_decompose_poly(am, W).items())
+    total = sum((_reference_homological_solve(delta0, comp, 0, W, key)
+                 for key, comp in parts), Polynomial.zero(delta0.vars))
+    assert homological_solve(delta0, am, 0) == total
+
+
+def test_one_solve_per_degree_on_a_three_component_degree_part():
+    # x d_y mixes x and y (weight 1) and keeps e_x + e_y, the W-degree, so
+    # the x*y component takes more than one pass; three components
+    x, y, z = (Polynomial.variable(V3, i) for i in range(3))
+    delta0 = VectorField([x, y + x, z * 2])
+    W = WeightSystem.make([(1, 1, 0)])
+    am = x * y + y * z + z**2
+    parts = sorted(multihomog_decompose_poly(am, W).items())
+    assert len(parts) == 3
+    q = homological_solve(delta0, am, 0)
+    assert q == sum((_reference_homological_solve(delta0, comp, 0, W, key)
+                     for key, comp in parts), Polynomial.zero(V3))
+    first_guess = x * y * Fraction(-1, 2) + y * z * Fraction(-1, 3) + \
+        z**2 * Fraction(-1, 4)
+    assert q != first_guess
+    assert as_poly(delta0.apply(q)) + am == Polynomial.zero(V3)
+
+
+def test_off_resonance_refusals(monkeypatch):
+    # a linear part that is not S + N with N nilpotent: both loops give up
+    # after the first guess and 200 residual checks
+    delta = VectorField.from_matrix([[1, 2], [3, 1]], V2)
+    one = [Fraction(1), Fraction(1)]
+    checks = []
+    solve_loop = normalform._off_resonance
+
+    def counted(start, residual, eig):
+        checks.append(0)
+
+        def count(sol):
+            checks[-1] += 1
+            return residual(sol)
+        return solve_loop(start, count, eig)
+
+    monkeypatch.setattr(normalform, "_off_resonance", counted)
+    with pytest.raises(PreconditionViolated, match="does not terminate"):
+        homological_solve(delta, X, 0)
+    with pytest.raises(CertificateFailure,
+                       match="field homological equation did not converge"):
+        _solve_field_equation(delta, VectorField([X * X, Y * 0]), one)
+    assert checks == [200, 200]
+    with pytest.raises(PreconditionViolated, match="does not terminate"):
+        _reference_homological_solve(delta, X, 0)
+    with pytest.raises(CertificateFailure, match="did not converge"):
+        _reference_field_solve(delta, VectorField([X * X, Y * 0]), one)
+    # a resonant target is refused up front; weights that are not the
+    # semisimple part's push the residual onto the resonance
+    with pytest.raises(PreconditionViolated, match="resonant term"):
+        _solve_field_equation(delta, VectorField([X, Y * 0]), one)
+    with pytest.raises(CertificateFailure, match="hit a resonance"):
+        _solve_field_equation(VectorField([X, X + Y * 2]),
+                              VectorField([Y, Y * 0]),
+                              [Fraction(1), Fraction(2)])
+
+
 # -- normalizing a single field ---------------------------------------------
 
 
@@ -302,6 +515,14 @@ def test_pd_normalize_homogeneous_input_is_fixed():
     change, out = pd_normalize(delta, WeightSystem.make([]), 6)
     assert change.is_identity()
     assert out.as_polynomial_field() == delta
+
+
+def test_pd_normalize_refuses_jet_coefficients_below_its_order():
+    W0 = WeightSystem.make([])
+    with pytest.raises(PrecisionRequired):
+        pd_normalize(VectorField([Jet(X + X**2, 2), Jet(Y * 2, 2)]), W0, 6)
+    known = pd_normalize(VectorField([Jet(X + X**2, 6), Jet(Y * 2, 6)]), W0, 6)
+    assert known == pd_normalize(VectorField([X + X**2, Y * 2]), W0, 6)
 
 
 def test_pd_normalize_keeps_resonant_terms():
@@ -383,6 +604,26 @@ def test_unit_adjust_geometric_series():
                            (4,): Fraction(1)}, V1)
     assert chop(u, 5) == expected
     assert as_poly(fp) == x
+
+
+def test_unit_adjust_refuses_jet_inputs_below_its_order():
+    V1 = ("x",)
+    x = Polynomial.variable(V1, 0)
+    W0 = WeightSystem.make([])
+    f = x + x**2 + x**3
+    with pytest.raises(PrecisionRequired):
+        unit_adjust(Jet(f, 2), VectorField([x]), W0, 6)
+    with pytest.raises(PrecisionRequired):
+        unit_adjust(f, VectorField([Jet(x, 3)]), W0, 6)
+    u, fp = unit_adjust(Jet(f, 6), VectorField([Jet(x, 6)]), W0, 6)
+    assert (u, fp) == unit_adjust(f, VectorField([x]), W0, 6)
+
+
+def test_unit_adjust_refuses_a_linear_part_off_weight_zero():
+    # x d_y has W-degree 1; the check runs once per call, even when no
+    # degree of the cofactor needs a solve (here the cofactor is 1)
+    with pytest.raises(PreconditionViolated, match="not multihomogeneous"):
+        unit_adjust(X, VectorField([X, Y + X]), WeightSystem.make([(1, 0)]), 5)
 
 
 def test_unit_adjust_constant_cofactor_is_trivial():
