@@ -243,6 +243,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     parser = _PARSER
+    # argparse reads a value that starts with one "-" and holds no space,
+    # such as --poly -x^3, as an option; joined to its option (or an
+    # abbreviation of it), as --poly=-x^3, it is read as the value that
+    # every other spelling gives it.  A "--" token stays an option.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    i = 0
+    while i < len(argv) - 1:
+        opt, value = argv[i], argv[i + 1]
+        if (len(opt) > 2 and opt.startswith("--")
+                and any(o.startswith(opt) for o in ("--poly", "--factors"))
+                and value.startswith("-") and not value.startswith("--")):
+            argv[i:i + 2] = [f"{opt}={value}"]
+        i += 1
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -136,12 +136,11 @@ class Germ:
     """The germ of f at the origin, with what the questions about it share,
     each computed at most once, on first use.  The checks below take a Germ
     wherever they take f; `saito_free_check` keeps its answers here, keyed
-    by the field tuple and the precision."""
+    by the field tuple."""
 
     def __init__(self, f: Polynomial):
         self.f = f
-        self.saito_checks: Dict[Tuple[Tuple[VectorField, ...], Optional[int]],
-                                SaitoCheck] = {}
+        self.saito_checks: Dict[Tuple[VectorField, ...], SaitoCheck] = {}
 
     @cached_property
     def module(self) -> LogDerModule:
@@ -198,27 +197,25 @@ class SaitoCheck:
 
 
 def saito_free_check(fields: Sequence[VectorField],
-                     f: Union[Germ, Polynomial],
-                     precision: Optional[int] = None) -> SaitoCheck:
+                     f: Union[Germ, Polynomial]) -> SaitoCheck:
     """Do n logarithmic fields form a free basis of the module of f?
 
     Raises WrongCount unless exactly n fields are given and NotLogarithmic
     if any of them fails delta(f) in <f> at the origin.  An answer is
-    computed once per germ, field tuple and precision; a raise is not kept.
+    computed once per germ and field tuple; a raise is not kept.
     """
     germ = as_germ(f)
     f = germ.f
     n = len(f.vars)
     if len(fields) != n:
         raise WrongCount(f"need exactly {n} fields, got {len(fields)}")
-    key = (tuple(fields), precision)
+    key = tuple(fields)
     if key not in germ.saito_checks:
-        germ.saito_checks[key] = _saito_check(fields, germ, precision)
+        germ.saito_checks[key] = _saito_check(fields, germ)
     return germ.saito_checks[key]
 
 
-def _saito_check(fields: Sequence[VectorField], germ: Germ,
-                 precision: Optional[int]) -> SaitoCheck:
+def _saito_check(fields: Sequence[VectorField], germ: Germ) -> SaitoCheck:
     f = germ.f
     fsb = germ.local_basis
     for field in fields:
@@ -234,8 +231,7 @@ def _saito_check(fields: Sequence[VectorField], germ: Germ,
     det = poly_det(coefficient_matrix(fields))
     if det.is_zero():
         return SaitoCheck(False, det, None)
-    prec = precision if precision is not None else default_precision([f, det])
-    cert = membership(det, fsb, precision=prec)
+    cert = membership(det, fsb, precision=default_precision([f, det]))
     if not cert.member:
         return SaitoCheck(False, det, None)
     u0 = cert.quotients[0].constant_term()

@@ -27,12 +27,13 @@ cofactor becomes homogeneous of degree zero as well, and re-extract
 diagonal symmetries in the new coordinates.
 
 Each step exists once: `_diagonal` reads the weights off an S-N
-decomposition, `_cofactor` divides exactly and falls back to the series
-quotient, `_off_resonance` is the Jacobi loop of both homological
-equations (on functions in `homological_solve`, on fields in
-`_solve_field_equation`), and `_resonant_unit` is the unit loop of both
-`unit_adjust` and `factor_structure`, with one solve per degree.  Final
-identities compose through the power table of the returned change.
+decomposition, `_cofactor` is the series quotient, `_off_resonance` is
+the Jacobi loop of both homological equations (on functions in
+`homological_solve`, on fields in `_solve_field_equation`), and
+`_resonant_unit` is the unit loop of both `unit_adjust` and
+`factor_structure`, with one solve per degree.  Final identities compose
+through the power table of the returned change.  Every product kept below
+an order is formed below it, by `sum_of_products` or as a jet power.
 
 Each object is also computed once.  A round of `formal_structure` reads
 the weights W once and each generator once (`_Reading`): its components
@@ -191,11 +192,9 @@ class CoordChange:
             # right below 2*good - 1, and it is formed only below that
             nxt = min(2 * good - 1, order)
             table = PowerTable(inv, nxt)
-            res = [Jet(table.compose(_chop(p, nxt)) - x, nxt)
-                   for p, x in zip(imgs, xs)]
-            inv = [_chop(psi - as_poly(sum(
-                (Jet(psi.diff(k), nxt - good) * res[k] for k in range(n)),
-                Jet(zero, nxt))), nxt) for psi in inv]
+            res = [table.compose(_chop(p, nxt)) - x for p, x in zip(imgs, xs)]
+            inv = [psi - sum_of_products(
+                ((psi.diff(k), res[k]) for k in range(n)), nxt) for psi in inv]
             good = nxt
         ch = cls(tuple(imgs), tuple(inv), order)
         ch._verify()
@@ -479,21 +478,13 @@ def _transport(rhs: Sequence[Polynomial], H: Sequence[Polynomial],
     is homogeneous of some degree m >= 2, so each increment starts m - 1
     degrees above the one before, and the series ends below `order` after
     at most (order - 1) / (m - 1) increments.  Each increment is formed
-    with truncated jet products, only below `order`.
+    with `sum_of_products`, only below `order`.
     """
     n = len(H)
     dH = [[h.diff(j) for j in range(n)] for h in H]
-    zero = Jet(Polynomial.zero(H[0].vars), order)
     out, term = list(rhs), list(rhs)
     while any(not t.is_zero() for t in term):
-        nxt = []
-        for row in dH:
-            acc = zero
-            for d, t in zip(row, term):
-                if not (d.is_zero() or t.is_zero()):
-                    acc = acc - Jet(d, order - t.low_degree()) * Jet(t, order)
-            nxt.append(acc.poly)
-        term = nxt
+        term = [-sum_of_products(zip(row, term), order) for row in dH]
         out = [a + b for a, b in zip(out, term)]
     return VectorField(out)
 
@@ -578,14 +569,14 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int,
     if not delta.vanishes_at_origin():
         raise PreconditionViolated("field must vanish at the origin")
     _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
-    start = _chop_field(delta.as_polynomial_field(), order)
+    start = _chop_field(delta, order)
     cur, prep = start, None
     if dec is None:
         dec = sn_decompose(start.linear_part())
     w = _diagonal(dec)
     if w is None:
         prep = _diagonalizing_prep(dec, weights, varnames, order)
-        cur = _chop_field(prep.push_field(cur), order)
+        cur = prep.push_field(cur)
         w = _semisimple_diagonal(cur)
         if w is None:
             raise CertificateFailure("preparation failed to diagonalize")
@@ -666,19 +657,18 @@ def _exact_quotient(p: Polynomial, g: Polynomial) -> Optional[Polynomial]:
 
 
 def _cofactor(delta: VectorField, f: Polynomial, order: int) -> Polynomial:
-    """a with delta(f) = a*f below `order`: the exact quotient of delta(f)
-    (cut below `order`) by f when f divides it, else the series quotient."""
-    df = _chop(delta.apply(f), order)
-    a = _exact_quotient(df, f)
-    if a is None:
-        a = _series_quotient(df, f, order)
+    """a with delta(f) = a*f below `order`: the series quotient of
+    delta(f), cut below `order`, by f.  An exact quotient of that cut has
+    degree below order - lowdeg(f), where the series quotient is unique,
+    so where f divides exactly the two are equal."""
+    a = _series_quotient(_chop(delta.apply(f), order), f, order)
     if a is None:
         raise PreconditionViolated("field does not preserve the ideal")
     return a
 
 
 def _unit_inverse(p: Polynomial, order: int) -> Polynomial:
-    return as_poly(Jet(_chop(p, order), order).inverse())
+    return as_poly(Jet(p, order).inverse())
 
 
 def _resonant_unit(delta: VectorField, frep: Polynomial, w: Sequence[Fraction],
@@ -704,10 +694,10 @@ def _resonant_unit(delta: VectorField, frep: Polynomial, w: Sequence[Fraction],
             continue
         q = homological_solve(delta0, am, 0)
         factor = Polynomial.const(varnames, 1) + q
-        u = _chop(u * factor, order)
-        shift = _chop(as_poly(delta.apply(factor)) * _unit_inverse(factor, order),
-                      order)
-        a = _chop(a + shift, order)
+        u = sum_of_products([(u, factor)], order)
+        a = a + sum_of_products(
+            [(as_poly(delta.apply(factor)), _unit_inverse(factor, order))],
+            order)
     return u, a
 
 
@@ -736,10 +726,10 @@ def _unit_adjust(f: Coeff, delta: VectorField, w: Sequence[Fraction],
     semisimple part of its linear part, are already known."""
     frep = _chop(f, order)
     u, a = _resonant_unit(delta, frep, w, weights, order)
-    fprime = _chop(u * frep, order)
+    fprime = sum_of_products([(u, frep)], order)
     check = order - frep.low_degree()
-    r = _chop(as_poly(delta.apply(fprime)) - a * fprime, check)
-    if not r.is_zero():
+    if _chop(delta.apply(fprime), check) != \
+            sum_of_products([(a, fprime)], check):
         raise CertificateFailure("adjusted cofactor fails its identity")
     if any(_wdeg(w, e) != 0 for e in _chop(a, check).terms):
         raise CertificateFailure("adjusted cofactor is not resonant")
@@ -765,14 +755,14 @@ def straighten_unit_field(delta: VectorField, order: int) -> CoordChange:
     varnames = as_poly(delta.coeffs[0]).vars
     n = len(varnames)
     inner = order + 1
-    start = _chop_field(delta.as_polynomial_field(), inner)
+    start = _chop_field(delta, inner)
     cur, prep = start, None
     if list(const) != [Fraction(1 if i == t else 0) for i in range(n)]:
         B = mat_identity(n)
         for i in range(n):
             B[i][t] = Fraction(const[i])
         prep = CoordChange.linear(B, varnames, inner)
-        cur = _chop_field(prep.push_field(cur), inner)
+        cur = prep.push_field(cur)
 
     def shifts(part: VectorField) -> Optional[List[Polynomial]]:
         # after the preparation the constant part is d_t, so the terms of
@@ -930,16 +920,11 @@ def _local_basis(family: Sequence[VectorField]) -> Optional[StandardBasis]:
 def _local_member(field: VectorField, basis: Optional[StandardBasis],
                   precision: int) -> bool:
     """Exact local (Mora) membership of `field` in the family whose
-    `_local_basis` is `basis`, with jet quotients of that precision; a
-    `PrecisionRequired` from the test counts as membership."""
+    `_local_basis` is `basis`, with jet quotients of that precision."""
     if basis is None:
         return field.is_zero()
     elem = [as_poly(c) for c in field.coeffs]
-    try:
-        cert = membership(elem, basis, precision=precision)
-    except PrecisionRequired:
-        return True
-    return cert.member
+    return membership(elem, basis, precision=precision).member
 
 
 def _field_multidegree(v: VectorField, W: WeightSystem):
@@ -1004,7 +989,7 @@ def formal_structure(f: Union[Germ, Polynomial],
     k = len(module.fields)
     d_work = d + max(f.low_degree(), 2)
     fcur = _chop(f, d_work)
-    gens = [_chop_field(g.as_polynomial_field(), d_work) for g in module.fields]
+    gens = [_chop_field(g, d_work) for g in module.fields]
     unit_rep = Polynomial.const(varnames, 1)
     change = CoordChange.identity(varnames, d_work)
     stabilized = False
@@ -1026,7 +1011,7 @@ def formal_structure(f: Union[Germ, Polynomial],
         ch1, delta_n, wnew = _pd_normalize(cand.zero, W, d_work, cand.sn)
         sig_old = [VectorField.diagonal(row, varnames) for row in W.rows]
         fcur = ch1.apply(fcur)
-        gens = [_chop_field(ch1.push_field(g), d_work) for g in gens]
+        gens = [ch1.push_field(g) for g in gens]
         unit_rep = ch1.apply(unit_rep)
         for sf in sig_old:
             if not _chop_field(ch1.push_field(sf) - sf, d).is_zero():
@@ -1042,7 +1027,7 @@ def formal_structure(f: Union[Germ, Polynomial],
                 "equation left its multidegree under a weighted change")
         fcur = proj
         u_new, f_new = _unit_adjust(fcur, delta_n, wnew, W, d_work)
-        unit_rep = _chop(unit_rep * as_poly(u_new), d_work)
+        unit_rep = sum_of_products([(unit_rep, as_poly(u_new))], d_work)
         fcur = as_poly(f_new)
         parts = multihomog_decompose_poly(_chop(fcur, d),
                                           WeightSystem.make([wnew]))
@@ -1112,7 +1097,7 @@ def formal_structure(f: Union[Germ, Polynomial],
     if unit_final.constant_term() != 1:
         raise CertificateFailure("unit lost its normalization")
     change_out = change.reorder(d)
-    recomputed = _chop(unit_rep * change_out.apply(f), d)
+    recomputed = sum_of_products([(unit_rep, change_out.apply(f))], d)
     if recomputed != fd:
         raise CertificateFailure("transformed equation fails its identity")
     for i in range(s):
@@ -1143,7 +1128,7 @@ def verify_cor16(fs: FormalStructure, f: Polynomial) -> List[bool]:
     if fs.s + fs.r != n:
         raise NotFree("degree-sum check needs s + r = n")
     d = fs.trunc
-    rep = _chop(as_poly(fs.unit) * fs.change.apply(f), d)
+    rep = sum_of_products([(as_poly(fs.unit), fs.change.apply(f))], d)
     if rep != as_poly(fs.transformed):
         raise CertificateFailure("stored transform disagrees with recompute")
     out = []
@@ -1175,10 +1160,9 @@ def _jet_root(g: Polynomial, k: int, order: int) -> Polynomial:
         # r <- r - (r^k - g) / (k r^(k-1))
         corr = (r ** k - gj) * (r ** (k - 1)).inverse() * kf
         r = r - corr
-    rp = as_poly(r)
-    if not _chop(rp ** k - g, order).is_zero():
+    if not (r ** k - gj).is_zero():
         raise CertificateFailure("root iteration failed to converge")
-    return _chop(rp, order)
+    return as_poly(r)
 
 
 @dataclass(frozen=True)
@@ -1230,9 +1214,9 @@ def factor_structure(fs: FormalStructure, f: Polynomial,
     if rem.constant_term() == 0:
         raise PreconditionViolated("leftover factor is not a unit germ")
     freps = [fs.change.apply(g) for g in factors]
-    res = _chop(as_poly(fs.unit) * fs.change.apply(rem), d)
+    res = sum_of_products([(as_poly(fs.unit), fs.change.apply(rem))], d)
     c0 = res.constant_term()
-    target = _chop(res * (Fraction(1) / c0), d)
+    target = res * (Fraction(1) / c0)
     m = len(factors)
     units_rows = []
     lambda_rows = []
@@ -1249,16 +1233,17 @@ def factor_structure(fs: FormalStructure, f: Polynomial,
             else:
                 acc = Polynomial.const(f.vars, 1)
                 for j in range(m - 1):
-                    acc = _chop(acc * urow[j] ** mults[j], d)
-                u = _jet_root(_chop(target * _unit_inverse(acc, d), d),
-                              mults[m - 1], d)
-                prod = _chop(u * freps[i], d)
+                    acc = sum_of_products(
+                        [(acc, as_poly(Jet(urow[j], d) ** mults[j]))], d)
+                u = _jet_root(sum_of_products(
+                    [(target, _unit_inverse(acc, d))], d), mults[m - 1], d)
+                prod = sum_of_products([(u, freps[i])], d)
                 a = _series_quotient(_chop(sigma.apply(prod), d), prod, d)
                 if a is None:
                     raise CertificateFailure(
                         "balancing unit does not yield a cofactor")
             lam = a.constant_term()
-            adjusted = _chop(u * freps[i], d)
+            adjusted = sum_of_products([(u, freps[i])], d)
             diff = _chop(as_poly(sigma.apply(adjusted)) - adjusted * lam,
                          checked[i])
             if not diff.is_zero():

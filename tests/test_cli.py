@@ -338,6 +338,55 @@ def test_render_text_mentions_stages():
         assert token in text
 
 
+def _joined(argv):
+    """argv with each --poly and --factors value joined as --opt=value,
+    the spelling argparse has always read."""
+    out = list(argv)
+    for opt in ("--poly", "--factors"):
+        if opt in out:
+            i = out.index(opt)
+            out[i:i + 2] = [f"{opt}={out[i + 1]}"]
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["free", "--vars", "x,y", "--poly", "-x^3"],
+    ["normalize", "--vars", "x,y", "--poly", "x^2*y+y^3",
+     "--factors", "-y;x^2+y^2"],
+])
+def test_a_value_that_starts_with_a_minus_sign_is_read(argv, capsys):
+    # argparse took "-x^3" for an option and exited 2
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *_joined(argv)) == (code, out, err)
+    # argparse takes an abbreviated option as the option
+    short = [a[:5] if a in ("--poly", "--factors") else a for a in argv]
+    assert run(capsys, *short) == (code, out, err)
+
+
+def test_an_option_after_an_option_that_takes_a_value_is_not_joined(capsys):
+    # "--poly --json" is refused as before: a token that starts with "--"
+    # is an option, not a polynomial
+    code, out, err = run(capsys, "free", "--vars", "x,y", "--poly", "--json")
+    assert (code, out) == (2, "")
+    assert "expected one argument" in err
+
+
+def test_analyze_reads_a_polynomial_that_starts_with_a_minus_sign(capsys):
+    argv = ["analyze", "--vars", "x,y", "--poly", "-x^2-y^3",
+            "--factors", "-x^2-y^3", "--json"]
+    reports = []
+    for spelling in (argv, _joined(argv)):
+        code, out, err = run(capsys, *spelling)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        report.pop("timings")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["f"] == "-y^3 - x^2"
+    assert reports[0]["factors"]["multiplicities"] == [1]
+
+
 def test_bad_factor_exits_2_in_both_subcommands(capsys):
     for command in ("analyze", "normalize"):
         code, out, err = run(capsys, command, "--vars", "x,y",

@@ -916,6 +916,78 @@ def test_exact_quotient_refuses_a_zero_or_foreign_divisor():
         _exact_quotient(CUSP, Polynomial.variable(V3, 0))
 
 
+@st.composite
+def _cofactor_cases(draw):
+    """(delta, f, order) over two variables.  "euler": f = g weighted
+    homogeneous of weighted degree D for weights w and delta = u*E, with E
+    the Euler field sum w_i x_i d_i and u a polynomial unit, so delta(f) =
+    D*u*f, and f divides delta(f) cut below `order` exactly whenever the
+    order is above deg(u*f).  "unit": f = u0*g, so the cofactor of E is the
+    series D + E(u0)/u0.  "random": a drawn delta, seldom logarithmic."""
+    w = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    lead = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any))
+    deg = w[0] * lead[0] + w[1] * lead[1]
+    same_degree = [(i, (deg - w[0] * i) // w[1])
+                   for i in range(deg // w[0] + 1)
+                   if (deg - w[0] * i) % w[1] == 0]
+    terms = draw(st.dictionaries(st.sampled_from(same_degree), SMALL,
+                                 max_size=3))
+    terms[lead] = draw(st.sampled_from([-2, -1, 1, 2]))
+    g = poly2(terms)
+    unit_exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda e: 0 < sum(e) <= 2)
+    u = Polynomial.const(V2, draw(st.sampled_from([1, -2, 3]))) + poly2(
+        draw(st.dictionaries(unit_exps, st.sampled_from([-2, -1, 1, 2]),
+                             min_size=1, max_size=3)))
+    euler = VectorField.diagonal(w, V2)
+    kind = draw(st.sampled_from(["euler", "euler", "unit", "random"]))
+    if kind == "euler":
+        f, delta = g, VectorField([u * c for c in euler.coeffs])
+        # at and below deg(u*f) the cut delta(f) is seldom a multiple of f
+        order = u.total_degree() + g.total_degree() + draw(st.integers(-1, 2))
+    elif kind == "unit":
+        f, delta = u * g, euler
+        order = g.low_degree() + draw(st.integers(1, 4))
+    else:
+        f = g
+        delta = VectorField([poly2(draw(st.dictionaries(
+            unit_exps, SMALL, max_size=3))) for _ in V2])
+        order = g.low_degree() + draw(st.integers(1, 4))
+    return delta, f, max(order, g.low_degree() + 1)
+
+
+def _cofactor_or_refusal(cofactor, delta, f, order):
+    try:
+        return cofactor(delta, f, order)
+    except PreconditionViolated as err:
+        return str(err)
+
+
+def test_cofactor_is_the_series_quotient_and_the_exact_one_where_it_exists():
+    # the exact quotient of delta(f), cut below the order, has degree below
+    # order - lowdeg(f), and the series quotient is the one a with terms
+    # only below that degree: where the reference divides exactly, it gets
+    # the series quotient's answer
+    fired = []
+
+    @settings(max_examples=120)
+    @given(_cofactor_cases())
+    def check(case):
+        delta, f, order = case
+        assert _cofactor_or_refusal(normalform._cofactor, delta, f, order) \
+            == _cofactor_or_refusal(_reference_cofactor, delta, f, order)
+        exact = _reference_exact_quotient(chop(delta.apply(f), order), f)
+        fired.append(exact is not None and not exact.is_zero())
+
+    check()
+    # about half the draws divide exactly with a nonzero quotient (56 of
+    # 120 with the fixed seed); the rest are series quotients, zeros and
+    # refusals
+    assert len(fired) >= 100
+    share = sum(fired) / len(fired)
+    assert 0.3 <= share <= 0.7, share
+
+
 # -- straightening ------------------------------------------------------------
 
 
@@ -1108,6 +1180,54 @@ def test_pd_normalize_matches_the_reference_on_every_corpus_candidate(
     assert len(calls) >= 6
     for delta, weights, order, dec in calls:
         _assert_pd_matches_reference(delta, weights, order, dec)
+
+
+def _reference_transport(rhs, H, order):
+    """_transport by the jet-product loop: each increment -DH.term is
+    summed from jet products whose orders are set so that every product
+    lands below `order`."""
+    n = len(H)
+    dH = [[h.diff(j) for j in range(n)] for h in H]
+    zero = Jet(Polynomial.zero(H[0].vars), order)
+    out, term = list(rhs), list(rhs)
+    while any(not t.is_zero() for t in term):
+        nxt = []
+        for row in dH:
+            acc = zero
+            for d, t in zip(row, term):
+                if not (d.is_zero() or t.is_zero()):
+                    acc = acc - Jet(d, order - t.low_degree()) * Jet(t, order)
+            nxt.append(acc.poly)
+        term = nxt
+        out = [a + b for a, b in zip(out, term)]
+    return VectorField(out)
+
+
+@st.composite
+def _transport_cases(draw):
+    n = draw(st.integers(1, 3))
+    varnames = V3[:n]
+    order = draw(st.integers(2, 8))
+    m = draw(st.integers(2, 4))
+
+    def poly(low, high, max_terms):
+        exps = st.tuples(*[st.integers(0, high)] * n).filter(
+            lambda e: low <= sum(e) <= high)
+        return Polynomial(draw(st.dictionaries(exps, SMALL,
+                                               max_size=max_terms)), varnames)
+
+    H = [poly(m, m, 3) for _ in range(n)]
+    assume(any(not h.is_zero() for h in H))
+    rhs = [poly(0, order - 1, 5) for _ in range(n)]
+    return rhs, H, order
+
+
+@settings(max_examples=80)
+@given(_transport_cases())
+def test_transport_matches_the_jet_product_loop(case):
+    rhs, H, order = case
+    assert normalform._transport(rhs, H, order) == \
+        _reference_transport(rhs, H, order)
 
 
 @st.composite
