@@ -4,10 +4,13 @@ A vector field delta is logarithmic for f when delta(f) lands in the ideal
 generated by f; the quotient delta(f)/f is its cofactor.  The module of all
 such fields is computed as the syzygies of (df/dx_1, ..., df/dx_n, f): the
 first n entries of a relation are the field, the negated last entry the
-cofactor.  Because syzygies are taken with a global order and localization
-is flat, the same polynomial fields generate the germ-level module at the
-origin.  Minimality is settled by Nakayama's lemma, from the values at 0 of
-the syzygies of the generators; freeness and Euler homogeneity by local
+cofactor.  syzygies re-multiplies every relation it returns against
+(df/dx_1, ..., df/dx_n, f), and for a relation that check is exactly
+delta(f) = cofactor * f, so each generator is certified once, there.
+Because syzygies are taken with a global order and localization is flat,
+the same polynomial fields generate the germ-level module at the origin.
+Minimality is settled by Nakayama's lemma, from the values at 0 of the
+syzygies of the generators; freeness and Euler homogeneity by local
 membership.
 """
 
@@ -55,17 +58,26 @@ def _field_vector(field: VectorField) -> Tuple[Polynomial, ...]:
     return tuple(field.coeffs)
 
 
-def _canonical_order(fields, cofactors):
-    pairs = sorted(zip(fields, cofactors),
-                   key=lambda fc: (fc[0].max_coeff_degree(), vf_to_str(fc[0])))
-    return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+def _sort_key(field: VectorField) -> Tuple[int, str]:
+    return field.max_coeff_degree(), vf_to_str(field)
+
+
+def _canonical_order(keys, fields, cofactors):
+    """fields and cofactors sorted by the matching keys of _sort_key."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return (tuple(fields[i] for i in order),
+            tuple(cofactors[i] for i in order))
 
 
 def derlog_generators(f: Polynomial) -> LogDerModule:
     """Compute generators of the module of logarithmic fields of f.
 
-    Every returned field is re-applied to f and checked against its cofactor
-    before the module is handed back.
+    Each relation (a_1, ..., a_n, r) that syzygies returns has been
+    re-multiplied against (df/dx_1, ..., df/dx_n, f) and found to give
+    zero: sum a_i df/dx_i + r f = 0, which is delta(f) = cof * f for the
+    field delta = sum a_i d/dx_i and cof = -r.  That check is the
+    certificate of every returned field and cofactor, so no field is
+    applied to f again here.
     """
     n = len(f.vars)
     partials = [f.diff(i) for i in range(n)]
@@ -74,14 +86,12 @@ def derlog_generators(f: Polynomial) -> LogDerModule:
     cofactors: List[Polynomial] = []
     for rel in rels:
         field = VectorField(rel[:n])
-        cof = -rel[n]
         if field.is_zero():
             continue
-        if field.apply(f) != cof * f:
-            raise CertificateFailure("logarithmic field failed its cofactor check")
         fields.append(field)
-        cofactors.append(cof)
-    fields, cofactors = _canonical_order(fields, cofactors)
+        cofactors.append(-rel[n])
+    keys = [_sort_key(field) for field in fields]
+    fields, cofactors = _canonical_order(keys, fields, cofactors)
     return LogDerModule(f, fields, cofactors)
 
 
@@ -99,24 +109,24 @@ def minimalize(module: LogDerModule) -> LogDerModule:
     combination of exact, re-multiplied syzygies whose coefficient at the
     removed generator is 1 at 0, a unit: dividing by it writes g_idx in the
     other generators over the local ring.  A generating set with no
-    removable member is minimal.
+    removable member is minimal.  Each generator's sort key is formed once,
+    for the greedy order and the canonical order of the result.
     """
     vecs = [_field_vector(fld) for fld in module.fields]
     syz0 = [dict(enumerate(q.constant_term() for q in syz))
             for syz in syzygies(vecs)] if len(vecs) > 1 else []
+    keys = [_sort_key(fld) for fld in module.fields]
     keep = list(range(len(vecs)))
-    for idx in sorted(keep, key=lambda i: (module.fields[i].max_coeff_degree(),
-                                           vf_to_str(module.fields[i])),
-                      reverse=True):
+    for idx in sorted(keep, key=keys.__getitem__, reverse=True):
         rest = [j for j in keep if j != idx]
         if not rest:
             continue
         span = echelon(syz0 + [{j: Fraction(1)} for j in rest])
         if not remainder({idx: Fraction(1)}, *span):
             keep = rest
-    fields = tuple(module.fields[i] for i in keep)
-    cofs = tuple(module.cofactors[i] for i in keep)
-    fields, cofs = _canonical_order(fields, cofs)
+    fields, cofs = _canonical_order([keys[i] for i in keep],
+                                    [module.fields[i] for i in keep],
+                                    [module.cofactors[i] for i in keep])
     return LogDerModule(module.f, fields, cofs, minimal=True)
 
 

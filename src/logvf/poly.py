@@ -136,6 +136,65 @@ def sum_of_products(pairs: Iterable[Tuple["Polynomial", "Polynomial"]],
     return Polynomial._of(_unlift(total), varnames)
 
 
+def derivation(actions: Sequence[Tuple[Scalar, Sequence["Polynomial"],
+                                       Sequence["Polynomial"]]],
+               order: Optional[int] = None) -> Tuple["Polynomial", ...]:
+    """Signed sums of derivations, formed in one integer map per output.
+
+    Each action (c, coeffs, targets) is c times the derivation
+    sum_i coeffs[i] d/dx_i applied to every target; output j is the sum of
+    the actions on their j-th targets, so every action needs as many
+    targets.  Each polynomial is lifted once, each d/dx_i is taken on the
+    integer numerators (times the exponent, over the same denominator),
+    and each output is one _lifted_combination of _lifted_products,
+    unlifted once.  With `order`, only terms of total degree below `order`
+    are formed.  Every coefficient and target must share one variable
+    tuple, and each coeffs has one entry per variable."""
+    if not actions:
+        raise PreconditionViolated("a derivation needs at least one action")
+    varnames = actions[0][1][0].vars
+    n = len(varnames)
+    width = len(actions[0][2])
+    lifted: Dict[int, Lifted] = {}
+
+    def lift(p: "Polynomial") -> Lifted:
+        if p.vars != varnames:
+            raise VariableMismatch(f"{p.vars} vs {varnames}")
+        key = id(p)
+        if key not in lifted:
+            lifted[key] = _lift(p.terms)
+        return lifted[key]
+
+    def diff(p: Lifted, i: int) -> Lifted:
+        ints, den = p
+        out = {}
+        for e, v in ints.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = v * k
+        return out, den
+
+    prepared = []
+    for c, coeffs, targets in actions:
+        if len(coeffs) != n or len(targets) != width:
+            raise VariableMismatch(
+                f"{len(coeffs)} coefficients and {len(targets)} targets "
+                f"for {n} variables and {width} outputs")
+        slots = [(i, a) for i, a in enumerate(map(lift, coeffs)) if a[0]]
+        prepared.append((c, slots, [lift(t) for t in targets]))
+    out = []
+    for j in range(width):
+        parts = []
+        for c, slots, targets in prepared:
+            for i, a in slots:
+                dt = diff(targets[j], i)
+                if dt[0]:
+                    parts.append((c, _lifted_product(a, dt, order)))
+        out.append(Polynomial._of(_unlift(_lifted_combination(parts)),
+                                  varnames))
+    return tuple(out)
+
+
 def remultiplies(rows: Sequence[Sequence["Polynomial"]],
                  inputs: Sequence[Sequence["Polynomial"]],
                  targets: Sequence[Sequence["Polynomial"]],
@@ -645,22 +704,26 @@ class Jet:
         return Jet(self.poly.diff(i), max(self.order - 1, 0))
 
     def inverse(self) -> "Jet":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Newton's step r <- r * (2 - self * r) takes an inverse modulo m^g
+        to one modulo m^2g, so each step forms its products only below the
+        precision it reaches, min(2g, order), and only the last one runs
+        at the full order.  The inverse modulo m^order is unique."""
         c = self.poly.constant_term()
         if c == 0:
             raise PreconditionViolated("jet is not a unit (zero constant term)")
-        one = Polynomial.const(self.vars, 1)
-        r = Jet(one * (Fraction(1) / c), self.order)
-        # Newton iteration doubles correct degrees each step
-        steps = 0
+        zero = (0,) * len(self.vars)
+        me = _lift(self.poly.terms)
+        two = ({zero: 2}, 1)
+        r = _lift({zero: 1 / c})
         good = 1
         while good < self.order:
-            good *= 2
-            steps += 1
-        me = Jet(self.poly, self.order)
-        for _ in range(max(steps, 1)):
-            r = Jet((r * (2 - me * r)).poly, self.order)
-        return r
+            good = min(2 * good, self.order)
+            factor = _lifted_combination(
+                [(1, two), (-1, _lifted_product(me, r, good))])
+            r = _lifted_product(r, factor, good)
+        return Jet(Polynomial._of(_unlift(r), self.vars), self.order)
 
     def __str__(self):
         return f"{poly_to_str(self.poly)} + O(m^{self.order})"

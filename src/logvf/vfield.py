@@ -4,12 +4,18 @@ Coefficients are Polynomials or Jets (all of one kind, same variables; jets
 must share one truncation order).  The bracket follows [d,e](x_j) =
 d(e(x_j)) - e(d(x_j)); for linear fields written x.A.d this gives
 [x.A.d, x.B.d] = x.[A,B].d with [A,B] = AB - BA.
+
+The field action is one exact integer map, poly.derivation: delta(p) and
+each bracket component are one sum of products on integer numerators,
+for polynomial and jet fields alike.  For jets, the order of the result
+is the one Jet arithmetic gives the termwise sum (_action_order), and
+the products are formed only below it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import HasConstantPart, OrderMismatch, VariableMismatch
 from .poly import (
@@ -18,6 +24,7 @@ from .poly import (
     Polynomial,
     WeightSystem,
     as_poly,
+    derivation,
     multihomog_decompose_poly,
     poly_to_str,
 )
@@ -167,22 +174,14 @@ class VectorField:
     # -- action ---------------------------------------------------------------
 
     def apply(self, p: Coeff) -> Coeff:
-        """delta(p) = sum a_i dp/dx_i."""
+        """delta(p) = sum a_i dp/dx_i, formed by poly.derivation below the
+        order that Jet arithmetic gives the sum (see _action_order)."""
         if p.vars != self.vars:
             raise VariableMismatch(f"{p.vars} vs {self.vars}")
-        acc = None
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero() and not isinstance(a, Jet):
-                continue
-            term = a * p.diff(i)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            zero = Polynomial.zero(self.vars)
-            if isinstance(p, Jet) or self.order is not None:
-                orders = [x.order for x in (p, *self.coeffs) if isinstance(x, Jet)]
-                return Jet(zero, min(orders))
-            return zero
-        return acc
+        order = _action_order(self.coeffs, p)
+        coeffs = [as_poly(a) for a in self.coeffs]
+        value, = derivation([(1, coeffs, [as_poly(p)])], order)
+        return value if order is None else Jet(value, order)
 
     def monomial_image(self, e: Exponent) -> Dict[Exponent, Fraction]:
         """The terms of delta(x^e) for an integer exponent e, negative
@@ -198,14 +197,21 @@ class VectorField:
         return {key: c for key, c in out.items() if c}
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """[self, other]; jet coefficients must share one order."""
+        """[self, other]; jet coefficients must share one order.  Component
+        j is self(other_j) - other(self_j), formed as one poly.derivation
+        sum below the least order of those actions."""
         self._check(other)
         a, b = self.order, other.order
         if a is not None and b is not None and a != b:
             raise OrderMismatch(f"jet orders {a} vs {b}")
-        coeffs = []
-        for j in range(len(self.vars)):
-            coeffs.append(self.apply(other.coeffs[j]) - other.apply(self.coeffs[j]))
+        orders = [_action_order(x.coeffs, q)
+                  for x, y in ((self, other), (other, self)) for q in y.coeffs]
+        order = min((m for m in orders if m is not None), default=None)
+        mine = [as_poly(c) for c in self.coeffs]
+        theirs = [as_poly(c) for c in other.coeffs]
+        coeffs = derivation([(1, mine, theirs), (-1, theirs, mine)], order)
+        if order is not None:
+            coeffs = [Jet(c, order) for c in coeffs]
         return VectorField(coeffs)
 
     def __str__(self):
@@ -213,6 +219,38 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField({vf_to_str(self)!r})"
+
+
+def _action_order(coeffs: Sequence[Coeff], p: Coeff) -> Optional[int]:
+    """The jet order of sum a_i dp/dx_i as Jet arithmetic sets it, or None
+    when no term is a jet.
+
+    A zero polynomial a_i is skipped, a zero jet is not.  A jet term
+    a_i * dp/dx_i has the order of Jet.__mul__, min(A + low(dp), D +
+    low(a_i)), where A and D are the orders of a_i and of dp/dx_i (p's
+    order less one) and a polynomial factor takes its partner's order; the
+    sum has the least of these.  With every term skipped, a jet p gives
+    p's order.  Terms that the factors drop when truncated to those orders
+    all lie at or above them, so forming every product below the sum's
+    order gives the sum exactly."""
+    dp_order = max(p.order - 1, 0) if isinstance(p, Jet) else None
+    if dp_order is None and not any(isinstance(a, Jet) for a in coeffs):
+        return None
+    terms = as_poly(p).terms
+    orders = []
+    for i, a in enumerate(coeffs):
+        a_order = a.order if isinstance(a, Jet) else None
+        if a_order is None and (a.is_zero() or dp_order is None):
+            continue
+        A = dp_order if a_order is None else a_order
+        D = a_order if dp_order is None else dp_order
+        # low degrees as Jet.low_degree gives them, capped by the order
+        dp_low = min([D, *(sum(e) - 1 for e in terms if e[i])])
+        a_low = min([A, *(sum(e) for e in as_poly(a).terms)])
+        orders.append(min(A + dp_low, D + a_low))
+    if orders:
+        return min(orders)
+    return p.order if isinstance(p, Jet) else None
 
 
 def vf_to_str(v: VectorField) -> str:

@@ -10,8 +10,9 @@ from logvf.derlog import (EulerCheck, Germ, LogDerModule, coefficient_matrix,
                           derlog_generators, diagonal_symmetry_space, euler_check,
                           is_product, koszul_free_check, minimalize, poly_det,
                           saito_free_check, squarefree_check, strong_euler_check)
-from logvf.errors import (NotAtOrigin, NotFree, NotLogarithmic,
-                          PrecisionRequired, PreconditionViolated, WrongCount)
+from logvf.errors import (CertificateFailure, NotAtOrigin, NotFree,
+                          NotLogarithmic, PrecisionRequired,
+                          PreconditionViolated, WrongCount)
 from logvf.orderings import LOCAL
 from logvf.poly import Polynomial, poly_parse
 from logvf.report import analyze, parse_div
@@ -360,3 +361,52 @@ def test_saito_check_is_computed_once_per_germ(monkeypatch):
         with pytest.raises(NotLogarithmic):
             saito_free_check(bad, germ)
     assert tuple(bad) not in germ.saito_checks
+
+
+def test_syzygy_certificate_guards_the_cofactor_identity(monkeypatch):
+    # delta(f) = cof * f is the re-multiplication of the relation
+    # (a_1, ..., a_n, -cof) against (df/dx_1, ..., df/dx_n, f), which
+    # syzygies runs before it returns: one term added to one relation
+    # must abort derlog_generators there
+    import logvf.standard_bases as sbm
+    rational = sbm._rational
+    corrupted = []
+
+    def one_term_more(*args, **kwargs):
+        out = rational(*args, **kwargs)
+        if corrupted:
+            return out
+        corrupted.append(1)
+        extra = Polynomial.monomial(out[0].vars, (5,) * len(out[0].vars))
+        return (out[0] + extra,) + out[1:]
+
+    monkeypatch.setattr(sbm, "_rational", one_term_more)
+    with pytest.raises(CertificateFailure,
+                       match="^syzygy failed re-multiplication$"):
+        derlog_generators(CUSP)
+    assert corrupted
+
+
+def test_module_keys_each_generator_at_most_twice_and_applies_nothing_to_f(
+        monkeypatch):
+    import logvf.derlog as dl
+    keyed = []
+    applied = []
+    to_str, apply = dl.vf_to_str, VectorField.apply
+
+    def counting_str(field):
+        keyed.append(1)
+        return to_str(field)
+
+    def recording_apply(field, p):
+        applied.append(p)
+        return apply(field, p)
+
+    monkeypatch.setattr(dl, "vf_to_str", counting_str)
+    monkeypatch.setattr(VectorField, "apply", recording_apply)
+    for name, f in _corpus_germs():
+        generators = len(derlog_generators(f).fields)
+        del keyed[:], applied[:]
+        Germ(f).module
+        assert len(keyed) <= 2 * generators, name
+        assert all(p != f for p in applied), name

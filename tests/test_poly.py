@@ -21,6 +21,7 @@ from logvf.poly import (
     Jet,
     Polynomial,
     WeightSystem,
+    derivation,
     graded_parts,
     multihomog_decompose_poly,
     poly_parse,
@@ -392,3 +393,77 @@ class TestTruncatedProducts:
             sum_of_products([])
         with pytest.raises(VariableMismatch):
             sum_of_products([(P("x"), P("y")), (P("x"), P("z", ("x", "z")))])
+
+
+# -- signed sums of derivations ------------------------------------------------
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from([1, -1, Fraction(2, 3)]),
+                          st.lists(polys(high=3, max_terms=3), min_size=2,
+                                   max_size=2),
+                          st.lists(polys(high=4), min_size=2, max_size=2)),
+                min_size=1, max_size=2),
+       st.one_of(st.none(), st.integers(0, 7)))
+def test_derivation_is_the_signed_sum_of_coefficients_times_partials(actions,
+                                                                     order):
+    for j in range(2):
+        total = Polynomial.zero(XY)
+        for c, coeffs, targets in actions:
+            for i, a in enumerate(coeffs):
+                total = total + a * targets[j].diff(i) * c
+        if order is not None:
+            total = Jet(total, order).poly
+        assert derivation(actions, order)[j] == total
+
+
+def test_derivation_refuses_empty_and_mismatched_actions():
+    x, y = P("x"), P("y")
+    with pytest.raises(PreconditionViolated):
+        derivation([])
+    with pytest.raises(VariableMismatch):
+        derivation([(1, [x], [y])])
+    with pytest.raises(VariableMismatch):
+        derivation([(1, [x, y], [x]), (1, [x, y], [x, y])])
+    with pytest.raises(VariableMismatch):
+        derivation([(1, [x, y], [P("z", ("x", "z"))])])
+
+
+# -- the Newton inverse at doubling precision against full-order steps ---------
+
+def _reference_inverse(u):
+    """The inverse of a unit jet by Newton steps that all run at the full
+    order."""
+    c = u.poly.constant_term()
+    r = Jet(Polynomial.const(u.vars, 1) * (Fraction(1) / c), u.order)
+    steps, good = 0, 1
+    while good < u.order:
+        good *= 2
+        steps += 1
+    me = Jet(u.poly, u.order)
+    for _ in range(max(steps, 1)):
+        r = Jet((r * (2 - me * r)).poly, u.order)
+    return r
+
+
+@st.composite
+def units(draw):
+    varnames = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    n = len(varnames)
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(
+        lambda e: 0 < sum(e) <= 3)
+    terms = draw(st.dictionaries(exps, COEFFS, max_size=3))
+    terms[(0,) * n] = draw(COEFFS.filter(bool))
+    return Jet(Polynomial(terms, varnames), draw(st.integers(0, 12)))
+
+
+@settings(max_examples=40)
+@given(units())
+def test_inverse_at_doubling_precision_matches_full_order_steps(u):
+    if u.order == 0:
+        # modulo m^0 the constant term is gone too: no unit to invert
+        with pytest.raises(PreconditionViolated):
+            u.inverse()
+        return
+    inv = u.inverse()
+    assert inv == _reference_inverse(u)
+    assert inv.order == u.order

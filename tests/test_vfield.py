@@ -138,3 +138,97 @@ def test_monomial_image_is_the_action_on_x_to_the_e(case):
     delta, e = case
     mono = Polynomial({e: Fraction(1)}, delta.vars)
     assert delta.monomial_image(e) == as_poly(delta.apply(mono)).terms
+
+
+# -- the field action against the term-by-term Jet arithmetic -----------------
+
+def _reference_apply(field, p):
+    """delta(p) as one Jet or Polynomial product per variable, summed with
+    Jet arithmetic: zero polynomial coefficients are skipped, zero jets
+    are not."""
+    acc = None
+    for i, a in enumerate(field.coeffs):
+        if a.is_zero() and not isinstance(a, Jet):
+            continue
+        term = a * p.diff(i)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        zero = Polynomial.zero(field.vars)
+        if isinstance(p, Jet) or field.order is not None:
+            orders = [x.order for x in (p, *field.coeffs) if isinstance(x, Jet)]
+            return Jet(zero, min(orders))
+        return zero
+    return acc
+
+
+def _reference_bracket(a, b):
+    return VectorField([_reference_apply(a, b.coeffs[j])
+                        - _reference_apply(b, a.coeffs[j])
+                        for j in range(len(a.vars))])
+
+
+def _functions(varnames, order):
+    """A polynomial (order None) or a jet of that order, zero included."""
+    n = len(varnames)
+    exps = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: sum(e) <= 5)
+    terms = st.one_of(st.just({}), st.dictionaries(
+        exps, st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        max_size=4))
+    polys = terms.map(lambda t: Polynomial(t, varnames))
+    return polys if order is None else polys.map(lambda p: Jet(p, order))
+
+
+def _field(draw, varnames, order):
+    return VectorField([draw(_functions(varnames, order)) for _ in varnames])
+
+
+def _is_jet_case(*objs):
+    return any(isinstance(c, Jet) for obj in objs
+               for c in (obj.coeffs if isinstance(obj, VectorField) else (obj,)))
+
+
+ORDERS = st.one_of(st.none(), st.integers(0, 8))
+
+
+def _same_result(new, old):
+    assert type(new) is type(old)
+    assert new == old
+    if isinstance(new, Jet):
+        assert new.order == old.order
+
+
+def test_apply_matches_the_termwise_reference():
+    kinds = []
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def check(data):
+        varnames = ("x", "y", "z")[:data.draw(st.integers(1, 3))]
+        field = _field(data.draw, varnames, data.draw(ORDERS))
+        p = data.draw(_functions(varnames, data.draw(ORDERS)))
+        kinds.append(_is_jet_case(field, p))
+        _same_result(field.apply(p), _reference_apply(field, p))
+
+    check()
+    assert sum(kinds) >= 0.3 * len(kinds)
+
+
+def test_bracket_matches_the_termwise_reference():
+    kinds = []
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def check(data):
+        varnames = ("x", "y", "z")[:data.draw(st.integers(1, 3))]
+        order = data.draw(st.integers(0, 8))
+        # polynomial or jet fields; two jet fields share one order
+        a = _field(data.draw, varnames, data.draw(st.sampled_from([None, order])))
+        b = _field(data.draw, varnames, data.draw(st.sampled_from([None, order])))
+        kinds.append(_is_jet_case(a, b))
+        new, old = a.bracket(b), _reference_bracket(a, b)
+        assert new.order == old.order
+        for c_new, c_old in zip(new.coeffs, old.coeffs):
+            _same_result(c_new, c_old)
+
+    check()
+    assert sum(kinds) >= 0.3 * len(kinds)
