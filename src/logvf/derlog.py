@@ -16,7 +16,7 @@ membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -35,12 +35,18 @@ from .vfield import VectorField, vf_to_str
 
 @dataclass(frozen=True)
 class LogDerModule:
-    """Generators of the logarithmic fields of f with matching cofactors."""
+    """Generators of the logarithmic fields of f with matching cofactors.
+
+    `keys`, when set, holds the fields' sort keys (`_sort_key`), formed
+    once by `derlog_generators` and `minimalize`; they take no part in
+    comparisons."""
 
     f: Polynomial
     fields: Tuple[VectorField, ...]
     cofactors: Tuple[Polynomial, ...]
     minimal: bool = False
+    keys: Optional[Tuple[Tuple[int, str], ...]] = dataclass_field(
+        default=None, compare=False, repr=False)
 
     @property
     def varnames(self) -> Tuple[str, ...]:
@@ -63,10 +69,11 @@ def _sort_key(field: VectorField) -> Tuple[int, str]:
 
 
 def _canonical_order(keys, fields, cofactors):
-    """fields and cofactors sorted by the matching keys of _sort_key."""
+    """fields, cofactors and their keys (of _sort_key) sorted by the
+    keys."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    return (tuple(fields[i] for i in order),
-            tuple(cofactors[i] for i in order))
+    return tuple(tuple(seq[i] for i in order)
+                 for seq in (fields, cofactors, keys))
 
 
 def derlog_generators(f: Polynomial) -> LogDerModule:
@@ -91,8 +98,8 @@ def derlog_generators(f: Polynomial) -> LogDerModule:
         fields.append(field)
         cofactors.append(-rel[n])
     keys = [_sort_key(field) for field in fields]
-    fields, cofactors = _canonical_order(keys, fields, cofactors)
-    return LogDerModule(f, fields, cofactors)
+    fields, cofactors, keys = _canonical_order(keys, fields, cofactors)
+    return LogDerModule(f, fields, cofactors, keys=keys)
 
 
 def minimalize(module: LogDerModule) -> LogDerModule:
@@ -109,13 +116,15 @@ def minimalize(module: LogDerModule) -> LogDerModule:
     combination of exact, re-multiplied syzygies whose coefficient at the
     removed generator is 1 at 0, a unit: dividing by it writes g_idx in the
     other generators over the local ring.  A generating set with no
-    removable member is minimal.  Each generator's sort key is formed once,
-    for the greedy order and the canonical order of the result.
+    removable member is minimal.  The sort keys are the module's own when
+    it carries them (a module from `derlog_generators` does), else each is
+    formed once here, for the greedy order and the canonical order of the
+    result.
     """
     vecs = [_field_vector(fld) for fld in module.fields]
     syz0 = [dict(enumerate(q.constant_term() for q in syz))
             for syz in syzygies(vecs)] if len(vecs) > 1 else []
-    keys = [_sort_key(fld) for fld in module.fields]
+    keys = module.keys or [_sort_key(fld) for fld in module.fields]
     keep = list(range(len(vecs)))
     for idx in sorted(keep, key=keys.__getitem__, reverse=True):
         rest = [j for j in keep if j != idx]
@@ -124,10 +133,10 @@ def minimalize(module: LogDerModule) -> LogDerModule:
         span = echelon(syz0 + [{j: Fraction(1)} for j in rest])
         if not remainder({idx: Fraction(1)}, *span):
             keep = rest
-    fields, cofs = _canonical_order([keys[i] for i in keep],
-                                    [module.fields[i] for i in keep],
-                                    [module.cofactors[i] for i in keep])
-    return LogDerModule(module.f, fields, cofs, minimal=True)
+    fields, cofs, kept = _canonical_order([keys[i] for i in keep],
+                                          [module.fields[i] for i in keep],
+                                          [module.cofactors[i] for i in keep])
+    return LogDerModule(module.f, fields, cofs, minimal=True, keys=kept)
 
 
 def is_product(module: LogDerModule) -> Tuple[bool, Optional[VectorField]]:

@@ -3,12 +3,17 @@
 Two computations live here.  sn_decompose splits a rational square matrix
 into commuting semisimple and nilpotent parts; it works entirely over the
 rationals and refuses (with NonRationalEigenvalues) when the eigenvalues do
-not all lie there.  The semisimple part acts as lam on each generalized
-eigenspace, the kernel of (A - lam)^mult from `linalg.nullspace`, and is
-put back together with `linalg.inverse`; the splitting is unique
-(Jordan-Chevalley), and a certificate checks that the parts commute, that
-the nilpotent one is nilpotent and that the product of (S - lam) over the
-eigenvalues vanishes.  truncated_lie_algebra presents the finite
+not all lie there.  The eigenvalues of a triangular matrix are read off its
+diagonal, those of any other matrix are the rational roots of its
+characteristic polynomial.  The semisimple part acts as lam on each
+generalized eigenspace ker (A - lam)^mult; it is reached by Chevalley's
+Newton iteration S <- S - p(S) p'(S)^-1 from S = A, p the product of
+(t - lam) over the distinct eigenvalues, which stops at its first test
+p(A) = 0 when A is diagonalizable.  The splitting is unique
+(Jordan-Chevalley), so the iteration gives the one splitting there is, and
+a certificate checks that the parts commute, that the nilpotent one is
+nilpotent and that the product of (S - lam) over the eigenvalues
+vanishes.  truncated_lie_algebra presents the finite
 dimensional quotient D_d = Der_f / m^d Der_f as a basis with structure
 constants, which is then probed for solvability, nilpotent adjoints, and
 the center.
@@ -31,8 +36,10 @@ vanishes at the origin, so product germs are rejected up front.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,8 +48,8 @@ from .derlog import LogDerModule, is_product, minimalize
 from .errors import (CertificateFailure, NonRationalEigenvalues, ProductInput,
                      PrecisionRequired, PreconditionViolated)
 from .linalg import (charpoly, echelon, identity, inverse, is_zero_matrix,
-                     mat_mul, mat_pow, mat_scale, mat_sub, nullspace, rank,
-                     remainder, transpose)
+                     mat_add, mat_mul, mat_pow, mat_scale, mat_sub, rank,
+                     remainder)
 from .orderings import LOCAL
 from .poly import Exponent, Jet, Polynomial
 from .standard_bases import membership, standard_basis, syzygies
@@ -177,26 +184,42 @@ class SNDecomposition:
 def sn_decompose(A: Sequence[Sequence]) -> SNDecomposition:
     """The Jordan-Chevalley splitting of a rational square matrix.
 
-    The columns of P are the kernel bases of (A - lam)^mult, eigenvalues in
-    increasing order; S = P diag(lam) P^-1 and N = A - S, and `_check_sn`
-    certifies the result.  Eigenvalues outside the rationals are refused.
+    With p the product of (t - lam) over the distinct eigenvalues,
+    Chevalley's Newton iteration S <- S - p(S) p'(S)^-1 runs from S = A
+    until p(S) = 0; `_check_sn` certifies the result.  Each S is A plus a
+    nilpotent polynomial in A, so it has A's eigenvalues and p'(S) is
+    invertible, p being squarefree; p(S) is divisible by p(A)^(2^k) after
+    k steps, so ceil(log2 m) steps reach p(S) = 0 for the largest
+    multiplicity m, and none are taken when A is diagonalizable.  The S reached is semisimple (p(S) =
+    0 and p has distinct rational roots) and a polynomial in A, so A - S is
+    nilpotent and commutes with S: it is the unique semisimple part, which
+    acts as lam on each generalized eigenspace ker (A - lam)^mult.  The
+    eigenvalues of a triangular matrix are read off its diagonal; those of
+    any other come from its characteristic polynomial, and eigenvalues
+    outside the rationals are refused.
     """
     n = len(A)
     A = [[Fraction(x) for x in row] for row in A]
-    coeffs = charpoly(A)
-    roots = _rational_roots(coeffs)
+    if (all(A[i][j] == 0 for i in range(n) for j in range(i))
+            or all(A[j][i] == 0 for i in range(n) for j in range(i))):
+        roots = dict(Counter(sorted(A[i][i] for i in range(n))))
+    else:
+        roots = _rational_roots(charpoly(A))
     if sum(roots.values()) != n:
         raise CertificateFailure("eigenvalue multiplicities do not add up")
-    cols: List[List[Fraction]] = []
-    scaled: List[List[Fraction]] = []
-    for lam, mult in sorted(roots.items()):
-        for v in nullspace(mat_pow(mat_sub(A, mat_scale(identity(n), lam)),
-                                   mult)):
-            cols.append(v)
-            scaled.append([lam * x for x in v])
-    if len(cols) != n:
-        raise CertificateFailure("generalized eigenspaces do not span the space")
-    S = mat_mul(transpose(scaled), inverse(transpose(cols)))
+    # with m the largest multiplicity, p(S) = 0 after ceil(log2 m) steps;
+    # the last step is tested by `_check_sn`
+    S = A
+    for _ in range(max(roots.values(), default=1).bit_length()):
+        factors = [[[x - lam if i == j else x for j, x in enumerate(row)]
+                    for i, row in enumerate(S)] for lam in roots]
+        p_of_s = functools.reduce(mat_mul, factors, identity(n))
+        if is_zero_matrix(p_of_s):
+            break
+        dp_of_s = functools.reduce(mat_add, (
+            functools.reduce(mat_mul, factors[:i] + factors[i + 1:],
+                             identity(n)) for i in range(len(factors))))
+        S = mat_sub(S, mat_mul(p_of_s, inverse(dp_of_s)))
     N = mat_sub(A, S)
     _check_sn(S, N, roots)
     return SNDecomposition(S, N, roots)

@@ -1,19 +1,23 @@
 """Exact linear algebra over Q.
 
-Matrices are lists of Fraction rows.  Elimination has one exact core that
-works on row-sparse systems, each row a {column: Fraction} dict of its
-nonzero entries: columns are taken in order and the sparsest row with an
-entry in the column is the pivot, so the very sparse kernel systems of the
-Cech box search stay sparse.  `echelon`, `rref`, `rank`, `nullspace`,
-`solve` and `inverse` are entry points on that core; all but `rref` and
-`inverse` also take sparse rows.  `echelon` returns the reduced rows in
-sparse form, and `remainder` reduces a vector, dense or sparse, against
-them: the quotient coordinates of D_d and `row_space_contains` use the
-pair.  The reduced row echelon form does not depend on the pivots chosen,
-so `nullspace` returns the canonical kernel basis read off it: one vector
-per free column, with support on that column and on the pivot columns
-before it.  A system with no rows has the whole space as kernel and the
-zero solution; the column count is then passed explicitly.
+Matrices are lists of Fraction rows; `mat_mul` skips the zero entries of
+both factors.  Elimination has one exact core that works on row-sparse
+systems, each row a {column: entry} dict of its nonzero entries: columns
+are taken in order and the sparsest row with an entry in the column is the
+pivot, so the very sparse kernel systems of the Cech box search stay
+sparse.  Entries may be ints or Fractions, and ints are not wrapped: the
+pivot inverse is the Fraction 1/p, so every row that is reduced becomes
+Fractions, and every entry the entry points return is a Fraction.
+`echelon`, `rref`, `rank`, `nullspace`, `solve` and `inverse` are entry
+points on that core; all but `rref` and `inverse` also take sparse rows.
+`echelon` returns the reduced rows in sparse form, and `remainder` reduces
+a vector, dense or sparse, against them: the quotient coordinates of D_d
+and `row_space_contains` use the pair.  The reduced row echelon form does
+not depend on the pivots chosen, so `nullspace` returns the canonical
+kernel basis read off it: one vector per free column, with support on that
+column and on the pivot columns before it.  A system with no rows has the
+whole space as kernel and the zero solution; the column count is then
+passed explicitly.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    one, zero = Fraction(1), Fraction(0)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def zeros(r: int, c: int) -> Matrix:
@@ -42,17 +47,14 @@ def transpose(A: Matrix) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    rb = len(B)
     cb = len(B[0]) if B else 0
     out = zeros(len(A), cb)
-    for i, row in enumerate(A):
-        for k in range(rb):
-            a = row[k]
+    nonzero = [[(j, b) for j, b in enumerate(brow) if b] for brow in B]
+    for row, orow in zip(A, out):
+        for a, bterms in zip(row, nonzero):
             if a:
-                brow = B[k]
-                orow = out[i]
-                for j in range(cb):
-                    orow[j] += a * brow[j]
+                for j, b in bterms:
+                    orow[j] += a * b
     return out
 
 
@@ -90,11 +92,13 @@ def trace(A: Matrix) -> Fraction:
 
 
 def _sparse_rows(A: Sequence[Union[Sequence, Row]]) -> List[Row]:
-    """The nonzero entries of each row, as a fresh {column: Fraction} dict."""
+    """The nonzero entries of each row, as a fresh {column: entry} dict;
+    int and Fraction entries are kept, any other is made a Fraction."""
     out = []
     for row in A:
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        out.append({c: Fraction(v) for c, v in items if v})
+        out.append({c: v if isinstance(v, (int, Fraction)) else Fraction(v)
+                    for c, v in items if v})
     return out
 
 
@@ -125,7 +129,7 @@ def _eliminate(rows: List[Row]) -> Tuple[List[Row], List[int]]:
             continue
         p = min(rows_at_c, key=lambda i: (len(active[i]), i))
         prow = active.pop(p)
-        inv = 1 / prow.pop(c)
+        inv = Fraction(1) / prow.pop(c)
         for j, v in prow.items():
             prow[j] = v * inv
             holders[j].discard(p)
@@ -216,7 +220,8 @@ def remainder(v: Union[Sequence, Row], reduced: Sequence[Row],
         if f:
             for j, x in row.items():
                 w[j] = w.get(j, 0) - f * x
-    return {j: x for j, x in w.items() if x}
+    return {j: x if isinstance(x, Fraction) else Fraction(x)
+            for j, x in w.items() if x}
 
 
 def rank(A: Sequence[Union[Sequence, Row]]) -> int:

@@ -29,7 +29,8 @@ diagonal symmetries in the new coordinates.
 Each step exists once: `_diagonal` reads the weights off an S-N
 decomposition, `_cofactor` is the series quotient, `_off_resonance` is
 the Jacobi loop of both homological equations (on functions in
-`homological_solve`, on fields in `_solve_field_equation`), and
+`homological_solve`, on fields in `_solve_field_equation`), which stops a
+loop that cannot end once its passes outnumber its keys, and
 `_resonant_unit` is the unit loop of both `unit_adjust` and
 `factor_structure`, with one solve per degree.  Final identities compose
 through the power table of the returned change.  Every product kept below
@@ -51,8 +52,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .errors import (CertificateFailure, NotAtOrigin, NotFree,
                      PrecisionRequired, PreconditionViolated, ProductInput,
@@ -321,20 +322,38 @@ def _check_multihomog(obj, W: WeightSystem, key=None):
         raise PreconditionViolated("multidegree does not match")
 
 
+def _exponents(n: int, d: int):
+    """The exponents of the monomials of degree d in n variables."""
+    for picks in itertools.combinations_with_replacement(range(n), d):
+        yield tuple(picks.count(i) for i in range(n))
+
+
 def _off_resonance(start: Dict, residual: Callable[[Dict], Dict],
-                   eig: Callable[..., Fraction]) -> Optional[Dict]:
+                   eig: Callable[..., Fraction],
+                   span: Callable[[], Iterable]) -> Optional[Dict]:
     """The Jacobi loop of both homological equations: from zero, whose
     residual is `start`, each pass subtracts r/eig(key) from every term of
     the residual r (a map from term keys to coefficients) whose eigenvalue
-    is nonzero, until no such term is left.  None when 200 residual checks
-    after the first guess do not end it."""
+    is nonzero, until no such term is left.
+
+    Both equations preserve degree, so after k passes the part of r off
+    the resonance is T^k of start's, for one linear map T on the span V of
+    the keys off the resonance in start's degrees, which `span` lists.
+    When T^k v is zero, v, Tv, ..., T^(k-1) v are independent, so k is at
+    most dim V: a loop that has not ended after dim V passes never ends.
+    None when min(200, dim V) residual checks after the first guess do not
+    end it; dim V is counted only for a loop that the first pass does not
+    end."""
     sol: Dict = {}
     r = start
+    cap = 200
     for checks in itertools.count():
         stuck = {k: c for k, c in r.items() if eig(k) != 0}
         if not stuck:
             return sol
-        if checks == 200:
+        if checks == 1:
+            cap = min(cap, sum(1 for k in span() if eig(k) != 0))
+        if checks == cap:
             return None
         for k, c in stuck.items():
             sol[k] = sol.get(k, Fraction(0)) - c / eig(k)
@@ -357,7 +376,10 @@ def homological_solve(delta: VectorField, p: Coeff, lam) -> Coeff:
         qp = Polynomial(q, pp.vars)
         return (as_poly(delta.apply(qp)) - qp * lam + pp).terms
 
-    q = _off_resonance(pp.terms, residual, lambda e: _wdeg(w, e) - lam)
+    n = len(pp.vars)
+    q = _off_resonance(pp.terms, residual, lambda e: _wdeg(w, e) - lam,
+                       lambda: (e for d in {sum(e) for e in pp.terms}
+                                for e in _exponents(n, d)))
     if q is None:
         raise PreconditionViolated(
             "resonance elimination does not terminate for these weights")
@@ -397,7 +419,10 @@ def _solve_field_equation(delta0: VectorField, target: VectorField,
     start = {k: -c for k, c in terms(target).items()}
     if any(eig(k) == 0 for k in start):
         raise PreconditionViolated("resonant term in field equation")
-    H = _off_resonance(start, residual, eig)
+    n = len(varnames)
+    H = _off_resonance(start, residual, eig,
+                       lambda: ((i, e) for d in {sum(e) for _, e in start}
+                                for e in _exponents(n, d) for i in range(n)))
     if H is None:
         raise CertificateFailure("field homological equation did not converge")
     return field(H)

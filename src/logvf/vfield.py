@@ -259,13 +259,12 @@ def vf_to_str(v: VectorField) -> str:
         base = as_poly(c)
         if base.is_zero():
             continue
-        items = base.items_sorted()
-        if len(items) == 1 and items[0][1] == 1 and not any(items[0][0]):
-            parts.append(f"d_{name}")
-        elif len(items) == 1:
-            parts.append(f"{poly_to_str(base)}*d_{name}")
-        else:
+        if len(base.terms) > 1:
             parts.append(f"({poly_to_str(base)})*d_{name}")
+        elif base.terms == {(0,) * len(base.vars): 1}:
+            parts.append(f"d_{name}")
+        else:
+            parts.append(f"{poly_to_str(base)}*d_{name}")
     body = " + ".join(parts) if parts else "0"
     if v.order is not None:
         return f"{body} mod m^{v.order}"

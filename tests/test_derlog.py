@@ -387,7 +387,7 @@ def test_syzygy_certificate_guards_the_cofactor_identity(monkeypatch):
     assert corrupted
 
 
-def test_module_keys_each_generator_at_most_twice_and_applies_nothing_to_f(
+def test_module_keys_each_generator_at_most_once_and_applies_nothing_to_f(
         monkeypatch):
     import logvf.derlog as dl
     keyed = []
@@ -408,5 +408,5 @@ def test_module_keys_each_generator_at_most_twice_and_applies_nothing_to_f(
         generators = len(derlog_generators(f).fields)
         del keyed[:], applied[:]
         Germ(f).module
-        assert len(keyed) <= 2 * generators, name
+        assert len(keyed) <= generators, name
         assert all(p != f for p in applied), name

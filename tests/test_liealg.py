@@ -15,13 +15,15 @@ from logvf import report as rp
 from logvf.derlog import Germ, derlog_generators, minimalize, saito_free_check
 from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
                           ProductInput, PreconditionViolated)
-from logvf.liealg import (LieAlgebraPresentation, _QuotientCoordinates,
+from logvf.liealg import (LieAlgebraPresentation, SNDecomposition,
+                          _QuotientCoordinates, _check_sn,
                           _express_in_generators, _low_terms, _poly_eval,
                           _rational_roots, ad_matrix, center_dimension,
                           is_solvable, nilpotency_check, sn_decompose,
                           truncated_lie_algebra)
-from logvf.linalg import (identity, inverse, is_zero_matrix, mat_add, mat_mul,
-                          mat_sub, rank, rref)
+from logvf.linalg import (charpoly, identity, inverse, is_zero_matrix, mat_add,
+                          mat_mul, mat_pow, mat_scale, mat_sub, nullspace,
+                          rank, rref, transpose)
 from logvf.orderings import LOCAL
 from logvf.poly import Polynomial, poly_parse
 from logvf.standard_bases import standard_basis, syzygies
@@ -146,6 +148,108 @@ def test_sn_refuses_a_mixed_rational_irrational_spectrum():
 def test_sn_of_the_empty_matrix_is_the_empty_splitting():
     dec = sn_decompose([])
     assert (dec.semisimple, dec.nilpotent, dec.eigenvalues) == ([], [], {})
+
+
+def _reference_sn_decompose(A):
+    """sn_decompose by eigenvector assembly, as first written: the columns
+    of P are the kernel bases of (A - lam)^mult, eigenvalues in increasing
+    order, S = P diag(lam) P^-1 and N = A - S."""
+    n = len(A)
+    A = [[Fraction(x) for x in row] for row in A]
+    roots = _rational_roots(charpoly(A))
+    if sum(roots.values()) != n:
+        raise CertificateFailure("eigenvalue multiplicities do not add up")
+    cols, scaled = [], []
+    for lam, mult in sorted(roots.items()):
+        for v in nullspace(mat_pow(mat_sub(A, mat_scale(identity(n), lam)),
+                                   mult)):
+            cols.append(v)
+            scaled.append([lam * x for x in v])
+    if len(cols) != n:
+        raise CertificateFailure("generalized eigenspaces do not span the space")
+    S = mat_mul(transpose(scaled), inverse(transpose(cols)))
+    N = mat_sub(A, S)
+    _check_sn(S, N, roots)
+    return SNDecomposition(S, N, roots)
+
+
+# eigenvalues that repeat across Jordan blocks, and random rationals
+SPECTRUM = st.one_of(EIGENVALUES, st.fractions(-4, 4, max_denominator=5))
+SHAPES = ("diagonal", "upper", "lower", "full")
+
+
+@st.composite
+def _shaped_matrices(draw):
+    """(shape, A): A similar to a Jordan matrix J of size 0-4, diagonal or
+    with blocks of drawn sizes.  A diagonal A is J; an upper one is U J U^-1 with U unit upper
+    triangular, a lower one the transpose of that; a full one is P J P^-1
+    for an invertible P with small integer entries."""
+    n = draw(st.integers(0, 4))
+    shape = draw(st.sampled_from(SHAPES))
+    # diagonalizable, or Jordan blocks of drawn sizes
+    split = shape == "diagonal" or draw(st.booleans())
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(1 if split else draw(st.integers(1, n - sum(sizes))))
+    J = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for size in sizes:
+        lam = draw(SPECTRUM)
+        for k in range(at, at + size):
+            J[k][k] = lam
+            if k > at:
+                J[k - 1][k] = Fraction(1)
+        at += size
+    if shape == "diagonal":
+        return shape, J
+    entries = st.integers(-2, 2).map(Fraction)
+    if shape == "full":
+        P = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                          min_size=n, max_size=n).filter(
+                              lambda M: rank(M) == n))
+    else:
+        P = [[Fraction(1) if i == j else draw(entries) if i < j
+              else Fraction(0) for j in range(n)] for i in range(n)]
+    A = mat_mul(mat_mul(P, J), inverse(P))
+    return shape, transpose(A) if shape == "lower" else A
+
+
+def _is_triangular(A, upper):
+    n = len(A)
+    return all(A[i][j] == 0 for i in range(n) for j in range(n)
+               if (i > j if upper else i < j))
+
+
+def test_sn_matches_the_eigenvector_reference():
+    shapes = []
+
+    @settings(max_examples=250)
+    @given(_shaped_matrices())
+    def check(case):
+        shape, A = case
+        assert shape == "full" or _is_triangular(A, shape != "lower")
+        shapes.append(shape)
+        new, old = sn_decompose(A), _reference_sn_decompose(A)
+        assert new.semisimple == old.semisimple
+        assert new.nilpotent == old.nilpotent
+        assert new.eigenvalues == old.eigenvalues
+        assert all(type(x) is Fraction for M in (new.semisimple, new.nilpotent)
+                   for row in M for x in row)
+
+    check()
+    counts = Counter(shapes)
+    assert len(shapes) >= 200 and set(counts) == set(SHAPES), counts
+    assert counts["full"] <= 0.7 * len(shapes), counts
+
+
+@pytest.mark.parametrize("A", [[[0, -1], [1, 0]], [[0, 2], [1, 0]],
+                               [[1, 0, 0], [0, 0, 2], [0, 1, 0]]])
+def test_sn_and_the_reference_refuse_alike(A):
+    for decompose in (sn_decompose, _reference_sn_decompose):
+        with pytest.raises(NonRationalEigenvalues,
+                           match="^matrix has eigenvalues outside the "
+                                 "rationals$"):
+            decompose(A)
 
 
 def _divisor_search(coeffs):

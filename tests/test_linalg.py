@@ -125,12 +125,13 @@ def _reference_solve(A, b, cols):
 
 
 @st.composite
-def matrices(draw, min_rows=0, max_rows=7, max_cols=7, square=False):
+def matrices(draw, min_rows=0, max_rows=7, max_cols=7, square=False,
+             entries=ENTRIES):
     """Sparse or dense matrices, with zero rows and repeated rows."""
     rows = draw(st.integers(min_rows, max_rows))
     cols = rows if square else draw(st.integers(1, max_cols))
     density = draw(st.sampled_from([0.15, 0.5, 1.0]))
-    cell = st.one_of(st.just(0), ENTRIES) if density < 1 else ENTRIES
+    cell = st.one_of(st.just(0), entries) if density < 1 else entries
     A = []
     for _ in range(rows):
         if draw(st.floats(0, 1)) < 0.1:
@@ -217,6 +218,87 @@ def test_remainder_matches_rank_reference(case, data):
     assert (not r) == (not grows(v))
     assert not grows([a - b for a, b in zip(v, dense_r)])
     assert not set(r) & set(pivots)
+
+
+INTS = st.integers(-5, 5)
+
+
+def _results(A, v, b, cols):
+    """What each entry point gives on A: the echelon pair, v's remainder,
+    the rank, the kernel, a solution of A x = b, and for a square A its
+    inverse or "singular"."""
+    reduced, pivots = echelon(A)
+    out = {"echelon": (reduced, pivots),
+           "remainder": remainder(v, reduced, pivots),
+           "rank": rank(A),
+           "nullspace": nullspace(A, cols),
+           "solve": solve(A, b, cols)}
+    if len(A) == cols and not (A and isinstance(A[0], dict)):
+        try:
+            out["inverse"] = inverse(A)
+        except ValueError:
+            out["inverse"] = "singular"
+    return out
+
+
+def _entries(results):
+    """Every matrix or vector entry among the results of _results."""
+    reduced, _ = results["echelon"]
+    yield from (x for row in reduced for x in row.values())
+    yield from results["remainder"].values()
+    yield from (x for vec in results["nullspace"] for x in vec)
+    yield from results["solve"] or ()
+    if isinstance(results.get("inverse"), list):
+        yield from (x for row in results["inverse"] for x in row)
+
+
+@PROPERTY
+@given(st.one_of(matrices(entries=INTS),
+                 matrices(max_rows=6, square=True, entries=INTS)), st.data())
+def test_int_entries_give_the_fraction_results(case, data):
+    # the eliminator takes int entries as they are: on int rows, dense or
+    # sparse, every entry point gives what it gives on Fraction copies of
+    # them, and every entry it returns is a Fraction
+    A, cols = case
+    v = data.draw(st.lists(INTS, min_size=cols, max_size=cols))
+    b = data.draw(st.lists(INTS, min_size=len(A), max_size=len(A)))
+    if A and data.draw(st.booleans()):
+        b = [sum(row) for row in A]    # consistent: A times all ones
+    fractions = [[Fraction(x) for x in row] for row in A]
+    expected = _results(fractions, [Fraction(x) for x in v],
+                        [Fraction(x) for x in b], cols)
+    assert all(type(x) is Fraction for x in _entries(expected))
+    for rows in (A, _sparse(A), _sparse(fractions)):
+        got = _results(rows, v, b, cols)
+        assert got == {k: x for k, x in expected.items() if k in got}
+        assert all(type(x) is Fraction for x in _entries(got))
+
+
+@st.composite
+def _factors(draw):
+    """A (r x k) and B (k x c) with int and Fraction entries, zero rows,
+    and zeros scattered in both."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    cell = st.one_of(st.just(0), st.just(Fraction(0)), ENTRIES)
+
+    def matrix(rows, cols):
+        return [[0] * cols if draw(st.floats(0, 1)) < 0.15
+                else [draw(cell) for _ in range(cols)] for _ in range(rows)]
+    return matrix(r, k), matrix(k, c), c
+
+
+@settings(max_examples=200)
+@given(_factors())
+def test_mat_mul_matches_the_triple_sum(case):
+    A, B, c = case
+    naive = [[sum((Fraction(a) * B[t][j] for t, a in enumerate(row)),
+                  Fraction(0)) for j in range(c)] for row in A]
+    product = mat_mul(A, B)
+    if B:
+        assert product == naive
+    else:   # k = 0: mat_mul reads the width off B, so none is left
+        assert product == [[] for _ in A]
+    assert all(type(x) is Fraction for row in product for x in row)
 
 
 def test_empty_system_has_the_whole_space():

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -463,19 +464,21 @@ def test_one_solve_per_degree_on_a_three_component_degree_part():
 
 def test_off_resonance_refusals(monkeypatch):
     # a linear part that is not S + N with N nilpotent: both loops give up
-    # after the first guess and 200 residual checks
+    # once the residual checks outnumber the span of the keys off the
+    # resonance in the start's degrees, 2 for x (x, y) and 6 for x^2 d_x
+    # (x^2, x*y, y^2 times d_x, d_y), where before they ran to 200
     delta = VectorField.from_matrix([[1, 2], [3, 1]], V2)
     one = [Fraction(1), Fraction(1)]
     checks = []
     solve_loop = normalform._off_resonance
 
-    def counted(start, residual, eig):
+    def counted(start, residual, eig, span):
         checks.append(0)
 
         def count(sol):
             checks[-1] += 1
             return residual(sol)
-        return solve_loop(start, count, eig)
+        return solve_loop(start, count, eig, span)
 
     monkeypatch.setattr(normalform, "_off_resonance", counted)
     with pytest.raises(PreconditionViolated, match="does not terminate"):
@@ -483,7 +486,7 @@ def test_off_resonance_refusals(monkeypatch):
     with pytest.raises(CertificateFailure,
                        match="field homological equation did not converge"):
         _solve_field_equation(delta, VectorField([X * X, Y * 0]), one)
-    assert checks == [200, 200]
+    assert checks == [2, 6]
     with pytest.raises(PreconditionViolated, match="does not terminate"):
         _reference_homological_solve(delta, X, 0)
     with pytest.raises(CertificateFailure, match="did not converge"):
@@ -496,6 +499,58 @@ def test_off_resonance_refusals(monkeypatch):
         _solve_field_equation(VectorField([X, X + Y * 2]),
                               VectorField([Y, Y * 0]),
                               [Fraction(1), Fraction(2)])
+
+
+def _outcome(solve, *args):
+    """What a solver gives: its answer, or the type and message of its
+    refusal."""
+    try:
+        return solve(*args)
+    except (PreconditionViolated, CertificateFailure) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(SMALL, min_size=2, max_size=2), min_size=2,
+                max_size=2), st.data())
+def test_capped_jacobi_loops_answer_and_refuse_as_the_200_pass_loops(A, data):
+    # any linear part, so many loops never end: the cap at the span of the
+    # keys off the resonance must give every answer and every refusal that
+    # 200 passes give
+    delta0 = VectorField.from_matrix(A, V2)
+    w = [Fraction(A[i][i]) for i in range(2)]
+    p = data.draw(_polys(V2, range(1, 3)))
+    lam = data.draw(st.sampled_from([Fraction(0), Fraction(1), w[0]]))
+    assert _outcome(homological_solve, delta0, p, lam) == \
+        _outcome(_reference_homological_solve, delta0, p, lam)
+    # the weights the caller passes may or may not be delta0's diagonal
+    w = data.draw(st.sampled_from(
+        [w, [Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]]))
+    target = VectorField([Polynomial(
+        {e: c for e, c in q.terms.items() if _wdeg(w, e) != w[i]}, V2)
+        for i, q in enumerate((p, data.draw(_polys(V2, range(1, 3)))))])
+    assert _outcome(_solve_field_equation, delta0, target, w) == \
+        _outcome(_reference_field_solve, delta0, target, w)
+
+
+def test_jacobi_loops_that_cannot_end_refuse_at_once():
+    delta = VectorField.from_matrix([[1, 2], [3, 1]], V2)
+    one = [Fraction(1), Fraction(1)]
+
+    def refusal_time(error, match, solve, *args):
+        start = time.perf_counter()
+        with pytest.raises(error, match=match):
+            solve(*args)
+        return time.perf_counter() - start
+
+    # best of three, so that one descheduling does not decide
+    assert min(refusal_time(PreconditionViolated, "does not terminate",
+                            homological_solve, delta, X * Y, 0)
+               for _ in range(3)) < 0.01
+    assert min(refusal_time(CertificateFailure, "did not converge",
+                            _solve_field_equation, delta,
+                            VectorField([X * X, Y * 0]), one)
+               for _ in range(3)) < 0.01
 
 
 # -- normalizing a single field ---------------------------------------------
