@@ -7,8 +7,8 @@ first n entries of a relation are the field, the negated last entry the
 cofactor.  syzygies re-multiplies every relation it returns against
 (df/dx_1, ..., df/dx_n, f), and for a relation that check is exactly
 delta(f) = cofactor * f, so each generator is certified once, there.
-Because syzygies are taken with a global order and localization is flat,
-the same polynomial fields generate the germ-level module at the origin.
+The syzygies are polynomial; by the flatness argument in the syzygies
+docstring the same fields generate the germ-level module at the origin.
 Minimality is settled by Nakayama's lemma, from the values at 0 of the
 syzygies of the generators; freeness and Euler homogeneity by local
 membership.
@@ -109,9 +109,9 @@ def minimalize(module: LogDerModule) -> LogDerModule:
     lemma: generators g_j (j in S) of M generate it over the local ring
     exactly when their images span M/mM, which is Q^k modulo Syz(0), the
     values at 0 of the syzygies of all k generators.  Those syzygies are
-    computed once, with the global order; localization is flat, so they
-    generate the local syzygy module too.  While `keep` generates M,
-    generator idx goes exactly when e_idx lies in
+    computed once, over the polynomial ring; they generate the local
+    syzygy module too (flatness, see the syzygies docstring).  While
+    `keep` generates M, generator idx goes exactly when e_idx lies in
     span(e_j : j in rest) + Syz(0).  Each removal is then witnessed by a
     combination of exact, re-multiplied syzygies whose coefficient at the
     removed generator is 1 at 0, a unit: dividing by it writes g_idx in the
@@ -313,19 +313,19 @@ def _diagonal_euler_check(f: Polynomial) -> Optional[EulerCheck]:
     return None
 
 
-def _local_quotients(f: Polynomial, gens: List[Polynomial],
-                     precision: Optional[int]):
+def _local_quotients(f: Polynomial, gens: List[Polynomial]):
     """(quotients, prec): q with sum q_k gens_k = f over the local ring, as
-    jets of precision prec where a quotient is a power series; quotients
-    is None when f is not in the ideal, as when every generator is zero."""
-    prec = precision if precision is not None else default_precision(gens + [f])
+    jets of precision prec = default_precision(gens + [f]) where a quotient
+    is a power series; quotients is None when f is not in the ideal, as
+    when every generator is zero."""
+    prec = default_precision(gens + [f])
     if all(g.is_zero() for g in gens):
         return None, prec
     cert = membership(f, standard_basis(gens, LOCAL), precision=prec)
     return (cert.quotients if cert.member else None), prec
 
 
-def euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerCheck:
+def euler_check(f: Polynomial) -> EulerCheck:
     """Is the germ of f at the origin Euler homogeneous?
 
     Equivalent to f lying in its Jacobian ideal over the local ring.  A
@@ -337,14 +337,14 @@ def euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerCheck:
     if diagonal is not None:
         return diagonal
     partials = [f.diff(i) for i in range(len(f.vars))]
-    quotients, _ = _local_quotients(f, partials, precision)
+    quotients, _ = _local_quotients(f, partials)
     if quotients is None:
         return EulerCheck(False, None, True)
     exact = not any(isinstance(q, Jet) for q in quotients)
     return EulerCheck(True, VectorField(list(quotients)), exact)
 
 
-def strong_euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerCheck:
+def strong_euler_check(f: Polynomial) -> EulerCheck:
     """Euler homogeneity with a witness vanishing at the origin.
 
     Equivalent to f lying in m * J_f over the local ring, with m the maximal
@@ -366,7 +366,7 @@ def strong_euler_check(f: Polynomial, precision: Optional[int] = None) -> EulerC
         for j in range(n):
             gens.append(Polynomial.variable(varnames, j) * di)
             slots.append((i, j))
-    quotients, prec = _local_quotients(f, gens, precision)
+    quotients, prec = _local_quotients(f, gens)
     if quotients is None:
         return EulerCheck(False, None, True)
     coeffs: List = [Jet(Polynomial.zero(varnames), prec)] * n

@@ -10,16 +10,17 @@ generalized eigenspace ker (A - lam)^mult; it is reached by Chevalley's
 Newton iteration S <- S - p(S) p'(S)^-1 from S = A, p the product of
 (t - lam) over the distinct eigenvalues, which stops at its first test
 p(A) = 0 when A is diagonalizable.  The splitting is unique
-(Jordan-Chevalley), so the iteration gives the one splitting there is, and
-a certificate checks that the parts commute, that the nilpotent one is
-nilpotent and that the product of (S - lam) over the eigenvalues
-vanishes.  truncated_lie_algebra presents the finite
+(Jordan-Chevalley), so the iteration gives the one splitting there is; its
+last test, that the product of (S - lam) vanishes, certifies S semisimple,
+and a check certifies that the parts commute and that the nilpotent one is
+nilpotent.  truncated_lie_algebra presents the finite
 dimensional quotient D_d = Der_f / m^d Der_f as a basis with structure
 constants, which is then probed for solvability, nilpotent adjoints, and
 the center.
 
 D_d is built through the presentation O^s -> Der_f sending e_i to the i-th
-minimal generator: the quotient equals O^s / (Syz + m^d O^s), a plain
+minimal generator: the quotient equals O^s / (Syz + m^d O^s), Syz spanned
+by the polynomial syzygies (flatness, see standard_bases.syzygies), a plain
 finite dimensional linear-algebra object, reduced by the shared sparse
 `linalg.echelon` and `linalg.remainder`.  Its basis fields are monomial
 multiples x^e.delta_p of the generators.  Only the s(s-1)/2 generator
@@ -48,8 +49,7 @@ from .derlog import LogDerModule, is_product, minimalize
 from .errors import (CertificateFailure, NonRationalEigenvalues, ProductInput,
                      PrecisionRequired, PreconditionViolated)
 from .linalg import (charpoly, echelon, identity, inverse, is_zero_matrix,
-                     mat_add, mat_mul, mat_pow, mat_scale, mat_sub, rank,
-                     remainder)
+                     mat_add, mat_mul, mat_pow, mat_sub, rank, remainder)
 from .orderings import LOCAL
 from .poly import Exponent, Jet, Polynomial
 from .standard_bases import membership, standard_basis, syzygies
@@ -186,16 +186,18 @@ def sn_decompose(A: Sequence[Sequence]) -> SNDecomposition:
 
     With p the product of (t - lam) over the distinct eigenvalues,
     Chevalley's Newton iteration S <- S - p(S) p'(S)^-1 runs from S = A
-    until p(S) = 0; `_check_sn` certifies the result.  Each S is A plus a
-    nilpotent polynomial in A, so it has A's eigenvalues and p'(S) is
-    invertible, p being squarefree; p(S) is divisible by p(A)^(2^k) after
-    k steps, so ceil(log2 m) steps reach p(S) = 0 for the largest
-    multiplicity m, and none are taken when A is diagonalizable.  The S reached is semisimple (p(S) =
-    0 and p has distinct rational roots) and a polynomial in A, so A - S is
-    nilpotent and commutes with S: it is the unique semisimple part, which
-    acts as lam on each generalized eigenspace ker (A - lam)^mult.  The
-    eigenvalues of a triangular matrix are read off its diagonal; those of
-    any other come from its characteristic polynomial, and eigenvalues
+    until p(S) = 0, the test that certifies S semisimple (the split is
+    refused if the steps run out first); `_check_sn` certifies the rest.
+    Each S is A plus a nilpotent polynomial in A, so it has A's
+    eigenvalues and p'(S) is invertible, p being squarefree; p(S) is
+    divisible by p(A)^(2^k) after k steps, so ceil(log2 m) steps reach
+    p(S) = 0 for the largest multiplicity m, and none are taken when A is
+    diagonalizable.  The S reached is semisimple (p(S) = 0 and p has
+    distinct rational roots) and a polynomial in A, so A - S is nilpotent
+    and commutes with S: it is the unique semisimple part, which acts as
+    lam on each generalized eigenspace ker (A - lam)^mult.  The eigenvalues
+    of a triangular matrix are read off its diagonal; those of any other
+    come from its characteristic polynomial, and eigenvalues
     outside the rationals are refused.
     """
     n = len(A)
@@ -207,10 +209,10 @@ def sn_decompose(A: Sequence[Sequence]) -> SNDecomposition:
         roots = _rational_roots(charpoly(A))
     if sum(roots.values()) != n:
         raise CertificateFailure("eigenvalue multiplicities do not add up")
-    # with m the largest multiplicity, p(S) = 0 after ceil(log2 m) steps;
-    # the last step is tested by `_check_sn`
+    # with m the largest multiplicity, p(S) = 0 after ceil(log2 m) steps,
+    # fewer than the bit length of m
     S = A
-    for _ in range(max(roots.values(), default=1).bit_length()):
+    for _ in range(max(roots.values(), default=1).bit_length() + 1):
         factors = [[[x - lam if i == j else x for j, x in enumerate(row)]
                     for i, row in enumerate(S)] for lam in roots]
         p_of_s = functools.reduce(mat_mul, factors, identity(n))
@@ -220,22 +222,18 @@ def sn_decompose(A: Sequence[Sequence]) -> SNDecomposition:
             functools.reduce(mat_mul, factors[:i] + factors[i + 1:],
                              identity(n)) for i in range(len(factors))))
         S = mat_sub(S, mat_mul(p_of_s, inverse(dp_of_s)))
+    else:
+        raise CertificateFailure("semisimple part failed the product test")
     N = mat_sub(A, S)
-    _check_sn(S, N, roots)
+    _check_sn(S, N)
     return SNDecomposition(S, N, roots)
 
 
-def _check_sn(S, N, roots) -> None:
-    n = len(S)
+def _check_sn(S, N) -> None:
     if mat_mul(S, N) != mat_mul(N, S):
         raise CertificateFailure("semisimple and nilpotent parts do not commute")
-    if not is_zero_matrix(mat_pow(N, n + 1)):
+    if not is_zero_matrix(N) and not is_zero_matrix(mat_pow(N, len(N) + 1)):
         raise CertificateFailure("nilpotent part is not nilpotent")
-    acc = identity(n)
-    for lam in roots:
-        acc = mat_mul(acc, mat_sub(S, mat_scale(identity(n), lam)))
-    if not is_zero_matrix(acc):
-        raise CertificateFailure("semisimple part failed the product test")
 
 
 # -- the truncated algebra ------------------------------------------------------
@@ -361,7 +359,7 @@ def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
     if s == 0:
         raise PreconditionViolated("the module has no generators")
 
-    rels = syzygies(gens, LOCAL)
+    rels = syzygies(gens)
     coords = _QuotientCoordinates(rels, s, varnames, d)
 
     # representatives: the monomial multiple of a generator matching each

@@ -2,13 +2,14 @@
 
 Every order is realized as a sort key: larger key = larger monomial, so
 leading terms are max() picks.  There are two orders.  GLOBAL
-(graded-reverse-lex) makes 1 the smallest monomial; it serves syzygies and
-the dimension counts.  LOCAL (local-anti-graded) makes 1 the largest, which
-is what germ-level computations reduce against.
+(graded-reverse-lex) makes 1 the smallest monomial; it serves syzygies,
+local ones too by flatness (standard_bases.syzygies), and the dimension
+counts.  LOCAL (local-anti-graded) makes 1 the largest, which is what
+germ-level memberships reduce against.
 
 Module monomials are (component, exponent) pairs, ordered term over
 position: the monomial first, then the lower component.  elimination_key
-widens a module order for reading syzygies off a basis.
+orders a widened module position over term, GLOBAL within each position.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ GLOBAL = OrderingSpec("graded-reverse-lex")
 LOCAL = OrderingSpec("local-anti-graded")
 
 
-def elimination_key(order: OrderingSpec, front_rank: int) -> Callable[[ModMono], tuple]:
+def elimination_key(front_rank: int) -> Callable[[ModMono], tuple]:
     """Key on a widened module where the first front_rank components dominate
-    every later component (used when reading syzygies off a basis)."""
+    every later component, GLOBAL within each (used when reading syzygies
+    off a basis)."""
 
     def key(m: ModMono):
         comp, exp = m
-        return (1 if comp < front_rank else 0, -comp, order.mono_key(exp))
+        return (1 if comp < front_rank else 0, -comp, GLOBAL.mono_key(exp))
 
     return key

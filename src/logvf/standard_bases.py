@@ -43,12 +43,13 @@ divides by it to return the normal form and the Mora unit of the rational
 reduction.
 
 Sort keys and reducers are each formed once.  standard_basis and syzygies
-wrap their key (module_key or elimination_key) in a _Keys memo that lives
-for that one computation; every lead pick, working element, pair rank,
-prune and final sort reads it.  A StandardBasis forms its own memo and its
-integer reducers, the primitive pairs with a positive lead that the loop
-keeps, from its frozen fields the first time membership needs them, and
-keeps them as long as it lives.  No memo outlives its computation or basis.
+read their family through _read_family and wrap their key (module_key or
+elimination_key) in a _Keys memo, which every lead pick, working element,
+pair rank, prune and final sort reads.  A StandardBasis keeps the loop's
+own elements, primitive integer pairs with a positive lead, and that memo:
+membership reduces against them and leading_monomials reads their leads.
+Only standard_basis makes one, since a non-membership answer needs a true
+standard basis.  No memo outlives its computation or basis.
 
 The rational loop this one replaces is kept in tests/test_standard_bases.py
 as _reference_weak_nf and _reference_buchberger, and a property test
@@ -59,12 +60,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import add, le, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateFailure, PrecisionRequired, PreconditionViolated
 from .orderings import GLOBAL, Exponent, ModMono, OrderingSpec, elimination_key
@@ -253,9 +253,9 @@ def _spair_data(a: _Elem, b: _Elem):
 
 def _buchberger(inputs: List[Tuple[Vec, Optional[Vec]]], keyf, local: bool,
                 rank: int) -> List[_Elem]:
-    """A standard basis of the nonzero input vectors.  Each input comes with
-    its representation over the inputs, or None where no lift is wanted
-    (syzygies read the relations off their tag components)."""
+    """A standard basis of the nonzero input vectors, pruned and sorted by
+    lead.  Each input comes with its representation over the inputs, or
+    None where no lift is wanted (syzygies read them off their tags)."""
     basis = [_Elem(vec, keyf, rep) for vec, rep in inputs if vec]
 
     # pair ranks are computed once, when the pair is pushed; each ends in
@@ -313,10 +313,12 @@ def _buchberger(inputs: List[Tuple[Vec, Optional[Vec]]], keyf, local: bool,
         basis.append(_Elem(nf, keyf, new_rep))
         for s in range(t):
             push(s, t)
+    basis = _prune(basis)
+    basis.sort(key=lambda e: e.key)
     return basis
 
 
-def _prune(basis: List[_Elem], keyf) -> List[_Elem]:
+def _prune(basis: List[_Elem]) -> List[_Elem]:
     """Drop elements whose lead is divisible by another kept lead.
 
     Scanning by ascending lead degree sees divisors before their multiples
@@ -379,13 +381,27 @@ def _family_shape(gens) -> Tuple[Tuple[str, ...], int]:
     return entry.vars, len(first)
 
 
+def _read_family(gens):
+    """(varnames, rank, inputs, cleared): the shape, the members as tuples
+    of polynomials, and (den * member, den) with den clearing it."""
+    varnames, rank = _family_shape(gens)
+    inputs = tuple((g,) if isinstance(g, Polynomial) else tuple(g) for g in gens)
+    cleared = []
+    for g in gens:
+        vec = _to_vec(g, varnames, rank)
+        den = _denominator(vec)
+        cleared.append((_cleared(vec, den), den))
+    return varnames, rank, inputs, cleared
+
+
 @dataclass(frozen=True)
 class StandardBasis:
     """A standard basis together with lifts to the original inputs.
 
     generators[j] is a vector of rank polynomials; lifts[j][k] satisfies
-    generators[j] = sum_k lifts[j][k] * inputs[k].  membership reduces
-    against integer forms of these fields, made on first use and kept.
+    generators[j] = sum_k lifts[j][k] * inputs[k], the vec and rep of the
+    loop's element _elems[j] over its lead coefficient.  membership reduces
+    against _elems under _keyf, the loop's key memo.
     """
 
     generators: Tuple[Tuple[Polynomial, ...], ...]
@@ -394,26 +410,11 @@ class StandardBasis:
     ordering: OrderingSpec
     varnames: Tuple[str, ...]
     rank: int
-
-    @cached_property
-    def _keyf(self):
-        return _Keys(self.ordering.module_key).__getitem__
-
-    @cached_property
-    def _reducers(self) -> Tuple[_Elem, ...]:
-        """The generators with their lifts as integer working elements,
-        formed on first use and kept for the basis's lifetime."""
-        varnames, rank, k = self.varnames, self.rank, len(self.inputs)
-        out = []
-        for g, lift in zip(self.generators, self.lifts):
-            gvec, lvec = _to_vec(g, varnames, rank), _to_vec(lift, varnames, k)
-            den = _denominator(gvec, lvec)
-            out.append(_Elem(_cleared(gvec, den), self._keyf, _cleared(lvec, den)))
-        return tuple(out)
+    _elems: Tuple[_Elem, ...] = field(repr=False, compare=False)
+    _keyf: Callable[[ModMono], tuple] = field(repr=False, compare=False)
 
     def leading_monomials(self) -> List[ModMono]:
-        return [max(_to_vec(g, self.varnames, self.rank), key=self._keyf)
-                for g in self.generators]
+        return [e.lt for e in self._elems]
 
     def polynomials(self) -> List[Polynomial]:
         if self.rank != 1:
@@ -428,28 +429,18 @@ def standard_basis(gens, ordering: Optional[OrderingSpec] = None) -> StandardBas
     sequences of Polynomial (module case).  The result is pruned, monic and
     sorted by ascending lead.
     """
-    varnames, rank = _family_shape(gens)
+    varnames, rank, inputs, cleared = _read_family(gens)
     order = ordering or GLOBAL
     zero = (0,) * len(varnames)
-    cleared = []
-    for i, g in enumerate(gens):
-        vec = _to_vec(g, varnames, rank)
-        den = _denominator(vec)
-        cleared.append((_cleared(vec, den), {(i, zero): den}))
     keyf = _Keys(order.module_key).__getitem__
-    basis = _buchberger(cleared, keyf, order.is_local, rank)
-    basis = _prune(basis, keyf)
-    basis.sort(key=lambda e: e.key)
-
+    basis = _buchberger([(vec, {(i, zero): den})
+                         for i, (vec, den) in enumerate(cleared)],
+                        keyf, order.is_local, rank)
     k = len(gens)
-    generators = []
-    lifts = []
-    for e in basis:
-        generators.append(_rational(e.vec, e.ltc, varnames, rank))
-        lifts.append(_rational(e.rep, e.ltc, varnames, k))
-    inputs = tuple((g,) if isinstance(g, Polynomial) else tuple(g) for g in gens)
-
-    sb = StandardBasis(tuple(generators), tuple(lifts), inputs, order, varnames, rank)
+    generators = tuple(_rational(e.vec, e.ltc, varnames, rank) for e in basis)
+    lifts = tuple(_rational(e.rep, e.ltc, varnames, k) for e in basis)
+    sb = StandardBasis(generators, lifts, inputs, order, varnames, rank,
+                       tuple(basis), keyf)
     _check_lifts(sb)
     return sb
 
@@ -520,7 +511,7 @@ def membership(element, basis: StandardBasis,
                                      _rational({}, 1, varnames, rank),
                                      Polynomial.const(varnames, Fraction(1)))
     local = basis.ordering.is_local
-    belems = basis._reducers
+    belems = basis._elems
     den = _denominator(vec)
     nf, unit, rep, lam = _weak_nf(_cleared(vec, den), belems, basis._keyf,
                                   local)
@@ -562,28 +553,24 @@ def membership(element, basis: StandardBasis,
     return cert
 
 
-def syzygies(gens, ordering: Optional[OrderingSpec] = None) -> List[Tuple[Polynomial, ...]]:
-    """Generators of the syzygy module of gens.
+def syzygies(gens) -> List[Tuple[Polynomial, ...]]:
+    """Generators of the syzygy module of gens over the polynomial ring.
 
     Each returned vector s satisfies sum_k s[k] * gens[k] = 0, checked
-    exactly before returning.  With a global order the syzygies generate
-    over the polynomial ring; with a local order over the local ring.
+    exactly before returning.  Every local syzygy question is answered from
+    them: localization is flat, so the syzygy module over the local ring O
+    at the origin is this one tensored with O, these generate it over O,
+    and since O / m^d = P / m^d their monomial multiples of degree < d span
+    its image in O^s / m^d O^s.
     """
-    varnames, rank = _family_shape(gens)
-    order = ordering or GLOBAL
+    varnames, rank, inputs, cleared = _read_family(gens)
     k = len(gens)
     zero = (0,) * len(varnames)
-    wide: List[Tuple[Vec, None]] = []
-    for i, g in enumerate(gens):
-        vec = _to_vec(g, varnames, rank)
-        den = _denominator(vec)
-        w = _cleared(vec, den)
-        w[(rank + i, zero)] = den
-        wide.append((w, None))
-    keyf = _Keys(elimination_key(order, rank)).__getitem__
-    basis = _buchberger(wide, keyf, order.is_local, rank + k)
-    basis = _prune(basis, keyf)
-    basis.sort(key=lambda e: e.key)
+    for i, (vec, den) in enumerate(cleared):
+        vec[(rank + i, zero)] = den
+    keyf = _Keys(elimination_key(rank)).__getitem__
+    basis = _buchberger([(vec, None) for vec, _ in cleared], keyf, False,
+                        rank + k)
 
     out: List[Tuple[Polynomial, ...]] = []
     for e in basis:
@@ -591,16 +578,14 @@ def syzygies(gens, ordering: Optional[OrderingSpec] = None) -> List[Tuple[Polyno
             continue
         shifted = {(comp - rank, exp): c for (comp, exp), c in e.vec.items()}
         out.append(_rational(shifted, e.ltc, varnames, k))
-    seqs = [(g,) if isinstance(g, Polynomial) else tuple(g) for g in gens]
     zeros = (Polynomial.zero(varnames),) * rank
-    if not remultiplies(out, seqs, [zeros] * len(out)):
+    if not remultiplies(out, inputs, [zeros] * len(out)):
         raise CertificateFailure("syzygy failed re-multiplication")
     return out
 
 
-def module_intersection(fam_a, fam_b, ordering: Optional[OrderingSpec] = None
-                        ) -> List[Tuple[Polynomial, ...]]:
-    """Generators of span(fam_a) meet span(fam_b).
+def module_intersection(fam_a, fam_b) -> List[Tuple[Polynomial, ...]]:
+    """Generators of span(fam_a) meet span(fam_b) over the polynomial ring.
 
     Works through syzygies of the concatenated family: a relation
     sum a_i u_i + sum b_j v_j = 0 exhibits sum a_i u_i as a member of both
@@ -608,7 +593,7 @@ def module_intersection(fam_a, fam_b, ordering: Optional[OrderingSpec] = None
     """
     _, rank = _family_shape(fam_a)
     both = list(fam_a) + list(fam_b)
-    rels = syzygies(both, ordering)
+    rels = syzygies(both)
     seqs = [(g,) if isinstance(g, Polynomial) else g for g in fam_a]
     out = []
     for rel in rels:

@@ -27,6 +27,7 @@ from logvf.linalg import (charpoly, identity, inverse, is_zero_matrix, mat_add,
 from logvf.orderings import LOCAL
 from logvf.poly import Polynomial, poly_parse
 from logvf.standard_bases import standard_basis, syzygies
+from test_standard_bases import _reference_syzygies
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -150,10 +151,29 @@ def test_sn_of_the_empty_matrix_is_the_empty_splitting():
     assert (dec.semisimple, dec.nilpotent, dec.eigenvalues) == ([], [], {})
 
 
+@pytest.mark.parametrize("A", [[[2, 1], [0, 2]], [[1, 1], [-1, 3]],
+                               [[1, 1, 0], [0, 1, 0], [0, 0, 3]],
+                               [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                                [0, 0, 0, 0]]])
+def test_sn_refuses_a_split_whose_newton_steps_fail(monkeypatch, A):
+    # with p'(S)^-1 sabotaged to zero every Newton step leaves S = A, which
+    # is not semisimple here: the loop's own product test is the
+    # certificate, and it refuses once the steps run out
+    assert not is_zero_matrix(sn_decompose(A).nilpotent)
+    monkeypatch.setattr(liealg, "inverse",
+                        lambda M: [[Fraction(0)] * len(M) for _ in M])
+    with pytest.raises(CertificateFailure,
+                       match="^semisimple part failed the product test$"):
+        sn_decompose(A)
+    # a diagonalizable matrix passes the first test and takes no step
+    assert is_zero_matrix(sn_decompose([[1, 1], [0, 2]]).nilpotent)
+
+
 def _reference_sn_decompose(A):
     """sn_decompose by eigenvector assembly, as first written: the columns
     of P are the kernel bases of (A - lam)^mult, eigenvalues in increasing
-    order, S = P diag(lam) P^-1 and N = A - S."""
+    order, S = P diag(lam) P^-1 and N = A - S, with the product test on S
+    made here, since no Newton loop made it."""
     n = len(A)
     A = [[Fraction(x) for x in row] for row in A]
     roots = _rational_roots(charpoly(A))
@@ -169,7 +189,12 @@ def _reference_sn_decompose(A):
         raise CertificateFailure("generalized eigenspaces do not span the space")
     S = mat_mul(transpose(scaled), inverse(transpose(cols)))
     N = mat_sub(A, S)
-    _check_sn(S, N, roots)
+    _check_sn(S, N)
+    acc = identity(n)
+    for lam in roots:
+        acc = mat_mul(acc, mat_sub(S, mat_scale(identity(n), lam)))
+    if not is_zero_matrix(acc):
+        raise CertificateFailure("semisimple part failed the product test")
     return SNDecomposition(S, N, roots)
 
 
@@ -556,7 +581,7 @@ def _per_pair_presentation(module, d):
     off its class coordinates on the dense reference."""
     gens = [tuple(f.coeffs) for f in module.fields]
     varnames = module.varnames
-    coords = _DenseQuotientCoordinates(syzygies(gens, LOCAL), len(gens),
+    coords = _DenseQuotientCoordinates(syzygies(gens), len(gens),
                                        varnames, d)
     reps = []
     for col in coords.free_cols:
@@ -680,6 +705,57 @@ def test_quotient_coordinates_match_dense_on_corpus():
         module = minimalize(derlog_generators(f))
         for d in (1, 2, 3):
             _checked_presentation(module, d)
+
+
+# -- flatness: the polynomial syzygies present the local quotient ---------------
+
+@st.composite
+def quadric_cone(draw):
+    """A nondegenerate quadratic form in three variables: drawn squares and
+    one cross term."""
+    a, b, c, e = (draw(RATIONALS) for _ in range(4))
+    # the determinant of the form's matrix is c * (a * b - e^2 / 4)
+    if 4 * a * b == e * e:
+        e = 2 * e
+    return XYZ, _text([(a, "x^2"), (b, "y^2"), (c, "z^2"), (e, "x*y")])
+
+
+# germs whose minimal generators have syzygies: isolated surface
+# singularities and arrangements of five or six planes in three variables
+NON_FREE = st.one_of(brieskorn_pham(BP_SURFACES), quadric_cone(),
+                     st.integers(5, 6).flatmap(
+                         lambda k: central_arrangement(3, k)))
+
+
+def _local_syzygies(gens):
+    return _reference_syzygies(gens, LOCAL)
+
+
+def test_polynomial_syzygies_present_the_local_quotient():
+    # the local syzygies, read off a Mora basis under a local elimination
+    # key, and the polynomial ones have the same image in O^s / m^d O^s, so
+    # the same reduced rows and pivots, and give the same presentation
+    related = []
+
+    @settings(max_examples=25)
+    @given(NON_FREE)
+    def check(germ):
+        varnames, text = germ
+        module = minimalize(derlog_generators(poly_parse(text, varnames)))
+        gens = [tuple(f.coeffs) for f in module.fields]
+        rels, local = syzygies(gens), _local_syzygies(gens)
+        related.append(bool(rels) and bool(local))
+        for d in (1, 2, 3):
+            got = _QuotientCoordinates(rels, len(gens), varnames, d)
+            ref = _QuotientCoordinates(local, len(gens), varnames, d)
+            assert (got.reduced, got.pivots) == (ref.reduced, ref.pivots)
+        for d in (1, 2):
+            with mock.patch.object(liealg, "syzygies", _local_syzygies):
+                ref = truncated_lie_algebra(module, d)
+            assert truncated_lie_algebra(module, d) == ref
+
+    check()
+    assert len(related) >= 20 and all(related)
 
 
 # -- the theorem: D_d of a free divisor in dimension <= 3 is solvable -----------

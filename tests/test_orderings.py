@@ -65,14 +65,20 @@ def test_keys_are_multiplicative():
 
 
 def test_elimination_key_blocks():
-    o = LOCAL
-    key = elimination_key(o, front_rank=2)
+    key = elimination_key(front_rank=2)
     # anything in the front block beats anything behind it
     assert key((1, (5, 5))) > key((2, (0, 0)))
     assert key((0, (9, 9))) > key((3, (0, 0)))
-    # inside a block the component dominates, then the base order
+    assert key((1, (0, 0))) > key((2, (9, 9)))
+    # inside a block the component dominates, then GLOBAL
     assert key((2, (1, 0))) > key((3, (0, 0)))
-    assert key((2, (0, 0))) > key((2, (1, 0)))
+    assert key((2, (0, 0))) > key((3, (4, 4)))
+    assert key((2, (1, 0))) > key((2, (0, 0)))
+    assert key((2, (0, 2))) > key((2, (1, 0)))
+    monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1)]
+    for comp in (0, 3):
+        assert sorted(monos, key=lambda e: key((comp, e))) == \
+            sorted(monos, key=GLOBAL.mono_key)
 
 
 def test_is_local_flag():

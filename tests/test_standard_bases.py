@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import logvf.derlog as derlog
 import logvf.standard_bases as sbm
 from logvf.errors import CertificateFailure, PrecisionRequired, PreconditionViolated
-from logvf.orderings import GLOBAL, LOCAL, elimination_key
+from logvf.orderings import GLOBAL, LOCAL, OrderingSpec, elimination_key
 from logvf.poly import Jet, Polynomial, poly_parse, sum_of_products
 from logvf.report import analyze, parse_div
 from logvf.standard_bases import (MembershipCertificate, default_precision,
@@ -208,12 +209,21 @@ def test_random_syzygies_remultiply(seeded=None):
 
 
 def test_local_syzygies():
+    # the polynomial syzygies generate the local ones (flatness): each
+    # relation the local reference loop finds is a local combination of them
     f = p("x + x^2")
     g = p("x*y")
-    rels = syzygies([f, g], LOCAL)
+    rels = syzygies([f, g])
     for rel in rels:
         assert (rel[0] * f + rel[1] * g).is_zero()
     assert rels
+    local = _reference_syzygies([f, g], LOCAL)
+    assert local
+    span = standard_basis(rels, LOCAL)
+    for rel in local:
+        assert (rel[0] * f + rel[1] * g).is_zero()
+        cert = membership(rel, span, precision=6)
+        assert cert.member and cert.verify(rel, rels)
 
 
 # -- intersections -------------------------------------------------------------
@@ -306,14 +316,13 @@ def test_lift_check_refuses_a_rescaled_lift(monkeypatch):
         standard_basis(gens)
 
 
-@pytest.mark.parametrize("order", [None, LOCAL])
-def test_syzygy_check_refuses_a_rescaled_entry(monkeypatch, order):
+def test_syzygy_check_refuses_a_rescaled_entry(monkeypatch):
     gens = [p("x + x^2"), p("y")]
-    assert syzygies(gens, order)
+    assert syzygies(gens)
     _break_conversion(monkeypatch, len(gens),
                       lambda syz: (2 * syz[0],) + syz[1:])
     with pytest.raises(CertificateFailure, match="syzygy failed re-multiplication"):
-        syzygies(gens, order)
+        syzygies(gens)
 
 
 def _drop_lowest_term(quotients):
@@ -516,15 +525,31 @@ def _ref_from_vec(vec, varnames, rank):
     return tuple(Polynomial(b, varnames) for b in buckets)
 
 
+@dataclass(frozen=True)
+class _RefBasis:
+    """The public fields of a StandardBasis, with its leads read off the
+    rational generators as they first were."""
+
+    generators: tuple
+    lifts: tuple
+    inputs: tuple
+    ordering: OrderingSpec
+    varnames: tuple
+    rank: int
+
+    def leading_monomials(self):
+        return [max(sbm._to_vec(g, self.varnames, self.rank),
+                    key=self.ordering.module_key) for g in self.generators]
+
+
 def _reference_standard_basis(gens, ordering=None):
     varnames, rank = sbm._family_shape(gens)
     order = ordering or GLOBAL
     vecs = [sbm._to_vec(g, varnames, rank) for g in gens]
     keyf = order.module_key
-    basis = sbm._prune(_reference_buchberger(vecs, keyf, order.is_local, rank),
-                       keyf)
+    basis = sbm._prune(_reference_buchberger(vecs, keyf, order.is_local, rank))
     basis.sort(key=lambda e: e.key)
-    return sbm.StandardBasis(
+    return _RefBasis(
         tuple(_ref_from_vec(e.vec, varnames, rank) for e in basis),
         tuple(_ref_from_vec(e.rep, varnames, len(gens)) for e in basis),
         tuple(_ref_from_vec(v, varnames, rank) for v in vecs),
@@ -569,7 +594,20 @@ def _reference_membership(element, basis, precision=None):
                                  precision, nf_vec, unit_poly)
 
 
+def _elimination_key(order, front_rank):
+    """elimination_key with order, not GLOBAL, inside each block: LOCAL
+    gives the local syzygies the library once read off a Mora basis."""
+
+    def key(m):
+        comp, exp = m
+        return (1 if comp < front_rank else 0, -comp, order.mono_key(exp))
+
+    return key
+
+
 def _reference_syzygies(gens, ordering=None):
+    """Syzygies over the polynomial ring (GLOBAL) or over the local ring at
+    the origin (LOCAL), read off the rational reference loop."""
     varnames, rank = sbm._family_shape(gens)
     order = ordering or GLOBAL
     k = len(gens)
@@ -579,9 +617,9 @@ def _reference_syzygies(gens, ordering=None):
         w = sbm._to_vec(g, varnames, rank)
         w[(rank + i, zero)] = Fraction(1)
         wide.append(w)
-    keyf = elimination_key(order, rank)
+    keyf = _elimination_key(order, rank)
     basis = sbm._prune(_reference_buchberger(wide, keyf, order.is_local,
-                                             rank + k), keyf)
+                                             rank + k))
     basis.sort(key=lambda e: e.key)
     return [_ref_from_vec({(comp - rank, exp): c
                            for (comp, exp), c in e.vec.items()}, varnames, k)
@@ -695,8 +733,8 @@ def test_integer_core_matches_the_rational_reference(family, order, data):
             _same_certificates(
                 _outcome(lambda: membership(probe, sb, precision)),
                 _outcome(lambda: _reference_membership(probe, ref, precision)))
-    assert [[_terms(p) for p in rel] for rel in syzygies(gens, order)] == \
-        [[_terms(p) for p in rel] for rel in _reference_syzygies(gens, order)]
+    assert [[_terms(p) for p in rel] for rel in syzygies(gens)] == \
+        [[_terms(p) for p in rel] for rel in _reference_syzygies(gens)]
     if rank == 1:
         assert ideal_dimension(gens, order) == _reference_dimension(gens, order)
 
@@ -721,14 +759,51 @@ def test_dimension_matches_the_reference_on_the_corpus_ideals(monkeypatch):
         assert ideal_dimension(gens) == _reference_dimension(gens)
 
 
-# -- per-basis reducers and per-computation keys ---------------------------------
+# -- the loop's elements kept as reducers, and per-computation keys -----------
+
+def _reference_reducers(sb):
+    """The integer reducers as a basis once rebuilt them from its rational
+    fields: each generator with its lift, denominators cleared, as a
+    working element under a fresh key memo."""
+    varnames, rank, k = sb.varnames, sb.rank, len(sb.inputs)
+    keyf = sbm._Keys(sb.ordering.module_key).__getitem__
+    out = []
+    for g, lift in zip(sb.generators, sb.lifts):
+        gvec, lvec = sbm._to_vec(g, varnames, rank), sbm._to_vec(lift, varnames, k)
+        den = sbm._denominator(gvec, lvec)
+        out.append(sbm._Elem(sbm._cleared(gvec, den), keyf,
+                             sbm._cleared(lvec, den)))
+    return out
+
+
+@settings(max_examples=150)
+@given(_families(), st.sampled_from(ORDERS))
+def test_kept_elements_are_the_rational_generators_and_lifts(family, order):
+    # each element the loop keeps, divided by its lead coefficient, is its
+    # rational generator and lift; it equals field for field the reducer
+    # once rebuilt from them; and the leads are the max-key terms of the
+    # rational generators
+    rank, gens = family
+    sb = standard_basis(gens, order)
+    assert len(sb._elems) == len(sb.generators) == len(sb.lifts)
+    for e, g, lift in zip(sb._elems, sb.generators, sb.lifts):
+        assert e.ltc > 0
+        assert sbm._rational(e.vec, e.ltc, sb.varnames, rank) == g
+        assert sbm._rational(e.rep, e.ltc, sb.varnames, len(gens)) == lift
+    for e, ref in zip(sb._elems, _reference_reducers(sb)):
+        for name in sbm._Elem.__slots__:
+            assert getattr(e, name) == getattr(ref, name), name
+    assert sb.leading_monomials() == [
+        max(sbm._to_vec(g, sb.varnames, rank), key=order.module_key)
+        for g in sb.generators]
+
 
 @settings(max_examples=100)
 @given(_families(), st.sampled_from(ORDERS), st.data())
 def test_membership_reducers_carry_no_state_between_calls(family, order, data):
-    # a basis forms its integer reducers and key memo on first use and keeps
-    # them: the same probes asked in either order, and asked of a fresh
-    # basis built from the same fields, get the same certificates
+    # a basis keeps its loop's elements and key memo: the same probes asked
+    # in either order, and asked of a second basis computed from the same
+    # family, get the same certificates
     rank, gens = family
     sb = standard_basis(gens, order)
     calls = [(probe, precision) for probe in _probes(data.draw, rank, gens)
@@ -736,12 +811,40 @@ def test_membership_reducers_carry_no_state_between_calls(family, order, data):
     forward = [_outcome(lambda: membership(q, sb, prec)) for q, prec in calls]
     backward = [_outcome(lambda: membership(q, sb, prec))
                 for q, prec in reversed(calls)][::-1]
-    fresh = sbm.StandardBasis(sb.generators, sb.lifts, sb.inputs, sb.ordering,
-                              sb.varnames, sb.rank)
+    fresh = standard_basis(gens, order)
+    assert fresh == sb and fresh._elems is not sb._elems
     again = [_outcome(lambda: membership(q, fresh, prec)) for q, prec in calls]
     for got in (backward, again):
         for a, b in zip(got, forward):
             _same_certificates(a, b)
+
+
+def test_memberships_make_no_key_memo_and_clear_no_generator(monkeypatch):
+    # a module under the local order, so reductions run Mora's loop
+    gens = [(p("x + x^2"), p("y")), (p("y^2"), p("x*y"))]
+    sb = standard_basis(gens, LOCAL)
+    memos, cleared = [], []
+    real_cleared = sbm._cleared
+
+    class CountedKeys(sbm._Keys):
+        def __init__(self, key):
+            memos.append(key)
+            super().__init__(key)
+
+    def counted_cleared(vec, den):
+        cleared.append(vec)
+        return real_cleared(vec, den)
+
+    monkeypatch.setattr(sbm, "_Keys", CountedKeys)
+    monkeypatch.setattr(sbm, "_cleared", counted_cleared)
+    probes = [(p("x + x^2"), p("y")),
+              (p("(1 + x)*(x + x^2) + y^2"), p("(1 + x)*y + x*y")),
+              (p("x"), p("0")), (p("0"), p("0"))]
+    for probe in probes:
+        membership(probe, sb, precision=6)
+    # only the nonzero elements themselves are cleared, once each
+    assert memos == []
+    assert cleared == [sbm._to_vec(q, XY, 2) for q in probes[:3]]
 
 
 @given(st.lists(st.tuples(st.integers(0, 3),
@@ -749,7 +852,7 @@ def test_membership_reducers_carry_no_state_between_calls(family, order, data):
                 unique=True, max_size=12),
        st.sampled_from(ORDERS), st.integers(0, 4))
 def test_key_memo_sorts_as_its_key(monos, order, front_rank):
-    for key in (order.module_key, elimination_key(order, front_rank)):
+    for key in (order.module_key, elimination_key(front_rank)):
         memo = sbm._Keys(key).__getitem__
         assert sorted(monos, key=memo) == sorted(monos, key=key)
         # the second pass reads every key from the memo
