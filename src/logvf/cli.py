@@ -167,7 +167,7 @@ def _lie(germ: Germ, args, factors):
 
 def _normalize(germ: Germ, args, factors):
     fs = formal_structure(germ, args.trunc)
-    block = rp.formal_summary(fs, germ.f)
+    block = rp.formal_summary(fs)
     lines = [f"f = {germ.f}  (truncation {fs.trunc})",
              f"s = {fs.s}, r = {fs.r}, stabilized: {fs.stabilized}"]
     for i, row in enumerate(block["weights"]):

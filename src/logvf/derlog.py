@@ -10,7 +10,9 @@ delta(f) = cofactor * f, so each generator is certified once, there.
 The syzygies are polynomial; by the flatness argument in the syzygies
 docstring the same fields generate the germ-level module at the origin.
 Minimality is settled by Nakayama's lemma, from the values at 0 of the
-syzygies of the generators; freeness and Euler homogeneity by local
+syzygies of the generators, in one elimination whose pivot columns are the
+redundant generators (tests/test_derlog.py keeps the greedy loop it replaces
+as _reference_greedy_minimalize); freeness and Euler homogeneity by local
 membership.
 """
 
@@ -19,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (CertificateFailure, NotAtOrigin, NotFree, NotLogarithmic,
                      PrecisionRequired, PreconditionViolated, WrongCount)
-from .linalg import echelon, nullspace, remainder
+from .linalg import echelon, nullspace
 from .orderings import LOCAL
 from .poly import Jet, Polynomial
 from .standard_bases import (StandardBasis, default_precision,
@@ -105,34 +107,35 @@ def derlog_generators(f: Polynomial) -> LogDerModule:
 def minimalize(module: LogDerModule) -> LogDerModule:
     """Drop generators that are redundant over the local ring at the origin.
 
-    Greedy removal, highest coefficient degree first, decided by Nakayama's
-    lemma: generators g_j (j in S) of M generate it over the local ring
-    exactly when their images span M/mM, which is Q^k modulo Syz(0), the
-    values at 0 of the syzygies of all k generators.  Those syzygies are
-    computed once, over the polynomial ring; they generate the local
-    syzygy module too (flatness, see the syzygies docstring).  While
-    `keep` generates M, generator idx goes exactly when e_idx lies in
-    span(e_j : j in rest) + Syz(0).  Each removal is then witnessed by a
-    combination of exact, re-multiplied syzygies whose coefficient at the
-    removed generator is 1 at 0, a unit: dividing by it writes g_idx in the
-    other generators over the local ring.  A generating set with no
-    removable member is minimal.  The sort keys are the module's own when
-    it carries them (a module from `derlog_generators` does), else each is
-    formed once here, for the greedy order and the canonical order of the
-    result.
+    By Nakayama's lemma, generators of M are minimal exactly when their
+    images form a basis of M/mM = Q^k / V, where V is spanned by Syz(0),
+    the values at 0 of the syzygies of the k generators; those syzygies
+    are computed once, over the polynomial ring, and generate the local
+    ones too (flatness, see the syzygies docstring).  The greedy loop that
+    visits the generators by descending sort key, ties in index order,
+    drops c_t when e_{c_t} lies in span(e_j : j kept, j != c_t) + V, that
+    is, when some v in V has v_{c_t} != 0 and vanishes at the generators
+    already dropped.  In the reduced echelon form of V with the columns in
+    that order, such a v exists exactly when c_t is a pivot: a v that is
+    zero on the earlier pivots is a combination of the later pivot rows,
+    which vanish on every earlier column.  By induction the pivots are the
+    dropped generators, so one elimination gives the loop's answer, and
+    the free columns, a basis of Q^k / V, are kept.  When every column is
+    a pivot (only a hand-made module of zero fields), the loop keeps its
+    last, lowest-key generator, and so does this.  The sort keys are the
+    module's own when it carries them, else each is formed once here.
     """
     vecs = [_field_vector(fld) for fld in module.fields]
-    syz0 = [dict(enumerate(q.constant_term() for q in syz))
-            for syz in syzygies(vecs)] if len(vecs) > 1 else []
     keys = module.keys or [_sort_key(fld) for fld in module.fields]
-    keep = list(range(len(vecs)))
-    for idx in sorted(keep, key=keys.__getitem__, reverse=True):
-        rest = [j for j in keep if j != idx]
-        if not rest:
-            continue
-        span = echelon(syz0 + [{j: Fraction(1)} for j in rest])
-        if not remainder({idx: Fraction(1)}, *span):
-            keep = rest
+    visit = sorted(range(len(vecs)), key=keys.__getitem__, reverse=True)
+    pivots: List[int] = []
+    if len(vecs) > 1:
+        column = {i: t for t, i in enumerate(visit)}
+        syz0 = [{column[i]: q.constant_term() for i, q in enumerate(syz)}
+                for syz in syzygies(vecs)]
+        pivots = echelon(syz0)[1]
+    dropped = {visit[t] for t in pivots}
+    keep = [i for i in range(len(vecs)) if i not in dropped] or visit[-1:]
     fields, cofs, kept = _canonical_order([keys[i] for i in keep],
                                           [module.fields[i] for i in keep],
                                           [module.cofactors[i] for i in keep])
@@ -261,9 +264,11 @@ def diagonal_symmetry_space(f: Polynomial) -> List[Tuple[Fraction, Tuple[Fractio
     """Diagonal fields sum w_i x_i d_i with sum w_i a_i = lam on every
     exponent a of f, returned as a basis of (lam, w) vectors.
 
-    Entries are scaled to primitive integer vectors when possible.
+    Each vector is scaled by the lcm of its denominators.  The kernel
+    vectors of `nullspace` have a 1 at their free column, so the scaled
+    vector is a primitive integer vector: a prime dividing the lcm misses
+    the numerator of an entry whose denominator holds its full power.
     """
-    n = len(f.vars)
     if f.is_zero():
         raise PreconditionViolated("zero polynomial has every symmetry")
     rows = []
@@ -274,15 +279,8 @@ def diagonal_symmetry_space(f: Polynomial) -> List[Tuple[Fraction, Tuple[Fractio
     basis = nullspace(rows)
     out = []
     for v in basis:
-        lcm = 1
-        for x in v:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        scaled = [x * lcm for x in v]
-        g = 0
-        for x in scaled:
-            g = gcd(g, x.numerator)
-        if g > 1:
-            scaled = [x / g for x in scaled]
+        m = lcm(*(x.denominator for x in v))
+        scaled = [x * m for x in v]
         out.append((scaled[0], tuple(scaled[1:])))
     return out
 
@@ -427,13 +425,9 @@ def koszul_free_check(fields: Sequence[VectorField],
             name = "_" + name
         conames.append(name)
     wide = tuple(varnames) + tuple(conames)
-    symbols = []
-    for field in fields:
-        sym = Polynomial.zero(wide)
-        for j, a in enumerate(_field_vector(field)):
-            for exp, c in a.terms.items():
-                wexp = list(exp) + [0] * n
-                wexp[n + j] += 1
-                sym = sym + Polynomial.monomial(wide, tuple(wexp), c)
-        symbols.append(sym)
+    xi = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    symbols = [Polynomial({exp + xi[j]: c
+                           for j, a in enumerate(_field_vector(field))
+                           for exp, c in a.terms.items()}, wide)
+               for field in fields]
     return ideal_dimension(symbols) == n

@@ -53,7 +53,9 @@ def _run_stage(report: dict, timings: dict, name: str, fn) -> bool:
     return answered
 
 
-def formal_summary(fs, f: Polynomial) -> dict:
+def formal_summary(fs) -> dict:
+    """The JSON block of a FormalStructure; `cor16` is `verify_cor16`'s
+    list, read off the structure, or None when it is not free."""
     out = {
         "s": fs.s,
         "r": fs.r,
@@ -67,7 +69,7 @@ def formal_summary(fs, f: Polynomial) -> dict:
         "euler_index": fs.euler_index,
     }
     try:
-        out["cor16"] = verify_cor16(fs, f)
+        out["cor16"] = verify_cor16(fs)
     except NotFree:
         out["cor16"] = None
     return out
@@ -178,7 +180,7 @@ def _koszul(rq: _Request) -> Optional[bool]:
 
 def _formal(rq: _Request) -> dict:
     rq.fs = formal_structure(rq.target, rq.trunc)
-    return formal_summary(rq.fs, rq.target.f)
+    return formal_summary(rq.fs)
 
 
 def _factors(rq: _Request) -> dict:

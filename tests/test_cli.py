@@ -267,6 +267,20 @@ def test_normalize_reports_typed_error(capsys):
     assert data["error"] == "NonRationalEigenvalues"
 
 
+def test_normalize_refuses_a_truncation_at_the_order(capsys):
+    code, out, _ = run(capsys, "normalize", "--vars", "x,y",
+                       "--poly", "x^2+y^3", "--trunc", "2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["error"] == "TruncationTooSmall"
+    assert data["detail"] == "need truncation above the order 2 of f"
+    code, out, _ = run(capsys, "normalize", "--vars", "x,y",
+                       "--poly", "x^2+y^3", "--trunc", "2")
+    assert code == 0
+    assert out == ("normalize: TruncationTooSmall: need truncation above "
+                   "the order 2 of f\n")
+
+
 def test_cech_subcommand(capsys):
     code, out, _ = run(capsys, "cech", "--vars", "x,y,z",
                        "--poly", "x*y*z", "--json")

@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,15 @@ from logvf.derlog import (EulerCheck, Germ, LogDerModule, coefficient_matrix,
                           derlog_generators, diagonal_symmetry_space, euler_check,
                           is_product, koszul_free_check, minimalize, poly_det,
                           saito_free_check, squarefree_check, strong_euler_check)
+from logvf.derlog import _canonical_order, _field_vector, _sort_key
 from logvf.errors import (CertificateFailure, NotAtOrigin, NotFree,
                           NotLogarithmic, PrecisionRequired,
                           PreconditionViolated, WrongCount)
+from logvf.linalg import echelon, nullspace, remainder
 from logvf.orderings import LOCAL
 from logvf.poly import Polynomial, poly_parse
 from logvf.report import analyze, parse_div
-from logvf.standard_bases import membership, standard_basis
+from logvf.standard_bases import membership, standard_basis, syzygies
 from logvf.vfield import VectorField, vf_to_str
 from test_liealg import BP_CURVES, GENERATED, PLANE_CURVES, brieskorn_pham
 
@@ -227,6 +230,7 @@ def test_minimalize_drops_multiples():
     out = minimalize(padded)
     assert len(out.fields) == 2
     assert out == _reference_minimalize(padded)
+    _same_module(out, _reference_greedy_minimalize(padded))
 
 
 # -- minimality by Nakayama against per-generator local membership ---------------
@@ -335,6 +339,175 @@ def test_minimalize_makes_one_syzygy_call_and_no_standard_basis(monkeypatch):
         before = len(calls)
         minimalize(module)
         assert len(calls) - before == (1 if len(module.fields) > 1 else 0), name
+
+
+# -- one elimination against the greedy loop --------------------------------------
+
+def _reference_greedy_minimalize(module):
+    """The greedy Nakayama loop that `minimalize` replaces: by descending
+    key, generator idx goes when e_idx lies in span(e_j : j kept, j != idx)
+    + Syz(0), one elimination and one remainder per generator."""
+    vecs = [_field_vector(fld) for fld in module.fields]
+    syz0 = [dict(enumerate(q.constant_term() for q in syz))
+            for syz in syzygies(vecs)] if len(vecs) > 1 else []
+    keys = module.keys or [_sort_key(fld) for fld in module.fields]
+    keep = list(range(len(vecs)))
+    for idx in sorted(keep, key=keys.__getitem__, reverse=True):
+        rest = [j for j in keep if j != idx]
+        if not rest:
+            continue
+        span = echelon(syz0 + [{j: Fraction(1)} for j in rest])
+        if not remainder({idx: Fraction(1)}, *span):
+            keep = rest
+    fields, cofs, kept = _canonical_order([keys[i] for i in keep],
+                                          [module.fields[i] for i in keep],
+                                          [module.cofactors[i] for i in keep])
+    return LogDerModule(module.f, fields, cofs, minimal=True, keys=kept)
+
+
+def _padded(module, kinds, order):
+    """The module with redundant generators added, one per kind (a multiple
+    x*a, a sum a+b, a unit multiple (1+x)*b, a repeat of a, a zero field),
+    its generators then put in `order`."""
+    f = module.f
+    x = Polynomial.variable(f.vars, 0)
+    unit = Polynomial.const(f.vars, 1) + x
+    zero = Polynomial.zero(f.vars)
+    a, b = module.fields[0], module.fields[-1]
+    ca, cb = module.cofactors[0], module.cofactors[-1]
+    extra = {"multiple": (a.mul_function(x), ca * x),
+             "sum": (a + b, ca + cb),
+             "unit": (b.mul_function(unit), cb * unit),
+             "repeat": (a, ca),
+             "zero": (VectorField([zero] * len(f.vars)), zero)}
+    pairs = list(zip(module.fields, module.cofactors))
+    pairs += [extra[kind] for kind in kinds]
+    pairs = [pairs[i % len(pairs)] for i in order]
+    return LogDerModule(f, tuple(p[0] for p in pairs),
+                        tuple(p[1] for p in pairs))
+
+
+def _same_module(got, want):
+    assert (got.fields, got.cofactors, got.keys, got.minimal) == \
+        (want.fields, want.cofactors, want.keys, want.minimal)
+
+
+PADDINGS = st.lists(st.sampled_from(("multiple", "sum", "unit", "repeat",
+                                     "zero")), max_size=5)
+
+
+@settings(max_examples=30)
+@given(GENERATED, PADDINGS, st.data())
+def test_one_elimination_keeps_what_the_greedy_loop_keeps(germ, kinds, data):
+    module = derlog_generators(poly_parse(germ[1], germ[0]))
+    _same_module(minimalize(module), _reference_greedy_minimalize(module))
+    size = len(module.fields) + len(kinds)
+    order = data.draw(st.permutations(range(size)))
+    padded = _padded(module, kinds, order)
+    _same_module(minimalize(padded), _reference_greedy_minimalize(padded))
+
+
+def test_a_module_of_zero_fields_keeps_its_last_generator():
+    # every column of Syz(0) is a pivot; the loop keeps the generator it
+    # visits last
+    zero = Polynomial.zero(XY)
+    field = VectorField([zero, zero])
+    module = LogDerModule(CUSP, (field,) * 3, (zero,) * 3)
+    out = minimalize(module)
+    assert out.fields == (field,) and out.cofactors == (zero,)
+    _same_module(out, _reference_greedy_minimalize(module))
+
+
+def test_minimalize_makes_one_elimination_and_no_remainder(monkeypatch):
+    import logvf.derlog as dl
+    import logvf.linalg as la
+    calls = []
+    echelon_of = la.echelon
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return echelon_of(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimalize needs no remainder")
+
+    for module in (dl, la):
+        monkeypatch.setattr(module, "echelon", counted, raising=False)
+        monkeypatch.setattr(module, "remainder", refuse, raising=False)
+    padded = _padded(derlog_generators(CUSP), ("multiple", "sum"), range(4))
+    modules = [derlog_generators(f) for _, f in _corpus_germs()] + [padded]
+    for module in modules:
+        del calls[:]
+        minimalize(module)
+        assert len(calls) <= 1, str(module.f)
+
+
+def _reference_diagonal_scaling(v):
+    lcm = 1
+    for x in v:
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    scaled = [x * lcm for x in v]
+    g = 0
+    for x in scaled:
+        g = gcd(g, x.numerator)
+    if g > 1:
+        scaled = [x / g for x in scaled]
+    return scaled[0], tuple(scaled[1:])
+
+
+def _assert_diagonal_scaling_matches(f):
+    rows = [[Fraction(-1)] + [Fraction(e) for e in exp] for exp in f.terms]
+    want = [_reference_diagonal_scaling(v) for v in nullspace(rows)]
+    assert diagonal_symmetry_space(f) == want, str(f)
+
+
+def test_diagonal_symmetry_space_scales_as_the_lcm_and_gcd_loops():
+    for name, f in _corpus_germs():
+        _assert_diagonal_scaling_matches(f)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                          st.integers(0, 12)), min_size=1, max_size=4))
+def test_lcm_scaling_is_primitive_on_drawn_exponents(exps):
+    _assert_diagonal_scaling_matches(
+        Polynomial({e: Fraction(1) for e in exps}, XYZ))
+
+
+def _reference_symbols(fields, wide):
+    n = len(wide) // 2
+    symbols = []
+    for field in fields:
+        sym = Polynomial.zero(wide)
+        for j, a in enumerate(field.coeffs):
+            for exp, c in a.terms.items():
+                wexp = list(exp) + [0] * n
+                wexp[n + j] += 1
+                sym = sym + Polynomial.monomial(wide, tuple(wexp), c)
+        symbols.append(sym)
+    return symbols
+
+
+def test_koszul_symbols_are_the_monomial_sums(monkeypatch):
+    import logvf.derlog as dl
+    seen = []
+    dimension = dl.ideal_dimension
+
+    def recording(symbols):
+        seen.append(symbols)
+        return dimension(symbols)
+
+    monkeypatch.setattr(dl, "ideal_dimension", recording)
+    for name, f in _corpus_germs():
+        germ = Germ(f)
+        fields = list(germ.module.fields)
+        if len(fields) != len(f.vars) or \
+                not saito_free_check(fields, germ).free:
+            continue
+        del seen[:]
+        koszul_free_check(fields, germ)
+        (symbols,) = seen
+        assert symbols == _reference_symbols(fields, symbols[0].vars), name
 
 
 def test_saito_check_is_computed_once_per_germ(monkeypatch):

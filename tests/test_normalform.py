@@ -8,13 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
+from logvf.errors import (CertificateFailure, LogvfError,
+                          NonRationalEigenvalues,
                           NotAtOrigin, NotFree, PrecisionRequired,
                           PreconditionViolated, ProductInput,
                           TruncationTooSmall, VanishesAtOrigin,
                           VariableMismatch)
 from logvf.poly import (Jet, Polynomial, WeightSystem, as_poly, graded_parts,
-                        multihomog_decompose_poly)
+                        multihomog_decompose_poly, poly_parse, sum_of_products)
 from logvf.vfield import (VectorField, field_graded_parts, lie_bracket,
                           vf_to_str)
 from logvf.derlog import derlog_generators, minimalize
@@ -35,8 +36,9 @@ from logvf.normalform import (_check_multihomog, _chop_field,
                               _semisimple_diagonal, _series_quotient,
                               _solve_field_equation, _unit_inverse, _wdeg)
 from logvf.orderings import GLOBAL, LOCAL
-from logvf.report import parse_div
+from logvf.report import analyze, parse_div
 from logvf.standard_bases import membership, standard_basis
+from test_liealg import FREE_GERMS
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -1482,7 +1484,7 @@ def test_formal_structure_cusp():
     nu = fs.nus[0].as_polynomial_field()
     sigma = fs.sigmas[0]
     assert lie_bracket(sigma, nu) == nu.scale(Fraction(1, 6))
-    assert verify_cor16(fs, CUSP) == [True]
+    assert verify_cor16(fs) == [True]
 
 
 def test_formal_structure_perturbed_cusp_matches_plain():
@@ -1495,7 +1497,7 @@ def test_formal_structure_perturbed_cusp_matches_plain():
     assert fs.eigentable == base.eigentable
     assert fs.change.images[0] == X - Y**2
     assert as_poly(fs.transformed) == CUSP
-    assert verify_cor16(fs, pert) == [True]
+    assert verify_cor16(fs) == [True]
 
 
 def test_formal_structure_normal_crossing_three_vars():
@@ -1504,7 +1506,7 @@ def test_formal_structure_normal_crossing_three_vars():
     assert (fs.s, fs.r) == (3, 0)
     names = sorted(vf_to_str(s) for s in fs.sigmas)
     assert names == ["x*d_x", "y*d_y", "z*d_z"]
-    assert verify_cor16(fs, f) == [True, True, True]
+    assert verify_cor16(fs) == [True, True, True]
 
 
 def test_formal_structure_homogeneous_quartic_with_sl2():
@@ -1522,7 +1524,7 @@ def test_formal_structure_homogeneous_quartic_with_sl2():
     # the two complement fields carry opposite bracket eigenvalues
     for i in range(2):
         assert fs.eigentable[i][0] == -fs.eigentable[i][1]
-    assert verify_cor16(fs, f) == [True, True]
+    assert verify_cor16(fs) == [True, True]
 
 
 def test_formal_structure_transform_identity():
@@ -1566,7 +1568,93 @@ def test_verify_cor16_rejects_non_free():
     fs = formal_structure(arrangement, 6)
     assert fs.s + fs.r > 3
     with pytest.raises(NotFree):
-        verify_cor16(fs, arrangement)
+        verify_cor16(fs)
+
+
+def test_formal_structure_refuses_a_truncation_at_or_below_the_order():
+    # cut at or below the order of f, the equation is zero below d
+    for f, d in ((CUSP, 2), (X * Y * (X + Y), 2), (X * Y * (X + Y), 3)):
+        with pytest.raises(TruncationTooSmall,
+                           match=f"^need truncation above the order "
+                                 f"{f.low_degree()} of f$"):
+            formal_structure(f, d)
+    with pytest.raises(TruncationTooSmall,
+                       match="^need truncation at least 2$"):
+        formal_structure(X * Y, 1)
+    report = analyze(CUSP, trunc=2)
+    assert report["formal"] == {
+        "error": "TruncationTooSmall",
+        "detail": "need truncation above the order 2 of f"}
+
+
+def test_formal_structure_reads_each_kept_multidegree_once(monkeypatch):
+    calls = []
+    multidegree = normalform._field_multidegree
+
+    def counted(v, W):
+        calls.append(1)
+        return multidegree(v, W)
+
+    monkeypatch.setattr(normalform, "_field_multidegree", counted)
+    for name, f in _corpus_germs():
+        del calls[:]
+        try:
+            fs = formal_structure(f)
+        except LogvfError:
+            continue
+        assert len(calls) == fs.r, name
+
+
+def _reference_cor16(fs, f):
+    """verify_cor16 as first written: recompose unit * (f o change), compare
+    it with the stored transform, and apply each sigma to it."""
+    if fs.s + fs.r != len(f.vars):
+        raise NotFree("degree-sum check needs s + r = n")
+    d = fs.trunc
+    rep = sum_of_products([(as_poly(fs.unit), fs.change.apply(f))], d)
+    if rep != as_poly(fs.transformed):
+        raise CertificateFailure("stored transform disagrees with recompute")
+    out = []
+    for i in range(fs.s):
+        target = sum(fs.weights[i], Fraction(0)) + \
+            sum(fs.eigentable[i], Fraction(0))
+        diff = chop(as_poly(fs.sigmas[i].apply(rep)) - rep * target, d)
+        out.append(diff.is_zero())
+    return out
+
+
+def _cor16_agrees(f):
+    """Whether formal_structure gives a free answer on f, after requiring
+    that both degree-sum checks give the same list or both refuse."""
+    try:
+        fs = formal_structure(f)
+    except LogvfError:
+        return False
+    outcomes = []
+    for check, args in ((verify_cor16, (fs,)), (_reference_cor16, (fs, f))):
+        try:
+            outcomes.append(check(*args))
+        except NotFree as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1], str(f)
+    return isinstance(outcomes[0], list)
+
+
+def test_degree_sum_is_the_recomputed_check_on_generated_free_germs():
+    answered = []
+
+    @settings(max_examples=40)
+    @given(FREE_GERMS)
+    def check(germ):
+        answered.append(_cor16_agrees(poly_parse(germ[1], germ[0])))
+
+    check()
+    assert sum(answered) >= 20
+
+
+def test_degree_sum_is_the_recomputed_check_on_the_corpus():
+    answered = [name for name, f in _corpus_germs() if _cor16_agrees(f)]
+    assert len(answered) == 9, answered
 
 
 # -- factorizations ------------------------------------------------------------
