@@ -51,7 +51,7 @@ from .errors import (CertificateFailure, NonRationalEigenvalues, ProductInput,
 from .linalg import (charpoly, echelon, identity, inverse, is_zero_matrix,
                      mat_add, mat_mul, mat_pow, mat_sub, rank, remainder)
 from .orderings import LOCAL
-from .poly import Exponent, Jet, Polynomial
+from .poly import Exponent, Jet, Polynomial, cut, exponents
 from .standard_bases import membership, standard_basis, syzygies
 from .vfield import VectorField
 
@@ -261,7 +261,8 @@ class _QuotientCoordinates:
     """Exact coordinates on O^s / (span(rels) + m^d O^s).
 
     The ambient monomial basis is all (component, exponent) with
-    |exponent| < d.  The relation image is spanned by the monomial
+    |exponent| < d, walked degree by degree with `poly.exponents`.  The
+    relation image is spanned by the monomial
     multiples of the rels, built as sparse rows and brought to reduced
     echelon form once by `linalg.echelon`; a vector's coordinates are
     those of its `linalg.remainder` at the free columns.
@@ -270,8 +271,7 @@ class _QuotientCoordinates:
     def __init__(self, rels: List[Tuple[Polynomial, ...]], s: int,
                  varnames: Tuple[str, ...], d: int):
         self.d = d
-        shifts = [e for e in itertools.product(range(d), repeat=len(varnames))
-                  if sum(e) < d]
+        shifts = [e for k in range(d) for e in exponents(len(varnames), k)]
         self.monos = sorted(((comp, exp) for exp in shifts for comp in range(s)),
                             key=lambda m: (sum(m[1]), m[1], m[0]))
         self.index = {m: i for i, m in enumerate(self.monos)}
@@ -304,12 +304,10 @@ class _QuotientCoordinates:
 def _low_terms(q, d: int) -> Dict[Exponent, Fraction]:
     """The terms of q of total degree < d; a jet known to lower order is
     refused."""
-    if isinstance(q, Jet):
-        if q.order < d:
-            raise PrecisionRequired(
-                "coefficient known to lower order than the truncation")
-        q = q.poly
-    return {exp: c for exp, c in q.terms.items() if sum(exp) < d}
+    if isinstance(q, Jet) and q.order < d:
+        raise PrecisionRequired(
+            "coefficient known to lower order than the truncation")
+    return cut(q, d).terms
 
 
 def _add_shifted(acc: Dict[Exponent, Fraction], terms: Dict[Exponent, Fraction],

@@ -5,11 +5,11 @@ polynomial maps stored together with an inverse that is valid below degree d,
 and every public operation re-verifies its own output (transformed fields
 satisfy the claimed resonance pattern, the final equation matches
 unit * f o change).  A coordinate change is certified once, where it is
-made (`CoordChange.make` checks both round trips) or returned (`reorder`),
-and not after every composition: two changes that invert below their
-orders compose to one that inverts below the smaller order, by algebra
-alone.  So every change whose apply, unapply or push_field output feeds a
-result has been verified at the order it is used at.
+made (`CoordChange.make` checks its round trip one way) or returned
+(`reorder`), and not after every composition: two changes that invert
+below their orders compose to one that inverts below the smaller order,
+by algebra alone.  So every change whose apply, unapply or push_field
+output feeds a result has been verified at the order it is used at.
 
 `pd_normalize` and `straighten_unit_field` build their change from
 tangent-to-identity steps x -> x + H in `_tangent_steps`.  The steps are
@@ -41,11 +41,12 @@ the weights W once and each generator once (`_Reading`): its components
 by W-multidegree and the S-N decomposition of its degree-zero component's
 linear part, shared by generators with the same linear part.  The
 candidate pick, `_pd_normalize` and the final pool all use that reading,
-and the reading after the last normalization makes the pool.  Each family
-of fields has one local standard basis, shared by the pool and the
-generation check and rebuilt only when a field is kept: the only standard
-basis formed here, since {g} is one for (g) and `_exact_quotient` is plain
-long division by g, as is each degree of the series quotient by F0.
+and the reading after the last normalization makes the pool, each entry
+with the multidegree it was read under.  Each family of fields has one
+local standard basis, shared by the pool and the generation check and
+rebuilt only when a field is kept: the only standard basis formed here,
+since {g} is one for (g) and `_exact_quotient` is plain long division by
+g, as is each degree of the series quotient by F0.
 """
 
 import itertools
@@ -58,11 +59,11 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 from .errors import (CertificateFailure, NotAtOrigin, NotFree,
                      PrecisionRequired, PreconditionViolated, ProductInput,
                      TruncationTooSmall, VanishesAtOrigin)
-from .poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly,
-                   graded_parts, multihomog_decompose_poly, remultiplies,
+from .poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly, cut,
+                   exponents, linear_forms, remultiplies, split,
                    sum_of_products)
 from .vfield import (VectorField, lie_bracket, multihomog_decompose,
-                     vf_to_str)
+                     split_field, vf_to_str)
 from .linalg import identity as mat_identity
 from .linalg import (inverse, is_zero_matrix, mat_pow, nullspace, solve,
                      transpose)
@@ -85,14 +86,8 @@ def default_truncation(f: Polynomial) -> int:
 # -- small exact linear algebra helpers ----------------------------------------
 
 
-def _chop(p: Coeff, order: int) -> Polynomial:
-    base = as_poly(p)
-    terms = {e: c for e, c in base.terms.items() if sum(e) < order}
-    return Polynomial._of(terms, base.vars)
-
-
 def _chop_field(v: VectorField, order: int) -> VectorField:
-    return VectorField([_chop(c, order) for c in v.coeffs])
+    return VectorField([cut(c, order) for c in v.coeffs])
 
 
 def _require_order(coeffs: Sequence[Coeff], order: int):
@@ -123,20 +118,28 @@ class CoordChange:
     substituting the images into the old equation gives the new one.
     inverse_images[i] expresses the new x_i in the old coordinates.  Both
     directions compose to the identity below degree `order`.  `make` finds
-    the inverse by Newton's method and checks both round trips (jet images
+    the inverse by Newton's method and checks the round trip (jet images
     must be known below `order`, else `PrecisionRequired`); `reorder`
-    checks them at its lower order; `then` composes two checked changes
+    checks it at its lower order; `then` composes two checked changes
     without a check of its own, which algebra makes unnecessary.  A field
     moved by a change is certified apart from it: `push_field` is exact
     below `order` once the round trip holds, and the normalizing steps,
     which transport their field without an inverse, check that the field
     is the transport of their input (see the module docstring).
 
-    Power tables are cached per map: each change builds a PowerTable for
-    its images and one for its inverse images on first use, and apply,
-    unapply, push_field, then and the round-trip check all compose through
-    them, so each power of an image is formed once per map below `order`.
-    The tables live and die with the change.
+    The round trip is checked one way, psi o phi = x for phi the images
+    and psi the inverse images.  Below a fixed order the jets of maps that
+    vanish at 0 with an invertible linear part form a group under
+    composition, so a one-sided inverse is two-sided.  phi lies in it
+    (`make` refuses other images, and `reorder` sees only changes from
+    `make`, `then` or `identity`), and so does psi: psi o phi = x forces
+    psi(0) = 0 and, modulo m^2, an invertible linear part.
+
+    Power tables are cached per map, built on first use, so each power of
+    an image is formed once per map below `order`: apply, push_field and
+    the round-trip check compose through the image table, unapply and
+    `then` through the inverse one.  The tables live and die with the
+    change.
     """
 
     images: Tuple[Polynomial, ...]
@@ -164,7 +167,7 @@ class CoordChange:
         if order < 1:
             raise PreconditionViolated("order must be at least 1")
         _require_order(images, order)
-        imgs = [_chop(p, order) for p in images]
+        imgs = [cut(p, order) for p in images]
         varnames = imgs[0].vars
         n = len(varnames)
         if len(imgs) != n:
@@ -182,10 +185,8 @@ class CoordChange:
         except ValueError:
             raise PreconditionViolated("matrix is not invertible") from None
         xs = [Polynomial.variable(varnames, i) for i in range(n)]
-        zero = Polynomial.zero(varnames)
         # the inverse of the linear part is right below degree 2
-        inv = [sum((xs[j] * Linv[i][j] for j in range(n)), zero)
-               for i in range(n)]
+        inv = linear_forms(Linv, varnames)
         good = 2
         while good < order:
             # Newton step psi <- psi - Dpsi.(phi o psi - x): the residual lies
@@ -193,7 +194,7 @@ class CoordChange:
             # right below 2*good - 1, and it is formed only below that
             nxt = min(2 * good - 1, order)
             table = PowerTable(inv, nxt)
-            res = [table.compose(_chop(p, nxt)) - x for p, x in zip(imgs, xs)]
+            res = [table.compose(cut(p, nxt)) - x for p, x in zip(imgs, xs)]
             inv = [psi - sum_of_products(
                 ((psi.diff(k), res[k]) for k in range(n)), nxt) for psi in inv]
             good = nxt
@@ -211,20 +212,12 @@ class CoordChange:
     def linear(cls, M: Sequence[Sequence[Fraction]], varnames: Sequence[str],
                order: int) -> "CoordChange":
         """Images x_j -> sum_i M[j][i] x_i."""
-        varnames = tuple(varnames)
-        n = len(varnames)
-        imgs = [sum((Polynomial.variable(varnames, i) * Fraction(M[j][i])
-                     for i in range(n)), Polynomial.zero(varnames))
-                for j in range(n)]
-        return cls.make(imgs, order)
+        return cls.make(linear_forms(M, varnames), order)
 
     def _verify(self):
-        varnames = self.varnames
         for i in range(self.n):
-            x = Polynomial.variable(varnames, i)
-            a = self.unapply(self.images[i])
-            b = self.apply(self.inverse_images[i])
-            if a != x or b != x:
+            if self.apply(self.inverse_images[i]) != \
+                    Polynomial.variable(self.varnames, i):
                 raise CertificateFailure("coordinate change does not invert")
 
     def apply(self, g: Coeff) -> Polynomial:
@@ -253,8 +246,8 @@ class CoordChange:
         composite verifies it (see the module docstring).
         """
         order = min(self.order, nxt.order)
-        imgs = [_chop(nxt.apply(p), order) for p in self.images]
-        inv = [_chop(self.unapply(q), order) for q in nxt.inverse_images]
+        imgs = [cut(nxt.apply(p), order) for p in self.images]
+        inv = [cut(self.unapply(q), order) for q in nxt.inverse_images]
         return CoordChange(tuple(imgs), tuple(inv), order)
 
     def reorder(self, order: int) -> "CoordChange":
@@ -268,8 +261,8 @@ class CoordChange:
         if order < 2:
             # below degree 2 every image vanishes: make refuses it alike
             raise PreconditionViolated("matrix is not invertible")
-        ch = CoordChange(tuple(_chop(p, order) for p in self.images),
-                         tuple(_chop(q, order) for q in self.inverse_images),
+        ch = CoordChange(tuple(cut(p, order) for p in self.images),
+                         tuple(cut(q, order) for q in self.inverse_images),
                          order)
         ch._verify()
         return ch
@@ -313,19 +306,12 @@ def _require_linear(delta: VectorField):
                 raise PreconditionViolated("field must be linear")
 
 
-def _check_multihomog(obj, W: WeightSystem, key=None):
-    comps = multihomog_decompose(obj, W)
-    keys = [k for k, v in comps.items() if not v.is_zero()]
+def _check_multihomog(obj, W: WeightSystem, key):
+    keys = list(multihomog_decompose(obj, W))
     if len(keys) > 1:
         raise PreconditionViolated("input is not multihomogeneous")
-    if key is not None and keys and keys[0] != tuple(key):
+    if keys and keys[0] != tuple(key):
         raise PreconditionViolated("multidegree does not match")
-
-
-def _exponents(n: int, d: int):
-    """The exponents of the monomials of degree d in n variables."""
-    for picks in itertools.combinations_with_replacement(range(n), d):
-        yield tuple(picks.count(i) for i in range(n))
 
 
 def _off_resonance(start: Dict, residual: Callable[[Dict], Dict],
@@ -379,7 +365,7 @@ def homological_solve(delta: VectorField, p: Coeff, lam) -> Coeff:
     n = len(pp.vars)
     q = _off_resonance(pp.terms, residual, lambda e: _wdeg(w, e) - lam,
                        lambda: (e for d in {sum(e) for e in pp.terms}
-                                for e in _exponents(n, d)))
+                                for e in exponents(n, d)))
     if q is None:
         raise PreconditionViolated(
             "resonance elimination does not terminate for these weights")
@@ -422,7 +408,7 @@ def _solve_field_equation(delta0: VectorField, target: VectorField,
     n = len(varnames)
     H = _off_resonance(start, residual, eig,
                        lambda: ((i, e) for d in {sum(e) for _, e in start}
-                                for e in _exponents(n, d) for i in range(n)))
+                                for e in exponents(n, d) for i in range(n)))
     if H is None:
         raise CertificateFailure("field homological equation did not converge")
     return field(H)
@@ -488,13 +474,6 @@ def _diagonalizing_prep(dec, W: WeightSystem, varnames, order) -> CoordChange:
     return CoordChange.linear(inverse(transpose(Q)), varnames, order)
 
 
-def _degree_part(v: VectorField, m: int) -> VectorField:
-    """The coefficient terms of total degree m of a polynomial field."""
-    return VectorField([Polynomial._of(
-        {e: c for e, c in p.terms.items() if sum(e) == m}, p.vars)
-        for p in v.coeffs])
-
-
 def _transport(rhs: Sequence[Polynomial], H: Sequence[Polynomial],
                order: int) -> VectorField:
     """The field d' with (I + DH).d' = rhs below `order`.
@@ -545,20 +524,23 @@ def _tangent_steps(start: VectorField, prep: Optional[CoordChange],
     xs = [Polynomial.variable(varnames, i) for i in range(len(varnames))]
     imgs = list(xs if prep is None else prep.images)
     stepped = False
+    # the current field by coefficient degree, split again after each step
+    parts = split_field(cur, lambda e, i: sum(e))
     for m in degrees:
-        H = shifts(_degree_part(cur, m))
+        H = shifts(parts.get(m, VectorField.zero(varnames)))
         if H is None:
             continue
         table = PowerTable([x + h for x, h in zip(xs, H)], order)
         imgs = [table.compose(p) for p in imgs]
         cur = _transport([table.compose(c) for c in cur.coeffs], H, order)
+        parts = split_field(cur, lambda e, i: sum(e))
         stepped = True
     if prep is None and not stepped:
         return CoordChange.identity(varnames, valid), cur
     change = CoordChange.make(imgs, valid)
     moved = cur.truncate(valid)
     for p, c in zip(imgs, start.coeffs):
-        if _chop(moved.apply(p), valid) != change.apply(c):
+        if cut(moved.apply(p), valid) != change.apply(c):
             raise CertificateFailure(
                 "normalized field is not the transport of the input")
     return change, cur
@@ -642,11 +624,11 @@ def _series_quotient(g: Coeff, f: Coeff, order: int) -> Optional[Polynomial]:
     fp = as_poly(f)
     if fp.is_zero():
         raise PreconditionViolated("cannot divide by zero")
-    f0 = graded_parts(fp)[fp.low_degree()]
+    f0 = split(fp, sum)[fp.low_degree()]
     a = Polynomial.zero(fp.vars)
-    r = _chop(g, order)
+    r = cut(g, order)
     while not r.is_zero():
-        am = _exact_quotient(graded_parts(r)[r.low_degree()], f0)
+        am = _exact_quotient(split(r, sum)[r.low_degree()], f0)
         if am is None:
             return None
         a = a + am
@@ -686,7 +668,7 @@ def _cofactor(delta: VectorField, f: Polynomial, order: int) -> Polynomial:
     delta(f), cut below `order`, by f.  An exact quotient of that cut has
     degree below order - lowdeg(f), where the series quotient is unique,
     so where f divides exactly the two are equal."""
-    a = _series_quotient(_chop(delta.apply(f), order), f, order)
+    a = _series_quotient(cut(delta.apply(f), order), f, order)
     if a is None:
         raise PreconditionViolated("field does not preserve the ideal")
     return a
@@ -714,7 +696,7 @@ def _resonant_unit(delta: VectorField, frep: Polynomial, w: Sequence[Fraction],
     a = _cofactor(delta, frep, order)
     u = Polynomial.const(varnames, 1)
     for m in range(1, order):
-        am = graded_parts(a).get(m)
+        am = split(a, sum).get(m)
         if am is None or all(_wdeg(w, e) == 0 for e in am.terms):
             continue
         q = homological_solve(delta0, am, 0)
@@ -749,14 +731,14 @@ def _unit_adjust(f: Coeff, delta: VectorField, w: Sequence[Fraction],
                  weights: WeightSystem, order: int) -> Tuple[Jet, Jet]:
     """unit_adjust for a delta whose weights w, the diagonal of the
     semisimple part of its linear part, are already known."""
-    frep = _chop(f, order)
+    frep = cut(f, order)
     u, a = _resonant_unit(delta, frep, w, weights, order)
     fprime = sum_of_products([(u, frep)], order)
     check = order - frep.low_degree()
-    if _chop(delta.apply(fprime), check) != \
+    if cut(delta.apply(fprime), check) != \
             sum_of_products([(a, fprime)], check):
         raise CertificateFailure("adjusted cofactor fails its identity")
-    if any(_wdeg(w, e) != 0 for e in _chop(a, check).terms):
+    if any(_wdeg(w, e) != 0 for e in cut(a, check).terms):
         raise CertificateFailure("adjusted cofactor is not resonant")
     return Jet(u, order), Jet(fprime, order)
 
@@ -904,7 +886,7 @@ class _Reading:
 
     def __init__(self, g: VectorField, W: WeightSystem,
                  decompositions: Dict[tuple, SNDecomposition]):
-        self.parts = multihomog_decompose(g, W)
+        self.parts = split_field(g, W.field_term_degree)
         zero = self.parts.get((Fraction(0),) * W.s)
         self.zero = None if zero is None or zero.is_zero() else zero
         self._decompositions = decompositions
@@ -951,14 +933,6 @@ def _local_member(field: VectorField, basis: Optional[StandardBasis],
         return field.is_zero()
     elem = [as_poly(c) for c in field.coeffs]
     return membership(elem, basis, precision=precision).member
-
-
-def _field_multidegree(v: VectorField, W: WeightSystem):
-    keys = [k for k, comp in multihomog_decompose(v, W).items()
-            if not comp.is_zero()]
-    if len(keys) != 1:
-        raise CertificateFailure("field is not multihomogeneous")
-    return keys[0]
 
 
 def _kill_diagonal_part(comp: VectorField, diag: Optional[List[Fraction]],
@@ -1018,7 +992,7 @@ def formal_structure(f: Union[Germ, Polynomial],
     n = len(varnames)
     k = len(module.fields)
     d_work = d + max(f.low_degree(), 2)
-    fcur = _chop(f, d_work)
+    fcur = cut(f, d_work)
     gens = [_chop_field(g, d_work) for g in module.fields]
     unit_rep = Polynomial.const(varnames, 1)
     change = CoordChange.identity(varnames, d_work)
@@ -1026,7 +1000,7 @@ def formal_structure(f: Union[Germ, Polynomial],
     for rnd in range(ROUND_CAP + 1):
         # each round reads the weights and the generators once; the
         # reading after the last normalization also makes the pool
-        fd = _chop(fcur, d)
+        fd = cut(fcur, d)
         W, lams = _weight_system_of(fd)
         decompositions: Dict[tuple, SNDecomposition] = {}
         readings = [_Reading(g, W, decompositions) for g in gens]
@@ -1050,19 +1024,16 @@ def formal_structure(f: Union[Germ, Polynomial],
         change = change.then(ch1)
         # replace the representative by its multidegree component; the two
         # must agree below d, where the symmetries are certified
-        proj = multihomog_decompose_poly(fcur, W).get(
+        proj = split(fcur, W.monomial_degree).get(
             tuple(lams), Polynomial.zero(varnames))
-        if not _chop(fcur - proj, d).is_zero():
+        if not cut(fcur - proj, d).is_zero():
             raise CertificateFailure(
                 "equation left its multidegree under a weighted change")
         fcur = proj
         u_new, f_new = _unit_adjust(fcur, delta_n, wnew, W, d_work)
         unit_rep = sum_of_products([(unit_rep, as_poly(u_new))], d_work)
         fcur = as_poly(f_new)
-        parts = multihomog_decompose_poly(_chop(fcur, d),
-                                          WeightSystem.make([wnew]))
-        live = [key for key, comp in parts.items() if not comp.is_zero()]
-        if len(live) > 1:
+        if len(split(cut(fcur, d), lambda e: _wdeg(wnew, e))) > 1:
             raise CertificateFailure(
                 "equation failed to become weighted homogeneous")
 
@@ -1070,6 +1041,10 @@ def formal_structure(f: Union[Germ, Polynomial],
     sigmas = [VectorField.diagonal(row, varnames) for row in W.rows]
     degrees = list(lams)
     zkey = (Fraction(0),) * s
+    # each entry keeps the multidegree it was split under, which is its
+    # own: it is one split component cut below d, a subset of its terms,
+    # and `_kill_diagonal_part` subtracts diagonal fields, whose terms
+    # x_i d_i all have multidegree 0, only from the degree-0 component
     pool = []
     for rd in readings:
         for key in sorted(rd.parts):
@@ -1080,24 +1055,25 @@ def formal_structure(f: Union[Germ, Polynomial],
                 comp = _kill_diagonal_part(comp, rd.diagonal, W, sigmas)
                 if comp.is_zero():
                     continue
-            pool.append(comp)
-    pool.sort(key=lambda v: (v.low_field_degree(), vf_to_str(v)))
+            pool.append((key, comp))
+    pool.sort(key=lambda kv: (kv[1].low_field_degree(), vf_to_str(kv[1])))
     # one local basis of sigmas + kept, rebuilt after each accepted field,
     # serves the pool and the generation check
     kept: List[VectorField] = []
+    mdegs = []
     basis = _local_basis(sigmas)
-    for cand in pool:
+    for key, cand in pool:
         if len(kept) == k - s:
             break
         if not _local_member(cand, basis, d):
             kept.append(cand)
+            mdegs.append(key)
             basis = _local_basis(sigmas + kept)
     if len(kept) != k - s:
         raise CertificateFailure("could not complete a generating system")
     for g in gens:
         if not _local_member(_chop_field(g, d), basis, d):
             raise CertificateFailure("completed system fails to generate")
-    mdegs = [_field_multidegree(nu, W) for nu in kept]
     eigentable = []
     for i in range(s):
         row = []
@@ -1123,7 +1099,7 @@ def formal_structure(f: Union[Germ, Polynomial],
             degrees[i] = Fraction(1)
             eigentable[i] = [x / lam for x in eigentable[i]]
             break
-    unit_final = _chop(unit_rep, d)
+    unit_final = cut(unit_rep, d)
     if unit_final.constant_term() != 1:
         raise CertificateFailure("unit lost its normalization")
     change_out = change.reorder(d)
@@ -1131,7 +1107,7 @@ def formal_structure(f: Union[Germ, Polynomial],
     if recomputed != fd:
         raise CertificateFailure("transformed equation fails its identity")
     for i in range(s):
-        if _chop(as_poly(sigmas[i].apply(fd)) - fd * degrees[i], d) != \
+        if cut(as_poly(sigmas[i].apply(fd)) - fd * degrees[i], d) != \
                 Polynomial.zero(varnames):
             raise CertificateFailure("diagonal field cofactor mismatch")
     return FormalStructure(
@@ -1171,7 +1147,7 @@ def _jet_root(g: Polynomial, k: int, order: int) -> Polynomial:
     if g.constant_term() != 1:
         raise PreconditionViolated("root needs constant term 1")
     varnames = g.vars
-    gj = Jet(_chop(g, order), order)
+    gj = Jet(cut(g, order), order)
     r = Jet(Polynomial.const(varnames, 1), order)
     steps = 1
     good = 1
@@ -1261,13 +1237,13 @@ def factor_structure(fs: FormalStructure, f: Polynomial,
                 u = _jet_root(sum_of_products(
                     [(target, _unit_inverse(acc, d))], d), mults[m - 1], d)
                 prod = sum_of_products([(u, freps[i])], d)
-                a = _series_quotient(_chop(sigma.apply(prod), d), prod, d)
+                a = _series_quotient(cut(sigma.apply(prod), d), prod, d)
                 if a is None:
                     raise CertificateFailure(
                         "balancing unit does not yield a cofactor")
             lam = a.constant_term()
             adjusted = sum_of_products([(u, freps[i])], d)
-            diff = _chop(as_poly(sigma.apply(adjusted)) - adjusted * lam,
+            diff = cut(as_poly(sigma.apply(adjusted)) - adjusted * lam,
                          checked[i])
             if not diff.is_zero():
                 raise CertificateFailure(

@@ -15,16 +15,22 @@ order: term pairs whose degrees sum to the order or more are skipped.
 Substitution goes through a PowerTable, which keeps the powers of the images
 it has formed so that composing many functions through one map computes
 each power once.
+
+Term maps are cut below an order by `cut`, grouped by a key of the
+exponent by `split`, walked degree by degree by `exponents` and built from
+the rows of a matrix by `linear_forms`, and nowhere else.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from .errors import (
     IndexOutOfRange,
@@ -231,8 +237,7 @@ def remultiplies(rows: Sequence[Sequence["Polynomial"]],
             total = _lifted_combination(
                 (1, _lifted_product(q, g, order))
                 for q, g in zip(lifted, column) if q[0] and g[0])
-            terms = t.terms if order is None else _trunc_terms(t.terms, order)
-            if total != _lift(terms):
+            if total != _lift((t if order is None else cut(t, order)).terms):
                 return False
     return True
 
@@ -612,10 +617,6 @@ def poly_parse(text: str, varnames: Sequence[str]) -> Polynomial:
 # -- jets ---------------------------------------------------------------------
 
 
-def _trunc_terms(terms: TermMap, order: int) -> TermMap:
-    return {e: c for e, c in terms.items() if sum(e) < order}
-
-
 class Jet:
     """A polynomial modulo m^order.  Arithmetic re-truncates and keeps the
     order bookkeeping honest (see module docstring)."""
@@ -626,7 +627,7 @@ class Jet:
         if order < 0:
             raise PreconditionViolated("jet order must be >= 0")
         self.order = order
-        self.poly = Polynomial._of(_trunc_terms(poly.terms, order), poly.vars)
+        self.poly = cut(poly, order)
 
     @property
     def vars(self):
@@ -751,13 +752,11 @@ class PowerTable:
         for im in images:
             im._check_vars(images[0])
         self.order = order
-
-        def cut(terms: TermMap) -> TermMap:
-            return terms if order is None else _trunc_terms(terms, order)
-
-        one = cut({(0,) * len(self.vars): Fraction(1)})
+        one = Polynomial.const(self.vars, 1)
+        if order is not None:
+            one, images = cut(one, order), [cut(im, order) for im in images]
         # _powers[i][k] is images[i] ** k, lifted, filled on demand
-        self._powers = [[_lift(one), _lift(cut(im.terms))] for im in images]
+        self._powers = [[_lift(one.terms), _lift(im.terms)] for im in images]
 
     def _power(self, i: int, k: int) -> Lifted:
         pows = self._powers[i]
@@ -797,6 +796,45 @@ def as_poly(obj: Union[Polynomial, Jet]) -> Polynomial:
     return obj.poly if isinstance(obj, Jet) else obj
 
 
+# -- cutting, splitting and building term maps --------------------------------
+
+
+def cut(p: Union[Polynomial, Jet], order: int) -> Polynomial:
+    """The terms of p of total degree below `order`, as a polynomial."""
+    base = as_poly(p)
+    return Polynomial._of({e: c for e, c in base.terms.items()
+                           if sum(e) < order}, base.vars)
+
+
+def split(p: Union[Polynomial, Jet], key: Callable[[Exponent], Hashable]
+          ) -> Dict[Hashable, Union[Polynomial, Jet]]:
+    """The terms of p grouped by key(exponent), one polynomial per key;
+    the groups of a jet are jets of its order."""
+    base = as_poly(p)
+    groups: Dict[Hashable, TermMap] = {}
+    for e, c in base.terms.items():
+        groups.setdefault(key(e), {})[e] = c
+    parts = {k: Polynomial._of(t, base.vars) for k, t in groups.items()}
+    if isinstance(p, Jet):
+        return {k: Jet(q, p.order) for k, q in parts.items()}
+    return parts
+
+
+def exponents(n: int, d: int) -> Iterator[Exponent]:
+    """The exponents of the monomials of degree d in n variables."""
+    for picks in itertools.combinations_with_replacement(range(n), d):
+        yield tuple(picks.count(i) for i in range(n))
+
+
+def linear_forms(rows: Sequence[Sequence[Scalar]],
+                 varnames: Sequence[str]) -> List[Polynomial]:
+    """The linear polynomials sum_i rows[j][i] x_i, one per row, each
+    formed as one term map."""
+    n = len(varnames)
+    units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    return [Polynomial(dict(zip(units, row)), varnames) for row in rows]
+
+
 # -- weight systems -----------------------------------------------------------
 
 
@@ -830,22 +868,9 @@ class WeightSystem:
 
 def multihomog_decompose_poly(p: Union[Polynomial, Jet], W: WeightSystem):
     """Split into W-multihomogeneous components, keyed by the degree tuple."""
-    base = as_poly(p)
-    buckets: Dict[Tuple[Fraction, ...], TermMap] = {}
-    for exp, c in base.terms.items():
-        key = W.monomial_degree(exp)
-        buckets.setdefault(key, {})[exp] = c
-    out = {}
-    for key, terms in buckets.items():
-        comp = Polynomial(terms, base.vars)
-        out[key] = Jet(comp, p.order) if isinstance(p, Jet) else comp
-    return out
+    return split(p, W.monomial_degree)
 
 
 def graded_parts(p: Union[Polynomial, Jet]) -> Dict[int, Polynomial]:
-    """Split by ordinary total degree."""
-    base = as_poly(p)
-    buckets: Dict[int, TermMap] = {}
-    for exp, c in base.terms.items():
-        buckets.setdefault(sum(exp), {})[exp] = c
-    return {d: Polynomial(t, base.vars) for d, t in buckets.items()}
+    """Split by ordinary total degree, into polynomials."""
+    return split(as_poly(p), sum)

@@ -10,23 +10,29 @@ each bracket component are one sum of products on integer numerators,
 for polynomial and jet fields alike.  For jets, the order of the result
 is the one Jet arithmetic gives the termwise sum (_action_order), and
 the products are formed only below it.
+
+`split_field` groups the terms of a field by a key of (exponent, index),
+as poly.split does for functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import HasConstantPart, OrderMismatch, VariableMismatch
 from .poly import (
     Exponent,
     Jet,
     Polynomial,
+    TermMap,
     WeightSystem,
     as_poly,
     derivation,
-    multihomog_decompose_poly,
+    linear_forms,
     poly_to_str,
+    split,
 )
 
 Coeff = Union[Polynomial, Jet]
@@ -73,22 +79,15 @@ class VectorField:
     def from_matrix(cls, A: Sequence[Sequence], varnames: Sequence[str]) -> "VectorField":
         """Linear field x.A.d: the d_j coefficient is sum_i A[i][j] x_i."""
         n = len(varnames)
-        coeffs = []
-        for j in range(n):
-            p = Polynomial.zero(varnames)
-            for i in range(n):
-                c = Fraction(A[i][j])
-                if c:
-                    p = p + Polynomial.variable(varnames, i) * c
-            coeffs.append(p)
-        return cls(coeffs)
+        return cls(linear_forms([[A[i][j] for i in range(n)]
+                                 for j in range(n)], varnames))
 
     @classmethod
     def diagonal(cls, weights: Sequence, varnames: Sequence[str]) -> "VectorField":
         """sum w_i x_i d_i."""
-        coeffs = [Polynomial.variable(varnames, i) * Fraction(w)
-                  for i, w in enumerate(weights)]
-        return cls(coeffs)
+        n = len(varnames)
+        return cls(linear_forms([[w if i == j else 0 for i in range(n)]
+                                 for j, w in enumerate(weights)], varnames))
 
     # -- structure ------------------------------------------------------------
 
@@ -275,38 +274,35 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     return a.bracket(b)
 
 
+def split_field(v: VectorField, key: Callable[[Exponent, int], Hashable]
+                ) -> Dict[Hashable, VectorField]:
+    """The terms c x^e d_i of v grouped by key(e, i), one field per key; the
+    groups of a jet field are jet fields of its order."""
+    n = len(v.vars)
+    order = v.order
+    groups: Dict[Hashable, List[TermMap]] = {}
+    for i, c in enumerate(v.coeffs):
+        for e, coef in as_poly(c).terms.items():
+            groups.setdefault(key(e, i), [{} for _ in range(n)])[i][e] = coef
+    parts = {}
+    for k, maps in groups.items():
+        coeffs = [Polynomial._of(m, v.vars) for m in maps]
+        parts[k] = VectorField(coeffs if order is None
+                               else [Jet(p, order) for p in coeffs])
+    return parts
+
+
 def multihomog_decompose(obj, W: WeightSystem):
     """W-multihomogeneous components of a Polynomial, Jet, or VectorField,
     keyed by the degree tuple.  A field term x^alpha d_i has multidegree
     <w^k, alpha> - w^k_i in each row k."""
     if isinstance(obj, VectorField):
-        n = len(obj.vars)
-        order = obj.order
-        buckets: Dict[Tuple[Fraction, ...], List[Dict]] = {}
-        for i, c in enumerate(obj.coeffs):
-            for exp, coef in as_poly(c).terms.items():
-                key = W.field_term_degree(exp, i)
-                slot = buckets.setdefault(key, [dict() for _ in range(n)])
-                slot[i][exp] = coef
-        out = {}
-        for key, maps in buckets.items():
-            coeffs: List[Coeff] = [Polynomial(m, obj.vars) for m in maps]
-            if order is not None:
-                coeffs = [Jet(p, order) for p in coeffs]
-            out[key] = VectorField(coeffs)
-        return out
-    return multihomog_decompose_poly(obj, W)
+        return split_field(obj, W.field_term_degree)
+    return split(obj, W.monomial_degree)
 
 
 def field_graded_parts(v: VectorField) -> Dict[int, VectorField]:
-    """Split by field degree: the degree-k part has coefficient terms of
-    total degree k+1 (so the linear part has degree 0)."""
-    n = len(v.vars)
-    buckets: Dict[int, List[Dict]] = {}
-    for i, c in enumerate(v.coeffs):
-        for exp, coef in as_poly(c).terms.items():
-            k = sum(exp) - 1
-            slot = buckets.setdefault(k, [dict() for _ in range(n)])
-            slot[i][exp] = coef
-    return {k: VectorField([Polynomial(m, v.vars) for m in maps])
-            for k, maps in buckets.items()}
+    """Split by field degree, into polynomial fields: the degree-k part
+    has coefficient terms of total degree k+1 (so the linear part has
+    degree 0)."""
+    return split_field(v.as_polynomial_field(), lambda e, i: sum(e) - 1)

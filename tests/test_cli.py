@@ -152,6 +152,17 @@ def test_zero_polynomial_is_refused_by_every_question(command, capsys):
                            "the zero polynomial defines no hypersurface")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_euler_off_the_origin_exits_2(fmt, capsys):
+    # euler embeds no refusal, unlike lie, normalize and cech: a germ that
+    # does not pass through the origin is an input error there
+    code, out, err = run(capsys, "euler", "--vars", "x,y", "--poly", "1+x",
+                         *fmt)
+    assert (code, out) == (2, "")
+    assert err.strip() == ("input error: NotAtOrigin: "
+                           "the hypersurface does not pass through the origin")
+
+
 def test_shared_parser_carries_no_state_between_calls(capsys):
     # a deeper lie, a bad flag, then a question whose defaults the first
     # call overrode: each answer must be the one a fresh process gives

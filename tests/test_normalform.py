@@ -17,7 +17,7 @@ from logvf.errors import (CertificateFailure, LogvfError,
 from logvf.poly import (Jet, Polynomial, WeightSystem, as_poly, graded_parts,
                         multihomog_decompose_poly, poly_parse, sum_of_products)
 from logvf.vfield import (VectorField, field_graded_parts, lie_bracket,
-                          vf_to_str)
+                          multihomog_decompose, vf_to_str)
 from logvf.derlog import derlog_generators, minimalize
 from logvf.linalg import identity as mat_identity
 from logvf.linalg import inverse, solve
@@ -224,6 +224,36 @@ def test_composite_round_trips_below_the_smaller_order(ia, ib, oa, ob):
         assert both.apply(both.inverse_images[i]) == x
     g = X * Y + X**3 - Y**2
     assert both.apply(g) == chop(b.apply(a.apply(g)), order)
+
+
+@settings(max_examples=40)
+@given(_general_changes(), st.integers(2, 9))
+def test_made_change_inverts_in_the_unchecked_direction(images, order):
+    # make checks psi o phi = x alone; phi o psi = x follows because the
+    # jets of such maps form a group (see CoordChange)
+    ch = CoordChange.make(images, order)
+    for i, x in enumerate((X, Y)):
+        assert ch.unapply(ch.images[i]) == x
+
+
+def _scaled_sum(row):
+    """sum_i row[i] x_i, one scaled variable at a time."""
+    return sum((x * Fraction(c) for x, c in zip((X, Y), row)),
+               Polynomial.zero(V2))
+
+
+@settings(max_examples=25)
+@given(LINEAR_PARTS, _general_changes(), st.integers(2, 6))
+def test_linear_builders_equal_sums_of_scaled_variables(m, images, order):
+    M = [m[:2], m[2:]]
+    assert CoordChange.linear(M, V2, order) == \
+        CoordChange.make([_scaled_sum(row) for row in M], order)
+    # below degree 2, make's inverse is its first one, the inverse of the
+    # linear part
+    units = [(1, 0), (0, 1)]
+    Linv = inverse([[p.coeff(u) for u in units] for p in images])
+    assert CoordChange.make(images, 2).inverse_images == \
+        tuple(_scaled_sum(row) for row in Linv)
 
 
 def _corrupted(ch):
@@ -1588,21 +1618,40 @@ def test_formal_structure_refuses_a_truncation_at_or_below_the_order():
 
 
 def test_formal_structure_reads_each_kept_multidegree_once(monkeypatch):
-    calls = []
-    multidegree = normalform._field_multidegree
+    # each kept field's multidegree is the key of the reading's split it
+    # came from: formal_structure splits a field by multidegree only to
+    # read a generator, and every kept field has the one multidegree its
+    # eigenvalues record
+    splits, reads = [], []
+    split_field = normalform.split_field
+    read = normalform._Reading.__init__
 
-    def counted(v, W):
-        calls.append(1)
-        return multidegree(v, W)
+    def counted_split(v, key):
+        if getattr(key, "__func__", None) is WeightSystem.field_term_degree:
+            splits.append(1)
+        return split_field(v, key)
 
-    monkeypatch.setattr(normalform, "_field_multidegree", counted)
+    def counted_read(self, *args):
+        reads.append(1)
+        read(self, *args)
+
+    monkeypatch.setattr(normalform, "split_field", counted_split)
+    monkeypatch.setattr(normalform._Reading, "__init__", counted_read)
+    kept = 0
     for name, f in _corpus_germs():
-        del calls[:]
+        del splits[:], reads[:]
         try:
             fs = formal_structure(f)
         except LogvfError:
             continue
-        assert len(calls) == fs.r, name
+        assert splits and len(splits) == len(reads), name
+        W = WeightSystem.make(fs.weights)
+        for j, nu in enumerate(fs.nus):
+            assert list(multihomog_decompose(nu, W)) == \
+                [tuple(row[j] for row in fs.eigentable)], name
+        kept += fs.r
+    # the corpus germs that answer keep 11 fields between them
+    assert kept == 11
 
 
 def _reference_cor16(fs, f):

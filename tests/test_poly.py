@@ -5,6 +5,7 @@ computation (termwise power rule, direct expansion) and frozen here.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,16 @@ from logvf.poly import (
     Jet,
     Polynomial,
     WeightSystem,
+    cut,
     derivation,
+    exponents,
     graded_parts,
+    linear_forms,
     multihomog_decompose_poly,
     poly_parse,
     poly_to_str,
     remultiplies,
+    split,
     sum_of_products,
 )
 
@@ -467,3 +472,60 @@ def test_inverse_at_doubling_precision_matches_full_order_steps(u):
     inv = u.inverse()
     assert inv == _reference_inverse(u)
     assert inv.order == u.order
+
+
+# -- the term-map primitives: cut, split, exponents and linear forms -----------
+
+@PROPERTY
+@given(polys(high=6), st.integers(0, 8), st.integers(0, 8))
+def test_cut_keeps_the_terms_a_jet_keeps(p, order, jet_order):
+    assert cut(p, order).terms == \
+        {e: c for e, c in p.terms.items() if sum(e) < order}
+    assert cut(p, order) == Jet(p, order).poly
+    j = Jet(p, jet_order)
+    assert cut(j, order) == Jet(j.poly, order).poly
+    assert type(cut(j, order)) is Polynomial
+
+
+KEYS = [sum, lambda e: e[0], lambda e: e[0] - 2 * e[1], lambda e: e[1] % 2]
+
+
+@PROPERTY
+@given(polys(high=6), st.sampled_from(KEYS), st.none() | st.integers(0, 8))
+def test_split_partitions_the_terms_by_key(p, key, order):
+    src = p if order is None else Jet(p, order)
+    parts = split(src, key)
+    seen = {}
+    for k, part in parts.items():
+        assert isinstance(part, Polynomial if order is None else Jet)
+        if order is not None:
+            assert part.order == order
+            part = part.poly
+        assert part.terms and all(key(e) == k for e in part.terms)
+        assert not set(seen) & set(part.terms)
+        seen.update(part.terms)
+    assert seen == (p if order is None else Jet(p, order).poly).terms
+
+
+def test_graded_parts_of_a_jet_are_polynomials():
+    parts = graded_parts(P("x + x*y + y^3").truncate(3))
+    assert parts == {1: P("x"), 2: P("x*y")}
+    assert all(type(q) is Polynomial for q in parts.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [0, 1, 2, 5])
+def test_exponents_of_one_degree(n, d):
+    exps = list(exponents(n, d))
+    assert len(exps) == len(set(exps)) == comb(n + d - 1, d)
+    assert all(len(e) == n and min(e) >= 0 and sum(e) == d for e in exps)
+
+
+@PROPERTY
+@given(st.lists(st.lists(COEFFS, min_size=3, max_size=3), max_size=4))
+def test_linear_forms_are_the_sums_of_scaled_variables(rows):
+    names = ("x", "y", "z")
+    xs = [Polynomial.variable(names, i) for i in range(3)]
+    forms = linear_forms(rows, names)
+    assert forms == [sum((x * c for x, c in zip(xs, row)),
+                         Polynomial.zero(names)) for row in rows]

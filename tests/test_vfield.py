@@ -13,6 +13,7 @@ from logvf.vfield import (
     field_graded_parts,
     lie_bracket,
     multihomog_decompose,
+    split_field,
     vf_to_str,
 )
 
@@ -115,6 +116,10 @@ class TestGrading:
         comps = multihomog_decompose(d, W)
         assert comps[(Fraction(0),)] == VF("1/2*x", "1/3*y")
         assert comps[(Fraction(1),)] == VF("y^2", "0")
+
+    def test_field_graded_parts_of_a_jet_field_are_polynomial(self):
+        d = VF("x + x*y", "y^3").truncate(3)
+        assert field_graded_parts(d) == {0: VF("x", "0"), 1: VF("x*y", "0")}
 
 
 # -- the terms of delta(x^e) against the action on a Laurent monomial -----------
@@ -232,3 +237,62 @@ def test_bracket_matches_the_termwise_reference():
 
     check()
     assert sum(kinds) >= 0.3 * len(kinds)
+
+
+# -- split_field, and the linear builders against their term-by-term sums ------
+
+FIELD_KEYS = [lambda e, i: sum(e), lambda e, i: i,
+              lambda e, i: (e[0] - sum(e[1:]), i % 2)]
+
+
+@settings(max_examples=60)
+@given(fields_and_exponents(), st.sampled_from(FIELD_KEYS),
+       st.none() | st.integers(0, 5))
+def test_split_field_partitions_the_terms_by_key(case, key, order):
+    delta, _ = case
+    src = delta if order is None else delta.truncate(order)
+    parts = split_field(src, key)
+    seen = set()
+    for k, part in parts.items():
+        assert part.order == order and not part.is_zero()
+        for i, c in enumerate(part.coeffs):
+            for e in as_poly(c).terms:
+                assert key(e, i) == k and (i, e) not in seen
+                seen.add((i, e))
+    assert seen == {(i, e) for i, c in enumerate(src.coeffs)
+                    for e in as_poly(c).terms}
+    assert sum((p.as_polynomial_field() for p in parts.values()),
+               VectorField.zero(delta.vars)) == src.as_polynomial_field()
+
+
+def _reference_from_matrix(A, varnames):
+    n = len(varnames)
+    coeffs = []
+    for j in range(n):
+        p = Polynomial.zero(varnames)
+        for i in range(n):
+            c = Fraction(A[i][j])
+            if c:
+                p = p + Polynomial.variable(varnames, i) * c
+        coeffs.append(p)
+    return VectorField(coeffs)
+
+
+def _reference_diagonal(weights, varnames):
+    return VectorField([Polynomial.variable(varnames, i) * Fraction(w)
+                        for i, w in enumerate(weights)])
+
+
+ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_linear_builders_equal_the_term_by_term_sums(A):
+    varnames = ("x", "y", "z", "w")[:len(A)]
+    assert VectorField.from_matrix(A, varnames) == \
+        _reference_from_matrix(A, varnames)
+    assert VectorField.diagonal(A[0], varnames) == \
+        _reference_diagonal(A[0], varnames)
