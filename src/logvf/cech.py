@@ -108,13 +108,7 @@ def cech_project(p: Polynomial) -> CechClass:
 def d1_apply(basis: Sequence[VectorField], c: CechClass) -> List[CechClass]:
     """Componentwise derivation action followed by the tail projection."""
     carrier = c.as_laurent()
-    out = []
-    for delta in basis:
-        for coeff in delta.coeffs:
-            if not isinstance(coeff, Polynomial):
-                raise PreconditionViolated("d1 needs polynomial fields")
-        out.append(cech_project(as_poly(delta.apply(carrier))))
-    return out
+    return [cech_project(delta.apply(carrier)) for delta in basis]
 
 
 def trace_formula_check(delta: VectorField, k: int) -> bool:
@@ -162,8 +156,6 @@ def d1_kernel_search(basis: Sequence[VectorField],
     for delta in basis:
         if delta.vars != varnames:
             raise VariableMismatch(f"{delta.vars} vs {varnames}")
-        if not all(isinstance(c, Polynomial) for c in delta.coeffs):
-            raise PreconditionViolated("d1 needs polynomial fields")
     n = len(varnames)
     box = sorted(itertools.product(range(-bound, 0), repeat=n))
     column = {e: j for j, e in enumerate(box)}
@@ -171,12 +163,12 @@ def d1_kernel_search(basis: Sequence[VectorField],
     # exponent; the terms of one field that share a shift meet in the same
     # entries, so they are grouped and each entry is formed once
     rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, int]] = {}
-    for i, delta in enumerate(basis):
-        scale = math.lcm(*(c.denominator for a in delta.coeffs
+    for i, coeffs in enumerate([delta.polynomials() for delta in basis]):
+        scale = math.lcm(*(c.denominator for a in coeffs
                            for c in a.terms.values()))
         # shift -> the scaled coefficient of its term in each a_k
         shifts: Dict[Tuple[int, ...], List[int]] = {}
-        for k, a in enumerate(delta.coeffs):
+        for k, a in enumerate(coeffs):
             for exp, c in a.terms.items():
                 s = exp[:k] + (exp[k] - 1,) + exp[k + 1:]
                 shifts.setdefault(s, [0] * n)[k] = \

@@ -28,7 +28,7 @@ from .errors import (CertificateFailure, NotAtOrigin, NotFree, NotLogarithmic,
                      PrecisionRequired, PreconditionViolated, WrongCount)
 from .linalg import echelon, nullspace
 from .orderings import LOCAL
-from .poly import Jet, Polynomial
+from .poly import Jet, Polynomial, as_poly, sum_of_products
 from .standard_bases import (StandardBasis, default_precision,
                              ideal_dimension, membership, standard_basis,
                              syzygies)
@@ -57,13 +57,6 @@ class LogDerModule:
     @property
     def n(self) -> int:
         return len(self.f.vars)
-
-
-def _field_vector(field: VectorField) -> Tuple[Polynomial, ...]:
-    for c in field.coeffs:
-        if isinstance(c, Jet):
-            raise PreconditionViolated("this operation needs polynomial fields")
-    return tuple(field.coeffs)
 
 
 def _sort_key(field: VectorField) -> Tuple[int, str]:
@@ -125,7 +118,7 @@ def minimalize(module: LogDerModule) -> LogDerModule:
     last, lowest-key generator, and so does this.  The sort keys are the
     module's own when it carries them, else each is formed once here.
     """
-    vecs = [_field_vector(fld) for fld in module.fields]
+    vecs = [fld.polynomials() for fld in module.fields]
     keys = module.keys or [_sort_key(fld) for fld in module.fields]
     visit = sorted(range(len(vecs)), key=keys.__getitem__, reverse=True)
     pivots: List[int] = []
@@ -200,7 +193,7 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
 
 
 def coefficient_matrix(fields: Sequence[VectorField]) -> List[List[Polynomial]]:
-    return [list(_field_vector(fld)) for fld in fields]
+    return [list(fld.polynomials()) for fld in fields]
 
 
 @dataclass(frozen=True)
@@ -242,8 +235,6 @@ def _saito_check(fields: Sequence[VectorField], germ: Germ) -> SaitoCheck:
     fsb = germ.local_basis
     for field in fields:
         applied = field.apply(f)
-        if isinstance(applied, Jet):
-            raise PreconditionViolated("freeness test needs polynomial fields")
         try:
             ok = membership(applied, fsb).member
         except PrecisionRequired:
@@ -367,15 +358,19 @@ def strong_euler_check(f: Polynomial) -> EulerCheck:
     quotients, prec = _local_quotients(f, gens)
     if quotients is None:
         return EulerCheck(False, None, True)
-    coeffs: List = [Jet(Polynomial.zero(varnames), prec)] * n
+    jets = any(isinstance(q, Jet) for q in quotients)
+    order = prec if jets else None
+    pairs: List[List] = [[] for _ in range(n)]
     for q, (i, j) in zip(quotients, slots):
-        xj = Polynomial.variable(varnames, j)
-        term = q * Jet(xj, q.order) if isinstance(q, Jet) else Jet(q * xj, prec)
-        coeffs[i] = coeffs[i] + term
+        pairs[i].append((as_poly(q), Polynomial.variable(varnames, j)))
+    coeffs = [sum_of_products(p, order) if p else Polynomial.zero(varnames)
+              for p in pairs]
+    if jets:
+        coeffs = [Jet(c, prec) for c in coeffs]
     field = VectorField(coeffs)
     if not field.vanishes_at_origin():
         raise CertificateFailure("strong witness has a constant part")
-    return EulerCheck(True, field, False)
+    return EulerCheck(True, field, not jets)
 
 
 def require_nonzero(f: Polynomial) -> None:
@@ -427,7 +422,7 @@ def koszul_free_check(fields: Sequence[VectorField],
     wide = tuple(varnames) + tuple(conames)
     xi = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     symbols = [Polynomial({exp + xi[j]: c
-                           for j, a in enumerate(_field_vector(field))
+                           for j, a in enumerate(field.polynomials())
                            for exp, c in a.terms.items()}, wide)
                for field in fields]
     return ideal_dimension(symbols) == n

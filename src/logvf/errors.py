@@ -21,10 +21,6 @@ class VariableMismatch(LogvfError):
     """Operands live over different variable tuples."""
 
 
-class OrderMismatch(LogvfError):
-    """Jets with different truncation orders combined."""
-
-
 class PrecisionRequired(LogvfError):
     """Local-order certificate does not terminate and no precision was given."""
 

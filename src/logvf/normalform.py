@@ -34,7 +34,11 @@ loop that cannot end once its passes outnumber its keys, and
 `_resonant_unit` is the unit loop of both `unit_adjust` and
 `factor_structure`, with one solve per degree.  Final identities compose
 through the power table of the returned change.  Every product kept below
-an order is formed below it, by `sum_of_products` or as a jet power.
+an order is formed below it, by `sum_of_products` or as a jet power, and
+every field action by `VectorField.apply` with that order.  The field
+action takes polynomial fields only: the public entries cut a jet field
+once, on entry, which changes no answer below the jet's order (see the
+vfield module docstring).
 
 Each object is also computed once.  A round of `formal_structure` reads
 the weights W once and each generator once (`_Reading`): its components
@@ -350,9 +354,11 @@ def homological_solve(delta: VectorField, p: Coeff, lam) -> Coeff:
     """A function q with delta(q) - lam*q + p supported on weight lam.
 
     delta must be linear; the weights are read off its diagonal entries and
-    the off-diagonal part is eliminated by `_off_resonance`.
+    the off-diagonal part is eliminated by `_off_resonance`.  A jet field
+    acts as its polynomial field.
     """
     _require_linear(delta)
+    delta = delta.as_polynomial_field()
     lam = Fraction(lam)
     pp = as_poly(p)
     A = delta.linear_part()
@@ -360,7 +366,7 @@ def homological_solve(delta: VectorField, p: Coeff, lam) -> Coeff:
 
     def residual(q):
         qp = Polynomial(q, pp.vars)
-        return (as_poly(delta.apply(qp)) - qp * lam + pp).terms
+        return (delta.apply(qp) - qp * lam + pp).terms
 
     n = len(pp.vars)
     q = _off_resonance(pp.terms, residual, lambda e: _wdeg(w, e) - lam,
@@ -538,9 +544,8 @@ def _tangent_steps(start: VectorField, prep: Optional[CoordChange],
     if prep is None and not stepped:
         return CoordChange.identity(varnames, valid), cur
     change = CoordChange.make(imgs, valid)
-    moved = cur.truncate(valid)
     for p, c in zip(imgs, start.coeffs):
-        if cut(moved.apply(p), valid) != change.apply(c):
+        if cur.apply(p, valid) != change.apply(c):
             raise CertificateFailure(
                 "normalized field is not the transport of the input")
     return change, cur
@@ -560,14 +565,15 @@ def pd_normalize(delta: VectorField, weights: WeightSystem,
     """
     _require_order(delta.coeffs, order)
     total, field, _ = _pd_normalize(delta, weights, order)
-    return total, field
+    return total, field.truncate(order)
 
 
 def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int,
                   dec: Optional[SNDecomposition] = None
                   ) -> Tuple[CoordChange, VectorField, List[Fraction]]:
-    """pd_normalize, plus the diagonal of the semisimple part of the
-    normalized field's linear part (its weights).
+    """pd_normalize, with the normalized field as a polynomial field
+    (its terms all lie below `order`), plus the diagonal of the semisimple
+    part of its linear part (its weights).
 
     `dec` is the S-N decomposition of delta's linear part when the caller
     has it (`formal_structure` read it to pick delta); else it is formed
@@ -607,7 +613,7 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int,
     N_field = cur - S_field
     if not _chop_field(lie_bracket(S_field, N_field), order).is_zero():
         raise CertificateFailure("parts of the normal form do not commute")
-    return total, cur.truncate(order), w
+    return total, cur, w
 
 
 # -- cofactors and unit adjustment ------------------------------------------------
@@ -668,7 +674,7 @@ def _cofactor(delta: VectorField, f: Polynomial, order: int) -> Polynomial:
     delta(f), cut below `order`, by f.  An exact quotient of that cut has
     degree below order - lowdeg(f), where the series quotient is unique,
     so where f divides exactly the two are equal."""
-    a = _series_quotient(cut(delta.apply(f), order), f, order)
+    a = _series_quotient(delta.apply(f, order), f, order)
     if a is None:
         raise PreconditionViolated("field does not preserve the ideal")
     return a
@@ -703,7 +709,7 @@ def _resonant_unit(delta: VectorField, frep: Polynomial, w: Sequence[Fraction],
         factor = Polynomial.const(varnames, 1) + q
         u = sum_of_products([(u, factor)], order)
         a = a + sum_of_products(
-            [(as_poly(delta.apply(factor)), _unit_inverse(factor, order))],
+            [(delta.apply(factor, order), _unit_inverse(factor, order))],
             order)
     return u, a
 
@@ -718,13 +724,13 @@ def unit_adjust(f: Coeff, delta: VectorField, weights: WeightSystem,
     degree zero for `weights`.  The loop is `_resonant_unit`, which
     `factor_structure` shares; here it is followed by the checks of both
     claims on u*f.  Jet inputs must be known below `order`, else
-    `PrecisionRequired`.
+    `PrecisionRequired`; a jet field then acts as its polynomial field.
     """
     _require_order([f, *delta.coeffs], order)
     w = _semisimple_diagonal(delta)
     if w is None:
         raise PreconditionViolated("semisimple part must be diagonal")
-    return _unit_adjust(f, delta, w, weights, order)
+    return _unit_adjust(f, delta.as_polynomial_field(), w, weights, order)
 
 
 def _unit_adjust(f: Coeff, delta: VectorField, w: Sequence[Fraction],
@@ -735,8 +741,7 @@ def _unit_adjust(f: Coeff, delta: VectorField, w: Sequence[Fraction],
     u, a = _resonant_unit(delta, frep, w, weights, order)
     fprime = sum_of_products([(u, frep)], order)
     check = order - frep.low_degree()
-    if cut(delta.apply(fprime), check) != \
-            sum_of_products([(a, fprime)], check):
+    if delta.apply(fprime, check) != sum_of_products([(a, fprime)], check):
         raise CertificateFailure("adjusted cofactor fails its identity")
     if any(_wdeg(w, e) != 0 for e in cut(a, check).terms):
         raise CertificateFailure("adjusted cofactor is not resonant")
@@ -1107,8 +1112,7 @@ def formal_structure(f: Union[Germ, Polynomial],
     if recomputed != fd:
         raise CertificateFailure("transformed equation fails its identity")
     for i in range(s):
-        if cut(as_poly(sigmas[i].apply(fd)) - fd * degrees[i], d) != \
-                Polynomial.zero(varnames):
+        if sigmas[i].apply(fd, d) != fd * degrees[i]:
             raise CertificateFailure("diagonal field cofactor mismatch")
     return FormalStructure(
         sigmas=tuple(sigmas),
@@ -1237,14 +1241,13 @@ def factor_structure(fs: FormalStructure, f: Polynomial,
                 u = _jet_root(sum_of_products(
                     [(target, _unit_inverse(acc, d))], d), mults[m - 1], d)
                 prod = sum_of_products([(u, freps[i])], d)
-                a = _series_quotient(cut(sigma.apply(prod), d), prod, d)
+                a = _series_quotient(sigma.apply(prod, d), prod, d)
                 if a is None:
                     raise CertificateFailure(
                         "balancing unit does not yield a cofactor")
             lam = a.constant_term()
             adjusted = sum_of_products([(u, freps[i])], d)
-            diff = cut(as_poly(sigma.apply(adjusted)) - adjusted * lam,
-                         checked[i])
+            diff = cut(sigma.apply(adjusted) - adjusted * lam, checked[i])
             if not diff.is_zero():
                 raise CertificateFailure(
                     "factor eigenvalue fails; factor may be reducible")

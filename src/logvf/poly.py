@@ -6,11 +6,15 @@ normally nonnegative; negative entries are permitted so the same carrier can
 hold Laurent terms for the local-cohomology module, which filters them itself.
 
 A Jet is a polynomial known only modulo m^order (m the maximal ideal at the
-origin): stored terms all have total degree < order.  Jet arithmetic tracks
-the order honestly: differentiation costs one order, and a product's order is
-min(a.order + lowdeg(b), b.order + lowdeg(a)), so multiplying by something in
-m does not lose precision.  A jet product never forms a term at or above its
-order: term pairs whose degrees sum to the order or more are skipped.
+origin): stored terms all have total degree < order.  Jets are values:
+membership quotients, unit inverses and roots, and the results that print
+with ` mod m^order`.  Jet arithmetic tracks the order honestly: a product's
+order is min(a.order + lowdeg(b), b.order + lowdeg(a)), so multiplying by
+something in m does not lose precision.  A jet product never forms a term
+at or above its order: term pairs whose degrees sum to the order or more
+are skipped.  The exact operations, substitution and the field action of
+`derivation`, take polynomials only; `exact` refuses a jet operand, and a
+caller that wants a result below an order passes that order.
 
 Substitution goes through a PowerTable, which keeps the powers of the images
 it has formed so that composing many functions through one map computes
@@ -416,19 +420,13 @@ class Polynomial:
     def truncate(self, order: int) -> "Jet":
         return Jet(self, order)
 
-    def substitute(self, images: Sequence[Union["Polynomial", "Jet"]]):
-        """Ring-map application: replace the i-th variable by images[i].
-
-        Returns a Polynomial when all images are polynomials, else a Jet
-        whose order is the least order among the images.  Negative exponents
-        are not substitutable.
+    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
+        """Ring-map application: replace the i-th variable by the
+        polynomial images[i].  Negative exponents are not substitutable.
         """
         if len(images) != len(self.vars):
             raise VariableMismatch("need one image per variable")
-        orders = [im.order for im in images if isinstance(im, Jet)]
-        order = min(orders) if orders else None
-        out = PowerTable([as_poly(im) for im in images], order).compose(self)
-        return out if order is None else Jet(out, order)
+        return PowerTable([exact(im) for im in images]).compose(self)
 
     def shift(self, point: Sequence[Scalar]) -> "Polynomial":
         """Translate coordinates: x_i -> x_i + point_i (exact)."""
@@ -648,8 +646,7 @@ class Jet:
         return Jet(self.poly, min(self.order, order))
 
     def _coerce(self, other) -> "Jet":
-        # binary ops re-truncate to the smaller order; the OrderMismatch
-        # contract for whole vector fields lives in vfield
+        # binary ops re-truncate to the smaller order
         if isinstance(other, Jet):
             return other
         if isinstance(other, Polynomial):
@@ -699,10 +696,6 @@ class Jet:
 
     def __hash__(self):
         return hash((self.poly, self.order))
-
-    def diff(self, i: int) -> "Jet":
-        # the unknown m^order tail contributes at degree order-1
-        return Jet(self.poly.diff(i), max(self.order - 1, 0))
 
     def inverse(self) -> "Jet":
         """Multiplicative inverse; requires a nonzero constant term.
@@ -794,6 +787,15 @@ class PowerTable:
 
 def as_poly(obj: Union[Polynomial, Jet]) -> Polynomial:
     return obj.poly if isinstance(obj, Jet) else obj
+
+
+def exact(obj: Union[Polynomial, Jet]) -> Polynomial:
+    """obj, which must be a polynomial: a jet is known only modulo m^order,
+    and the exact operations refuse it as an operand."""
+    if isinstance(obj, Jet):
+        raise PreconditionViolated("this operation needs exact polynomials, "
+                                   f"not a jet modulo m^{obj.order}")
+    return obj
 
 
 # -- cutting, splitting and building term maps --------------------------------

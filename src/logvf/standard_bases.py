@@ -68,7 +68,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateFailure, PrecisionRequired, PreconditionViolated
 from .orderings import GLOBAL, Exponent, ModMono, OrderingSpec, elimination_key
-from .poly import Jet, Polynomial, as_poly, remultiplies, sum_of_products
+from .poly import (Jet, Polynomial, as_poly, exact, remultiplies,
+                   sum_of_products)
 
 Vec = Dict[ModMono, int]
 RatVec = Dict[ModMono, Fraction]
@@ -338,15 +339,13 @@ def _prune(basis: List[_Elem]) -> List[_Elem]:
 # -- public layer -------------------------------------------------------------
 
 def _to_vec(element, varnames, rank: int) -> RatVec:
-    if isinstance(element, Polynomial):
+    if isinstance(element, (Polynomial, Jet)):
         element = (element,)
     if len(element) != rank:
         raise PreconditionViolated(
             f"expected a vector of {rank} entries, got {len(element)}")
     vec: RatVec = {}
-    for comp, p in enumerate(element):
-        if isinstance(p, Jet):
-            raise PreconditionViolated("basis inputs must be exact polynomials")
+    for comp, p in enumerate(map(exact, element)):
         if p.vars != varnames:
             raise PreconditionViolated("mixed variable tuples in one family")
         for exp, c in p.terms.items():
@@ -371,26 +370,22 @@ def _family_shape(gens) -> Tuple[Tuple[str, ...], int]:
     if not gens:
         raise PreconditionViolated("empty generating family")
     first = gens[0]
-    if isinstance(first, Jet):
-        raise PreconditionViolated("basis inputs must be exact polynomials")
-    if isinstance(first, Polynomial):
-        return first.vars, 1
-    entry = first[0]
-    if isinstance(entry, Jet):
-        raise PreconditionViolated("basis inputs must be exact polynomials")
-    return entry.vars, len(first)
+    if isinstance(first, (Polynomial, Jet)):
+        return exact(first).vars, 1
+    return exact(first[0]).vars, len(first)
 
 
 def _read_family(gens):
     """(varnames, rank, inputs, cleared): the shape, the members as tuples
     of polynomials, and (den * member, den) with den clearing it."""
     varnames, rank = _family_shape(gens)
-    inputs = tuple((g,) if isinstance(g, Polynomial) else tuple(g) for g in gens)
     cleared = []
     for g in gens:
         vec = _to_vec(g, varnames, rank)
         den = _denominator(vec)
         cleared.append((_cleared(vec, den), den))
+    # every member has passed _to_vec, so none is a jet
+    inputs = tuple((g,) if isinstance(g, Polynomial) else tuple(g) for g in gens)
     return varnames, rank, inputs, cleared
 
 

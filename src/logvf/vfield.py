@@ -1,15 +1,20 @@
 """Polynomial vector fields delta = sum a_i d/dx_i and their Lie structure.
 
 Coefficients are Polynomials or Jets (all of one kind, same variables; jets
-must share one truncation order).  The bracket follows [d,e](x_j) =
+share one truncation order).  The bracket follows [d,e](x_j) =
 d(e(x_j)) - e(d(x_j)); for linear fields written x.A.d this gives
 [x.A.d, x.B.d] = x.[A,B].d with [A,B] = AB - BA.
 
-The field action is one exact integer map, poly.derivation: delta(p) and
-each bracket component are one sum of products on integer numerators,
-for polynomial and jet fields alike.  For jets, the order of the result
-is the one Jet arithmetic gives the termwise sum (_action_order), and
-the products are formed only below it.
+The field action is one exact integer map, poly.derivation, on
+polynomials only: delta(p) and each bracket component are one sum of
+products on integer numerators, and `polynomials` refuses a jet field
+(poly.exact).  Jet fields are values, such as the nilpotent complements of
+a formal structure, and print with a trailing ` mod m^k`.  A caller that
+wants delta(p) only below an order k passes k to `apply`, which forms the
+products only below it.  For a jet field J of order k, the action of its
+polynomial field (its stored terms) below k is the jet action cut below
+k: p has no negative exponents, so a coefficient term of degree >= k adds
+only terms of degree >= k to delta(p).
 
 `split_field` groups the terms of a field by a key of (exponent, index),
 as poly.split does for functions.
@@ -21,7 +26,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
                     Union)
 
-from .errors import HasConstantPart, OrderMismatch, VariableMismatch
+from .errors import HasConstantPart, VariableMismatch
 from .poly import (
     Exponent,
     Jet,
@@ -30,6 +35,7 @@ from .poly import (
     WeightSystem,
     as_poly,
     derivation,
+    exact,
     linear_forms,
     poly_to_str,
     split,
@@ -130,6 +136,10 @@ class VectorField:
         """Drop jet wrappers, keeping the stored terms."""
         return VectorField([as_poly(c) for c in self.coeffs])
 
+    def polynomials(self) -> Tuple[Polynomial, ...]:
+        """The coefficients, which must be polynomials (poly.exact)."""
+        return tuple(map(exact, self.coeffs))
+
     def max_coeff_degree(self) -> int:
         return max((as_poly(c).total_degree() for c in self.coeffs), default=-1)
 
@@ -172,22 +182,20 @@ class VectorField:
 
     # -- action ---------------------------------------------------------------
 
-    def apply(self, p: Coeff) -> Coeff:
-        """delta(p) = sum a_i dp/dx_i, formed by poly.derivation below the
-        order that Jet arithmetic gives the sum (see _action_order)."""
+    def apply(self, p: Polynomial, order: Optional[int] = None) -> Polynomial:
+        """delta(p) = sum a_i dp/dx_i, one poly.derivation call; with
+        `order`, only its terms below `order` are formed."""
         if p.vars != self.vars:
             raise VariableMismatch(f"{p.vars} vs {self.vars}")
-        order = _action_order(self.coeffs, p)
-        coeffs = [as_poly(a) for a in self.coeffs]
-        value, = derivation([(1, coeffs, [as_poly(p)])], order)
-        return value if order is None else Jet(value, order)
+        value, = derivation([(1, self.polynomials(), [exact(p)])], order)
+        return value
 
     def monomial_image(self, e: Exponent) -> Dict[Exponent, Fraction]:
         """The terms of delta(x^e) for an integer exponent e, negative
         entries allowed: the terms of each a_i shifted by e - 1_i and times
         e_i.  The coefficients must be polynomials."""
         out: Dict[Exponent, Fraction] = {}
-        for i, (a, k) in enumerate(zip(self.coeffs, e)):
+        for i, (a, k) in enumerate(zip(self.polynomials(), e)):
             if k:
                 down = e[:i] + (k - 1,) + e[i + 1:]
                 for exp, c in a.terms.items():
@@ -196,60 +204,17 @@ class VectorField:
         return {key: c for key, c in out.items() if c}
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """[self, other]; jet coefficients must share one order.  Component
-        j is self(other_j) - other(self_j), formed as one poly.derivation
-        sum below the least order of those actions."""
+        """[self, other]: component j is self(other_j) - other(self_j),
+        formed as one poly.derivation sum."""
         self._check(other)
-        a, b = self.order, other.order
-        if a is not None and b is not None and a != b:
-            raise OrderMismatch(f"jet orders {a} vs {b}")
-        orders = [_action_order(x.coeffs, q)
-                  for x, y in ((self, other), (other, self)) for q in y.coeffs]
-        order = min((m for m in orders if m is not None), default=None)
-        mine = [as_poly(c) for c in self.coeffs]
-        theirs = [as_poly(c) for c in other.coeffs]
-        coeffs = derivation([(1, mine, theirs), (-1, theirs, mine)], order)
-        if order is not None:
-            coeffs = [Jet(c, order) for c in coeffs]
-        return VectorField(coeffs)
+        mine, theirs = self.polynomials(), other.polynomials()
+        return VectorField(derivation([(1, mine, theirs), (-1, theirs, mine)]))
 
     def __str__(self):
         return vf_to_str(self)
 
     def __repr__(self):
         return f"VectorField({vf_to_str(self)!r})"
-
-
-def _action_order(coeffs: Sequence[Coeff], p: Coeff) -> Optional[int]:
-    """The jet order of sum a_i dp/dx_i as Jet arithmetic sets it, or None
-    when no term is a jet.
-
-    A zero polynomial a_i is skipped, a zero jet is not.  A jet term
-    a_i * dp/dx_i has the order of Jet.__mul__, min(A + low(dp), D +
-    low(a_i)), where A and D are the orders of a_i and of dp/dx_i (p's
-    order less one) and a polynomial factor takes its partner's order; the
-    sum has the least of these.  With every term skipped, a jet p gives
-    p's order.  Terms that the factors drop when truncated to those orders
-    all lie at or above them, so forming every product below the sum's
-    order gives the sum exactly."""
-    dp_order = max(p.order - 1, 0) if isinstance(p, Jet) else None
-    if dp_order is None and not any(isinstance(a, Jet) for a in coeffs):
-        return None
-    terms = as_poly(p).terms
-    orders = []
-    for i, a in enumerate(coeffs):
-        a_order = a.order if isinstance(a, Jet) else None
-        if a_order is None and (a.is_zero() or dp_order is None):
-            continue
-        A = dp_order if a_order is None else a_order
-        D = a_order if dp_order is None else dp_order
-        # low degrees as Jet.low_degree gives them, capped by the order
-        dp_low = min([D, *(sum(e) - 1 for e in terms if e[i])])
-        a_low = min([A, *(sum(e) for e in as_poly(a).terms)])
-        orders.append(min(A + dp_low, D + a_low))
-    if orders:
-        return min(orders)
-    return p.order if isinstance(p, Jet) else None
 
 
 def vf_to_str(v: VectorField) -> str:

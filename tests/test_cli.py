@@ -247,6 +247,38 @@ def test_euler_subcommand(capsys):
     assert data["strong_euler"]["field"] == "z*d_z"
 
 
+def test_series_witnesses_print_their_order(capsys):
+    # x^2 + y^3 + y^4 has power series witnesses only: both are known
+    # below m^12, and say so in the report and on the command line
+    f = poly_parse("x^2 + y^3 + y^4", ("x", "y"))
+    report = rp.analyze(f)
+    code, out, _ = run(capsys, "euler", "--vars", "x,y",
+                       "--poly", "x^2 + y^3 + y^4", "--json")
+    assert code == 0
+    for blocks in (report, json.loads(out)):
+        for key in ("euler", "strong_euler"):
+            assert blocks[key]["field"].endswith(" mod m^12")
+            assert blocks[key]["exact"] is False
+
+
+def test_polynomial_witnesses_print_no_order(capsys):
+    # the normalize example of README.md, expanded: both witnesses are
+    # polynomial fields, exact, with no order printed
+    text = "x^2 + 2*x*y^2 + y^4 + y^3"
+    report = rp.analyze(poly_parse(text, ("x", "y")))
+    code, out, _ = run(capsys, "euler", "--vars", "x,y", "--poly", text,
+                       "--json")
+    assert code == 0
+    for blocks in (report, json.loads(out)):
+        for key in ("euler", "strong_euler"):
+            assert blocks[key]["homogeneous"] is True
+            assert blocks[key]["exact"] is True
+            assert " mod m^" not in blocks[key]["field"]
+    code, out, _ = run(capsys, "euler", "--vars", "x,y", "--poly", text)
+    assert code == 0 and "strong euler: True" in out
+    assert " mod m^" not in out
+
+
 def test_lie_subcommand(capsys):
     code, out, _ = run(
         capsys, "lie", "--vars", "x1,x2,x3,x4", "--poly",

@@ -11,7 +11,7 @@ from logvf.derlog import (EulerCheck, Germ, LogDerModule, coefficient_matrix,
                           derlog_generators, diagonal_symmetry_space, euler_check,
                           is_product, koszul_free_check, minimalize, poly_det,
                           saito_free_check, squarefree_check, strong_euler_check)
-from logvf.derlog import _canonical_order, _field_vector, _sort_key
+from logvf.derlog import _canonical_order, _sort_key
 from logvf.errors import (CertificateFailure, NotAtOrigin, NotFree,
                           NotLogarithmic, PrecisionRequired,
                           PreconditionViolated, WrongCount)
@@ -175,6 +175,27 @@ def test_shifted_product_is_strong_euler():
     assert res.exact
     assert res.field == VectorField.diagonal((0, 0, 1), XYZ)
     assert res.field.apply(f) == f
+
+
+def test_an_exact_strong_euler_witness_is_reported_exact():
+    # (x + y^2)^2 + y^3 expanded: every membership quotient is a polynomial,
+    # so the witness is a polynomial field, as euler_check's is here
+    f = poly_parse("x^2 + 2*x*y^2 + y^4 + y^3", XY)
+    res = strong_euler_check(f)
+    assert res.homogeneous and res.exact
+    assert res.field.order is None
+    assert res.field.vanishes_at_origin()
+    assert res.field.apply(f) == f
+    assert euler_check(f).exact
+
+
+def test_a_series_strong_euler_witness_holds_below_its_order():
+    f = poly_parse("x^2 + y^3 + y^4", XY)
+    res = strong_euler_check(f)
+    assert res.homogeneous and not res.exact
+    assert res.field.order == 12
+    assert res.field.vanishes_at_origin()
+    assert res.field.as_polynomial_field().apply(f, 12) == f
 
 
 def test_euler_rejects_units_and_zero():
@@ -347,7 +368,7 @@ def _reference_greedy_minimalize(module):
     """The greedy Nakayama loop that `minimalize` replaces: by descending
     key, generator idx goes when e_idx lies in span(e_j : j kept, j != idx)
     + Syz(0), one elimination and one remainder per generator."""
-    vecs = [_field_vector(fld) for fld in module.fields]
+    vecs = [fld.polynomials() for fld in module.fields]
     syz0 = [dict(enumerate(q.constant_term() for q in syz))
             for syz in syzygies(vecs)] if len(vecs) > 1 else []
     keys = module.keys or [_sort_key(fld) for fld in module.fields]

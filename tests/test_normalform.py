@@ -1211,7 +1211,8 @@ def _assert_pd_matches_reference(delta, weights, order, dec=None):
     assert change.images == ref_change.images
     assert change.inverse_images == ref_change.inverse_images
     assert change.order == ref_change.order
-    assert field == ref_field
+    # _pd_normalize returns the polynomial field, its terms all below order
+    assert field == ref_field.as_polynomial_field()
     assert w == ref_w
 
 
@@ -1336,6 +1337,59 @@ def test_straighten_matches_the_step_by_step_reference(case):
     assert change.images == ref.images
     assert change.inverse_images == ref.inverse_images
     assert change.order == ref.order
+
+
+# the public entries take jet fields and cut them once, on entry: a jet
+# known below the order they need gives the answer of its polynomial field
+
+@settings(max_examples=15)
+@given(_fields_to_normalize(), st.integers(0, 2))
+def test_pd_normalize_answers_a_jet_as_its_cut(case, extra):
+    delta, order = case
+    jet = delta.truncate(order + extra)
+    W0 = WeightSystem.make([])
+    answer = _outcome(pd_normalize, jet, W0, order)
+    assert answer == _outcome(pd_normalize, jet.as_polynomial_field(), W0,
+                              order)
+    if not isinstance(answer[0], type):
+        assert answer[1].order == order
+
+
+@settings(max_examples=15)
+@given(_fields_to_straighten(), st.integers(2, 4))
+def test_straighten_answers_a_jet_as_its_cut(case, extra):
+    delta, order = case
+    jet = delta.truncate(order + extra)
+    assert _outcome(straighten_unit_field, jet, order) == \
+        _outcome(straighten_unit_field, jet.as_polynomial_field(), order)
+
+
+@settings(max_examples=30)
+@given(_linear_parts(), st.data())
+def test_homological_solve_answers_a_jet_as_its_cut(case, data):
+    # jet orders below the degrees of p included: the linear field is
+    # known exactly from order 2 on
+    delta0, w, _ = case
+    p = data.draw(_polys(delta0.vars, range(1, 5)))
+    lam = data.draw(st.sampled_from([Fraction(0), w[0], w[-1], Fraction(1)]))
+    jet = delta0.truncate(data.draw(st.integers(2, 6)))
+    assert jet.as_polynomial_field() == delta0
+    assert _outcome(homological_solve, jet, p, lam) == \
+        _outcome(homological_solve, delta0, p, lam)
+
+
+@pytest.mark.parametrize("order, extra", [(4, 0), (5, 1), (6, 3)])
+def test_unit_adjust_answers_a_jet_as_its_cut(order, extra):
+    # delta = E + f0 * x d_x is logarithmic for f = (1 + x + y^2) * f0,
+    # with E the Euler field of f0 = x^2 + y^3
+    f0 = X**2 + Y**3
+    f = (1 + X + Y**2) * f0
+    delta = VectorField([X * Fraction(1, 2) + f0 * X, Y * Fraction(1, 3)])
+    jet = delta.truncate(order + extra)
+    W0 = WeightSystem.make([])
+    u, fp = unit_adjust(Jet(f, order + extra), jet, W0, order)
+    assert (u, fp) == unit_adjust(f, jet.as_polynomial_field(), W0, order)
+    assert u.order == fp.order == order
 
 
 def _count_changes(monkeypatch):
@@ -1515,6 +1569,19 @@ def test_formal_structure_cusp():
     sigma = fs.sigmas[0]
     assert lie_bracket(sigma, nu) == nu.scale(Fraction(1, 6))
     assert verify_cor16(fs) == [True]
+
+
+@pytest.mark.parametrize("f", [CUSP, (X + Y**2) ** 2 + Y**3, X * Y * (X + Y)],
+                         ids=["cusp", "perturbed cusp", "three lines"])
+def test_formal_structure_nus_print_their_truncation(f):
+    # the nilpotent complements are known below d and print so; the
+    # diagonal fields are exact and print no order
+    d = default_truncation(f)
+    fs = formal_structure(f, d)
+    assert fs.r >= 1
+    for nu in fs.nus:
+        assert nu.order == d and str(nu).endswith(f" mod m^{d}")
+    assert all(" mod m^" not in str(sigma) for sigma in fs.sigmas)
 
 
 def test_formal_structure_perturbed_cusp_matches_plain():

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logvf.errors import HasConstantPart, OrderMismatch
-from logvf.poly import Jet, Polynomial, WeightSystem, as_poly, poly_parse
+from logvf.cech import CechClass, d1_apply, d1_kernel_search
+from logvf.errors import HasConstantPart, PreconditionViolated
+from logvf.normalform import CoordChange
+from logvf.poly import Jet, Polynomial, WeightSystem, as_poly, cut, poly_parse
+from logvf.standard_bases import membership, standard_basis, syzygies
 from logvf.vfield import (
     VectorField,
     field_graded_parts,
@@ -58,17 +61,6 @@ class TestBracket:
         a, b = VF("y^2", "x"), VF("x*y", "1")
         assert lie_bracket(a, b) == -lie_bracket(b, a)
 
-    def test_jet_order_mismatch(self):
-        a = VectorField([Jet(P("x"), 3), Jet(P("y"), 3)])
-        b = VectorField([Jet(P("y"), 4), Jet(P("x"), 4)])
-        with pytest.raises(OrderMismatch):
-            lie_bracket(a, b)
-
-    def test_bracket_of_m_der_jets_keeps_order(self):
-        a = VectorField([Jet(P("x + x^2"), 5), Jet(P("y"), 5)])
-        b = VectorField([Jet(P("x*y"), 5), Jet(P("x^2"), 5)])
-        assert lie_bracket(a, b).order == 5
-
 
 class TestStructure:
     def test_linear_part_entry_convention(self):
@@ -93,6 +85,14 @@ class TestStructure:
         assert vf_to_str(VF("1/2*x", "0")) == "1/2*x*d_x"
         assert vf_to_str(VectorField.partial(XY, 1)) == "d_y"
         assert vf_to_str(VectorField.zero(XY)) == "0"
+
+    def test_a_jet_field_prints_its_order(self):
+        # a field known only below order k says so; its polynomial field
+        # prints the same terms without the suffix
+        d = VF("x + x*y", "y^3 - 2*y").truncate(3)
+        assert vf_to_str(d) == "(x*y + x)*d_x + -2*y*d_y mod m^3"
+        assert str(d.as_polynomial_field()) == "(x*y + x)*d_x + -2*y*d_y"
+        assert vf_to_str(VectorField.zero(XY).truncate(4)) == "0 mod m^4"
 
 
 class TestGrading:
@@ -148,9 +148,9 @@ def test_monomial_image_is_the_action_on_x_to_the_e(case):
 # -- the field action against the term-by-term Jet arithmetic -----------------
 
 def _reference_apply(field, p):
-    """delta(p) as one Jet or Polynomial product per variable, summed with
-    Jet arithmetic: zero polynomial coefficients are skipped, zero jets
-    are not."""
+    """delta(p), for a polynomial p, as one Jet or Polynomial product per
+    variable, summed with Jet arithmetic: zero polynomial coefficients are
+    skipped, zero jets are not."""
     acc = None
     for i, a in enumerate(field.coeffs):
         if a.is_zero() and not isinstance(a, Jet):
@@ -159,10 +159,7 @@ def _reference_apply(field, p):
         acc = term if acc is None else acc + term
     if acc is None:
         zero = Polynomial.zero(field.vars)
-        if isinstance(p, Jet) or field.order is not None:
-            orders = [x.order for x in (p, *field.coeffs) if isinstance(x, Jet)]
-            return Jet(zero, min(orders))
-        return zero
+        return zero if field.order is None else Jet(zero, field.order)
     return acc
 
 
@@ -195,14 +192,9 @@ def _is_jet_case(*objs):
 ORDERS = st.one_of(st.none(), st.integers(0, 8))
 
 
-def _same_result(new, old):
-    assert type(new) is type(old)
-    assert new == old
-    if isinstance(new, Jet):
-        assert new.order == old.order
-
-
 def test_apply_matches_the_termwise_reference():
+    # polynomial operands against the reference; a jet field or a jet
+    # function is refused
     kinds = []
 
     @settings(max_examples=200)
@@ -211,11 +203,18 @@ def test_apply_matches_the_termwise_reference():
         varnames = ("x", "y", "z")[:data.draw(st.integers(1, 3))]
         field = _field(data.draw, varnames, data.draw(ORDERS))
         p = data.draw(_functions(varnames, data.draw(ORDERS)))
-        kinds.append(_is_jet_case(field, p))
-        _same_result(field.apply(p), _reference_apply(field, p))
+        jet_case = _is_jet_case(field, p)
+        kinds.append(jet_case)
+        if jet_case:
+            with pytest.raises(PreconditionViolated):
+                field.apply(p)
+            return
+        new = field.apply(p)
+        assert type(new) is Polynomial and new == _reference_apply(field, p)
 
     check()
-    assert sum(kinds) >= 0.3 * len(kinds)
+    # both kinds are drawn often: about 70 % of the cases hold a jet
+    assert 0.3 * len(kinds) <= sum(kinds) <= 0.8 * len(kinds)
 
 
 def test_bracket_matches_the_termwise_reference():
@@ -226,17 +225,81 @@ def test_bracket_matches_the_termwise_reference():
     def check(data):
         varnames = ("x", "y", "z")[:data.draw(st.integers(1, 3))]
         order = data.draw(st.integers(0, 8))
-        # polynomial or jet fields; two jet fields share one order
         a = _field(data.draw, varnames, data.draw(st.sampled_from([None, order])))
         b = _field(data.draw, varnames, data.draw(st.sampled_from([None, order])))
-        kinds.append(_is_jet_case(a, b))
+        jet_case = _is_jet_case(a, b)
+        kinds.append(jet_case)
+        if jet_case:
+            with pytest.raises(PreconditionViolated):
+                a.bracket(b)
+            return
         new, old = a.bracket(b), _reference_bracket(a, b)
-        assert new.order == old.order
-        for c_new, c_old in zip(new.coeffs, old.coeffs):
-            _same_result(c_new, c_old)
+        assert new.order is None and new == old
 
     check()
-    assert sum(kinds) >= 0.3 * len(kinds)
+    # both kinds are drawn often: about 70 % of the cases hold a jet
+    assert 0.3 * len(kinds) <= sum(kinds) <= 0.8 * len(kinds)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_apply_below_an_order_is_the_cut_action(data):
+    varnames = ("x", "y", "z")[:data.draw(st.integers(1, 3))]
+    field = _field(data.draw, varnames, None)
+    p = data.draw(_functions(varnames, None))
+    k = data.draw(st.integers(0, 10))
+    assert field.apply(p, k) == cut(field.apply(p), k)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_the_cut_field_acts_as_the_jet_field_below_its_order(data):
+    # the claim behind every caller that acts with a jet's polynomial field
+    # below the jet's order: p has no negative exponents, so the terms that
+    # a jet of order k does not know add only terms of degree >= k
+    varnames = ("x", "y", "z")[:data.draw(st.integers(1, 3))]
+    k = data.draw(st.integers(0, 8))
+    field = _field(data.draw, varnames, None)
+    jet = field.truncate(k)
+    p = data.draw(_functions(varnames, None))
+    reference = _reference_apply(jet, p)
+    assert reference.order >= k
+    assert cut(reference, k) == jet.as_polynomial_field().apply(p, k) == \
+        cut(field.apply(p), k)
+
+
+def _refusals():
+    """(name, call) pairs, each handing one exact operation a jet."""
+    x, y = P("x"), P("y")
+    jet_x = Jet(P("x + x^2"), 3)
+    poly_field, jet_field = VF("x", "y^2"), VF("x", "y^2").truncate(3)
+    change = CoordChange.identity(XY, 4)
+    basis = standard_basis([x, y])
+    top = CechClass.top(XY)
+    return [
+        ("apply a jet field", lambda: jet_field.apply(x)),
+        ("apply to a jet", lambda: poly_field.apply(jet_x)),
+        ("bracket with a jet field", lambda: poly_field.bracket(jet_field)),
+        ("bracket of a jet field", lambda: jet_field.bracket(poly_field)),
+        ("monomial image", lambda: jet_field.monomial_image((1, 1))),
+        ("push_field", lambda: change.push_field(jet_field)),
+        ("substitute", lambda: x.substitute([jet_x, y])),
+        ("standard_basis, rank 1", lambda: standard_basis([x, jet_x])),
+        ("standard_basis, first", lambda: standard_basis([jet_x, x])),
+        ("standard_basis, vectors", lambda: standard_basis([(jet_x, y)])),
+        ("membership", lambda: membership(jet_x, basis)),
+        ("membership, vector", lambda: membership((jet_x,), basis)),
+        ("syzygies", lambda: syzygies([x, jet_x])),
+        ("d1_apply", lambda: d1_apply([jet_field], top)),
+        ("d1_kernel_search", lambda: d1_kernel_search([poly_field, jet_field])),
+    ]
+
+
+@pytest.mark.parametrize("name, call", _refusals(),
+                         ids=[name for name, _ in _refusals()])
+def test_exact_operations_refuse_a_jet_operand(name, call):
+    with pytest.raises(PreconditionViolated, match="not a jet modulo m\\^"):
+        call()
 
 
 # -- split_field, and the linear builders against their term-by-term sums ------
