@@ -25,7 +25,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (CertificateFailure, NotAtOrigin, NotFree, NotLogarithmic,
-                     PrecisionRequired, PreconditionViolated, WrongCount)
+                     PreconditionViolated, WrongCount)
 from .linalg import echelon, nullspace
 from .orderings import LOCAL
 from .poly import Jet, Polynomial, as_poly, sum_of_products
@@ -235,11 +235,8 @@ def _saito_check(fields: Sequence[VectorField], germ: Germ) -> SaitoCheck:
     fsb = germ.local_basis
     for field in fields:
         applied = field.apply(f)
-        try:
-            ok = membership(applied, fsb).member
-        except PrecisionRequired:
-            ok = True
-        if not ok:
+        if not membership(applied, fsb,
+                          precision=default_precision([f, applied])).member:
             raise NotLogarithmic(f"{vf_to_str(field)} is not logarithmic for f")
     det = poly_det(coefficient_matrix(fields))
     if det.is_zero():

@@ -33,10 +33,11 @@ the Jacobi loop of both homological equations (on functions in
 loop that cannot end once its passes outnumber its keys, and
 `_resonant_unit` is the unit loop of both `unit_adjust` and
 `factor_structure`, with one solve per degree.  Final identities compose
-through the power table of the returned change.  Every product kept below
-an order is formed below it, by `sum_of_products` or as a jet power, and
-every field action by `VectorField.apply` with that order.  The field
-action takes polynomial fields only: the public entries cut a jet field
+through the power table of the returned change.  The internals work on
+polynomials, and jets are only their results: every product kept below
+an order is formed below it by `sum_of_products` (a power as repeated
+products), every inverse by `unit_inverse` and every field action by
+`VectorField.apply` with that order.  The public entries cut a jet input
 once, on entry, which changes no answer below the jet's order (see the
 vfield module docstring).
 
@@ -64,8 +65,8 @@ from .errors import (CertificateFailure, NotAtOrigin, NotFree,
                      PrecisionRequired, PreconditionViolated, ProductInput,
                      TruncationTooSmall, VanishesAtOrigin)
 from .poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly, cut,
-                   exponents, linear_forms, remultiplies, split,
-                   sum_of_products)
+                   exact, exponents, linear_forms, remultiplies, split,
+                   sum_of_products, unit_inverse)
 from .vfield import (VectorField, lie_bracket, multihomog_decompose,
                      split_field, vf_to_str)
 from .linalg import identity as mat_identity
@@ -224,12 +225,13 @@ class CoordChange:
                     Polynomial.variable(self.varnames, i):
                 raise CertificateFailure("coordinate change does not invert")
 
-    def apply(self, g: Coeff) -> Polynomial:
-        """The transformed function g o (images), valid below `order`."""
-        return self._image_powers.compose(as_poly(g))
+    def apply(self, g: Polynomial) -> Polynomial:
+        """The transformed function g o (images), valid below `order`; g
+        must be a polynomial (poly.exact)."""
+        return self._image_powers.compose(exact(g))
 
-    def unapply(self, g: Coeff) -> Polynomial:
-        return self._inverse_powers.compose(as_poly(g))
+    def unapply(self, g: Polynomial) -> Polynomial:
+        return self._inverse_powers.compose(exact(g))
 
     def push_field(self, delta: VectorField) -> VectorField:
         """Transport a field to the new coordinates.
@@ -394,8 +396,8 @@ def _solve_field_equation(delta0: VectorField, target: VectorField,
         return _wdeg(w, key[1]) - w[key[0]]
 
     def terms(v: VectorField):
-        return {(i, e): c for i, p in enumerate(v.coeffs)
-                for e, c in as_poly(p).terms.items()}
+        return {(i, e): c for i, p in enumerate(v.polynomials())
+                for e, c in p.terms.items()}
 
     def field(H) -> VectorField:
         return VectorField([Polynomial({e: c for (j, e), c in H.items()
@@ -578,7 +580,7 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int,
     `dec` is the S-N decomposition of delta's linear part when the caller
     has it (`formal_structure` read it to pick delta); else it is formed
     here."""
-    varnames = as_poly(delta.coeffs[0]).vars
+    varnames = delta.vars
     if not delta.vanishes_at_origin():
         raise PreconditionViolated("field must vanish at the origin")
     _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
@@ -619,7 +621,8 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int,
 # -- cofactors and unit adjustment ------------------------------------------------
 
 
-def _series_quotient(g: Coeff, f: Coeff, order: int) -> Optional[Polynomial]:
+def _series_quotient(g: Polynomial, f: Polynomial,
+                     order: int) -> Optional[Polynomial]:
     """Some a with a*f = g below `order`, found degree by degree, or None.
 
     With F0 the lowest form of f, each step divides the lowest form of the
@@ -627,18 +630,17 @@ def _series_quotient(g: Coeff, f: Coeff, order: int) -> Optional[Polynomial]:
     quotient to a, which clears that degree of r; multiplying by F0 is
     injective, so each part of a is unique when it exists.
     """
-    fp = as_poly(f)
-    if fp.is_zero():
+    if f.is_zero():
         raise PreconditionViolated("cannot divide by zero")
-    f0 = split(fp, sum)[fp.low_degree()]
-    a = Polynomial.zero(fp.vars)
+    f0 = split(f, sum)[f.low_degree()]
+    a = Polynomial.zero(f.vars)
     r = cut(g, order)
     while not r.is_zero():
         am = _exact_quotient(split(r, sum)[r.low_degree()], f0)
         if am is None:
             return None
         a = a + am
-        r = r - sum_of_products([(am, fp)], order)
+        r = r - sum_of_products([(am, f)], order)
     return a
 
 
@@ -680,10 +682,6 @@ def _cofactor(delta: VectorField, f: Polynomial, order: int) -> Polynomial:
     return a
 
 
-def _unit_inverse(p: Polynomial, order: int) -> Polynomial:
-    return as_poly(Jet(p, order).inverse())
-
-
 def _resonant_unit(delta: VectorField, frep: Polynomial, w: Sequence[Fraction],
                    weights: WeightSystem, order: int
                    ) -> Tuple[Polynomial, Polynomial]:
@@ -709,7 +707,7 @@ def _resonant_unit(delta: VectorField, frep: Polynomial, w: Sequence[Fraction],
         factor = Polynomial.const(varnames, 1) + q
         u = sum_of_products([(u, factor)], order)
         a = a + sum_of_products(
-            [(delta.apply(factor, order), _unit_inverse(factor, order))],
+            [(delta.apply(factor, order), unit_inverse(factor, order))],
             order)
     return u, a
 
@@ -730,14 +728,18 @@ def unit_adjust(f: Coeff, delta: VectorField, weights: WeightSystem,
     w = _semisimple_diagonal(delta)
     if w is None:
         raise PreconditionViolated("semisimple part must be diagonal")
-    return _unit_adjust(f, delta.as_polynomial_field(), w, weights, order)
+    u, fprime = _unit_adjust(cut(f, order), delta.as_polynomial_field(), w,
+                             weights, order)
+    return Jet(u, order), Jet(fprime, order)
 
 
-def _unit_adjust(f: Coeff, delta: VectorField, w: Sequence[Fraction],
-                 weights: WeightSystem, order: int) -> Tuple[Jet, Jet]:
-    """unit_adjust for a delta whose weights w, the diagonal of the
-    semisimple part of its linear part, are already known."""
-    frep = cut(f, order)
+def _unit_adjust(frep: Polynomial, delta: VectorField, w: Sequence[Fraction],
+                 weights: WeightSystem, order: int
+                 ) -> Tuple[Polynomial, Polynomial]:
+    """unit_adjust, on polynomials, for a delta whose weights w, the
+    diagonal of the semisimple part of its linear part, are already known:
+    (u, u*frep below `order`).  Terms of frep at or above `order` change
+    nothing."""
     u, a = _resonant_unit(delta, frep, w, weights, order)
     fprime = sum_of_products([(u, frep)], order)
     check = order - frep.low_degree()
@@ -745,7 +747,7 @@ def _unit_adjust(f: Coeff, delta: VectorField, w: Sequence[Fraction],
         raise CertificateFailure("adjusted cofactor fails its identity")
     if any(_wdeg(w, e) != 0 for e in cut(a, check).terms):
         raise CertificateFailure("adjusted cofactor is not resonant")
-    return Jet(u, order), Jet(fprime, order)
+    return u, fprime
 
 
 # -- straightening a unit field ----------------------------------------------------
@@ -764,7 +766,7 @@ def straighten_unit_field(delta: VectorField, order: int) -> CoordChange:
         if isinstance(c, Jet) and c.order < order + 2:
             raise PrecisionRequired("need two orders of margin on jet input")
     t = next(i for i, c in enumerate(const) if c != 0)
-    varnames = as_poly(delta.coeffs[0]).vars
+    varnames = delta.vars
     n = len(varnames)
     inner = order + 1
     start = _chop_field(delta, inner)
@@ -817,7 +819,7 @@ def constant_field_split(f: Polynomial, fields: Sequence[VectorField]):
     """
     witness = None
     for g in fields:
-        coeffs = [as_poly(c) for c in g.coeffs]
+        coeffs = g.polynomials()
         if any(c.total_degree() > 0 for c in coeffs):
             continue
         if all(c.is_zero() for c in coeffs):
@@ -830,7 +832,7 @@ def constant_field_split(f: Polynomial, fields: Sequence[VectorField]):
     change = straighten_unit_field(witness, order)
     moved = f.substitute(list(change.images))
     t = next(i for i, c in enumerate(witness.constant_part()) if c != 0)
-    reduced = remove_variable(as_poly(moved), t)
+    reduced = remove_variable(moved, t)
     return reduced, t, change
 
 
@@ -926,8 +928,7 @@ def _local_basis(family: Sequence[VectorField]) -> Optional[StandardBasis]:
     """The local standard basis of a family of fields, None when empty."""
     if not family:
         return None
-    return standard_basis([[as_poly(c) for c in g.coeffs] for g in family],
-                          LOCAL)
+    return standard_basis([g.polynomials() for g in family], LOCAL)
 
 
 def _local_member(field: VectorField, basis: Optional[StandardBasis],
@@ -936,8 +937,7 @@ def _local_member(field: VectorField, basis: Optional[StandardBasis],
     `_local_basis` is `basis`, with jet quotients of that precision."""
     if basis is None:
         return field.is_zero()
-    elem = [as_poly(c) for c in field.coeffs]
-    return membership(elem, basis, precision=precision).member
+    return membership(field.polynomials(), basis, precision=precision).member
 
 
 def _kill_diagonal_part(comp: VectorField, diag: Optional[List[Fraction]],
@@ -1035,9 +1035,8 @@ def formal_structure(f: Union[Germ, Polynomial],
             raise CertificateFailure(
                 "equation left its multidegree under a weighted change")
         fcur = proj
-        u_new, f_new = _unit_adjust(fcur, delta_n, wnew, W, d_work)
-        unit_rep = sum_of_products([(unit_rep, as_poly(u_new))], d_work)
-        fcur = as_poly(f_new)
+        u_new, fcur = _unit_adjust(fcur, delta_n, wnew, W, d_work)
+        unit_rep = sum_of_products([(unit_rep, u_new)], d_work)
         if len(split(cut(fcur, d), lambda e: _wdeg(wnew, e))) > 1:
             raise CertificateFailure(
                 "equation failed to become weighted homogeneous")
@@ -1146,13 +1145,21 @@ def verify_cor16(fs: FormalStructure) -> List[bool]:
 # -- user-supplied factorizations ---------------------------------------------------
 
 
+def _power_below(p: Polynomial, k: int, order: int) -> Polynomial:
+    """p^k below `order`, as k products formed below it."""
+    out = Polynomial.const(p.vars, 1)
+    for _ in range(k):
+        out = sum_of_products([(out, p)], order)
+    return out
+
+
 def _jet_root(g: Polynomial, k: int, order: int) -> Polynomial:
-    """The k-th root with constant term 1, below `order`."""
+    """The k-th root with constant term 1, below `order`: Newton's
+    iteration, with every product and inverse formed below `order`."""
     if g.constant_term() != 1:
         raise PreconditionViolated("root needs constant term 1")
-    varnames = g.vars
-    gj = Jet(cut(g, order), order)
-    r = Jet(Polynomial.const(varnames, 1), order)
+    g = cut(g, order)
+    r = Polynomial.const(g.vars, 1)
     steps = 1
     good = 1
     while good < order:
@@ -1161,11 +1168,13 @@ def _jet_root(g: Polynomial, k: int, order: int) -> Polynomial:
     kf = Fraction(1, k)
     for _ in range(steps):
         # r <- r - (r^k - g) / (k r^(k-1))
-        corr = (r ** k - gj) * (r ** (k - 1)).inverse() * kf
-        r = r - corr
-    if not (r ** k - gj).is_zero():
+        low = _power_below(r, k - 1, order)
+        excess = sum_of_products([(low, r)], order) - g
+        r = r - sum_of_products([(excess, unit_inverse(low, order))],
+                                order) * kf
+    if _power_below(r, k, order) != g:
         raise CertificateFailure("root iteration failed to converge")
-    return as_poly(r)
+    return r
 
 
 @dataclass(frozen=True)
@@ -1237,9 +1246,9 @@ def factor_structure(fs: FormalStructure, f: Polynomial,
                 acc = Polynomial.const(f.vars, 1)
                 for j in range(m - 1):
                     acc = sum_of_products(
-                        [(acc, as_poly(Jet(urow[j], d) ** mults[j]))], d)
+                        [(acc, _power_below(urow[j], mults[j], d))], d)
                 u = _jet_root(sum_of_products(
-                    [(target, _unit_inverse(acc, d))], d), mults[m - 1], d)
+                    [(target, unit_inverse(acc, d))], d), mults[m - 1], d)
                 prod = sum_of_products([(u, freps[i])], d)
                 a = _series_quotient(sigma.apply(prod, d), prod, d)
                 if a is None:

@@ -5,16 +5,15 @@ per variable) to nonzero Fractions.  All arithmetic is exact.  Exponents are
 normally nonnegative; negative entries are permitted so the same carrier can
 hold Laurent terms for the local-cohomology module, which filters them itself.
 
-A Jet is a polynomial known only modulo m^order (m the maximal ideal at the
-origin): stored terms all have total degree < order.  Jets are values:
-membership quotients, unit inverses and roots, and the results that print
-with ` mod m^order`.  Jet arithmetic tracks the order honestly: a product's
-order is min(a.order + lowdeg(b), b.order + lowdeg(a)), so multiplying by
-something in m does not lose precision.  A jet product never forms a term
-at or above its order: term pairs whose degrees sum to the order or more
-are skipped.  The exact operations, substitution and the field action of
-`derivation`, take polynomials only; `exact` refuses a jet operand, and a
-caller that wants a result below an order passes that order.
+A Jet is a value: a polynomial known only modulo m^order (m the maximal
+ideal at the origin), whose stored terms all have total degree < order.
+Membership quotients, units and the results that print with
+` mod m^order` are jets.  A jet has no arithmetic.  Truncated arithmetic
+takes polynomials and an explicit order, and forms no term at or above it:
+`sum_of_products` for sums of products, `unit_inverse` for the inverse of
+a unit, `derivation` for field actions and `PowerTable` for substitution.
+The exact operations, polynomial arithmetic, substitution and the field
+action, take polynomials only: `exact` refuses a jet operand.
 
 Substitution goes through a PowerTable, which keeps the powers of the images
 it has formed so that composing many functions through one map computes
@@ -146,6 +145,29 @@ def sum_of_products(pairs: Iterable[Tuple["Polynomial", "Polynomial"]],
     return Polynomial._of(_unlift(total), varnames)
 
 
+def unit_inverse(p: "Polynomial", order: int) -> "Polynomial":
+    """The inverse of the unit p below `order` >= 1: the r of degree below
+    `order` with p * r = 1 modulo m^order, which is unique.
+
+    Newton's step r <- r * (2 - p * r) takes an inverse modulo m^g to one
+    modulo m^2g, so each step forms its products only below the precision
+    it reaches, min(2g, order), and only the last one runs at `order`."""
+    c = exact(p).constant_term()
+    if c == 0 or order < 1:
+        raise PreconditionViolated(f"not a unit modulo m^{order}")
+    zero = (0,) * len(p.vars)
+    me = _lift(p.terms)
+    two = ({zero: 2}, 1)
+    r = _lift({zero: 1 / c})
+    good = 1
+    while good < order:
+        good = min(2 * good, order)
+        factor = _lifted_combination(
+            [(1, two), (-1, _lifted_product(me, r, good))])
+        r = _lifted_product(r, factor, good)
+    return Polynomial._of(_unlift(r), p.vars)
+
+
 def derivation(actions: Sequence[Tuple[Scalar, Sequence["Polynomial"],
                                        Sequence["Polynomial"]]],
                order: Optional[int] = None) -> Tuple["Polynomial", ...]:
@@ -246,12 +268,6 @@ def remultiplies(rows: Sequence[Sequence["Polynomial"]],
     return True
 
 
-def _mul_terms(a: TermMap, b: TermMap, order: Optional[int] = None) -> TermMap:
-    """The product of two term maps; with `order`, only its terms of total
-    degree below `order` are formed."""
-    return _unlift(_lifted_product(_lift(a), _lift(b), order))
-
-
 class Polynomial:
     """Immutable sparse polynomial over Q, tied to a fixed variable tuple."""
 
@@ -331,11 +347,9 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.vars, other)
-        self._check_vars(other)
+        self._check_vars(exact(other))
         out = dict(self.terms)
         for exp, c in other.terms.items():
             s = out.get(exp, Fraction(0)) + c
@@ -351,25 +365,22 @@ class Polynomial:
         return Polynomial._of({e: -c for e, c in self.terms.items()}, self.vars)
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.vars, other)
-        return self + (-other)
+        return self + (-exact(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            return NotImplemented
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
                 return Polynomial.zero(self.vars)
             return Polynomial({e: k * c for e, k in self.terms.items()}, self.vars)
-        self._check_vars(other)
-        return Polynomial._of(_mul_terms(self.terms, other.terms), self.vars)
+        self._check_vars(exact(other))
+        product = _lifted_product(_lift(self.terms), _lift(other.terms))
+        return Polynomial._of(_unlift(product), self.vars)
 
     __rmul__ = __mul__
 
@@ -616,8 +627,8 @@ def poly_parse(text: str, varnames: Sequence[str]) -> Polynomial:
 
 
 class Jet:
-    """A polynomial modulo m^order.  Arithmetic re-truncates and keeps the
-    order bookkeeping honest (see module docstring)."""
+    """A polynomial known modulo m^order: a value, with no arithmetic (see
+    the module docstring)."""
 
     __slots__ = ("poly", "order")
 
@@ -631,11 +642,6 @@ class Jet:
     def vars(self):
         return self.poly.vars
 
-    def low_degree(self) -> int:
-        """Known order of vanishing, capped by the truncation order."""
-        ld = self.poly.low_degree()
-        return self.order if ld < 0 else min(ld, self.order)
-
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
@@ -645,50 +651,6 @@ class Jet:
     def truncate(self, order: int) -> "Jet":
         return Jet(self.poly, min(self.order, order))
 
-    def _coerce(self, other) -> "Jet":
-        # binary ops re-truncate to the smaller order
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, Polynomial):
-            return Jet(other, self.order)
-        if isinstance(other, (int, Fraction)):
-            return Jet(Polynomial.const(self.vars, other), self.order)
-        raise TypeError(f"cannot combine Jet with {type(other).__name__}")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.poly + o.poly, min(self.order, o.order))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.poly, self.order)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Jet(self.poly * other, self.order)
-        o = self._coerce(other)
-        self.poly._check_vars(o.poly)
-        order = min(self.order + o.low_degree(), o.order + self.low_degree())
-        return Jet(Polynomial._of(_mul_terms(self.poly.terms, o.poly.terms, order),
-                                  self.vars), order)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise PreconditionViolated("negative jet power")
-        result = Jet(Polynomial.const(self.vars, 1), self.order)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
@@ -696,28 +658,6 @@ class Jet:
 
     def __hash__(self):
         return hash((self.poly, self.order))
-
-    def inverse(self) -> "Jet":
-        """Multiplicative inverse; requires a nonzero constant term.
-
-        Newton's step r <- r * (2 - self * r) takes an inverse modulo m^g
-        to one modulo m^2g, so each step forms its products only below the
-        precision it reaches, min(2g, order), and only the last one runs
-        at the full order.  The inverse modulo m^order is unique."""
-        c = self.poly.constant_term()
-        if c == 0:
-            raise PreconditionViolated("jet is not a unit (zero constant term)")
-        zero = (0,) * len(self.vars)
-        me = _lift(self.poly.terms)
-        two = ({zero: 2}, 1)
-        r = _lift({zero: 1 / c})
-        good = 1
-        while good < self.order:
-            good = min(2 * good, self.order)
-            factor = _lifted_combination(
-                [(1, two), (-1, _lifted_product(me, r, good))])
-            r = _lifted_product(r, factor, good)
-        return Jet(Polynomial._of(_unlift(r), self.vars), self.order)
 
     def __str__(self):
         return f"{poly_to_str(self.poly)} + O(m^{self.order})"

@@ -69,7 +69,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import CertificateFailure, PrecisionRequired, PreconditionViolated
 from .orderings import GLOBAL, Exponent, ModMono, OrderingSpec, elimination_key
 from .poly import (Jet, Polynomial, as_poly, exact, remultiplies,
-                   sum_of_products)
+                   sum_of_products, unit_inverse)
 
 Vec = Dict[ModMono, int]
 RatVec = Dict[ModMono, Fraction]
@@ -540,8 +540,9 @@ def membership(element, basis: StandardBasis,
     if precision is None:
         raise PrecisionRequired(
             "local membership has a power series quotient; pass a precision")
-    uinv = Jet(unit_poly, precision).inverse()
-    quotients = tuple((Jet(q, precision) * uinv) for q in qpolys)
+    uinv = unit_inverse(unit_poly, precision)
+    quotients = tuple(Jet(sum_of_products([(q, uinv)], precision), precision)
+                      for q in qpolys)
     cert = MembershipCertificate(True, quotients, precision, nf_vec, unit_poly)
     if not cert.verify(element, basis.inputs):
         raise CertificateFailure("membership quotients failed re-multiplication")

@@ -8,13 +8,15 @@ d(e(x_j)) - e(d(x_j)); for linear fields written x.A.d this gives
 The field action is one exact integer map, poly.derivation, on
 polynomials only: delta(p) and each bracket component are one sum of
 products on integer numerators, and `polynomials` refuses a jet field
-(poly.exact).  Jet fields are values, such as the nilpotent complements of
-a formal structure, and print with a trailing ` mod m^k`.  A caller that
-wants delta(p) only below an order k passes k to `apply`, which forms the
-products only below it.  For a jet field J of order k, the action of its
-polynomial field (its stored terms) below k is the jet action cut below
-k: p has no negative exponents, so a coefficient term of degree >= k adds
-only terms of degree >= k to delta(p).
+(poly.exact).  Field arithmetic (sums, negation, scaling, g*delta) reads
+`polynomials` too, since a jet has no arithmetic.  Jet fields are values,
+such as the nilpotent complements of a formal structure, and print with a
+trailing ` mod m^k`.  A caller that wants delta(p) only below an order k
+passes k to `apply`, which forms the products only below it.  For a jet
+field J of order k, the action below k of its polynomial field (its
+stored terms) is that of every field with this jet: p has no negative
+exponents, so a coefficient term of degree >= k adds only terms of degree
+>= k to delta(p).
 
 `split_field` groups the terms of a field by a key of (exponent, index),
 as poly.split does for functions.
@@ -156,21 +158,23 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         self._check(other)
-        return VectorField([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return VectorField([a + b for a, b in
+                            zip(self.polynomials(), other.polynomials())])
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         self._check(other)
-        return VectorField([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return VectorField([a - b for a, b in
+                            zip(self.polynomials(), other.polynomials())])
 
     def __neg__(self) -> "VectorField":
-        return VectorField([-c for c in self.coeffs])
+        return VectorField([-c for c in self.polynomials()])
 
     def scale(self, c) -> "VectorField":
-        return VectorField([a * Fraction(c) for a in self.coeffs])
+        return VectorField([a * Fraction(c) for a in self.polynomials()])
 
-    def mul_function(self, g: Coeff) -> "VectorField":
+    def mul_function(self, g: Polynomial) -> "VectorField":
         """The field g*delta."""
-        return VectorField([g * a for a in self.coeffs])
+        return VectorField([exact(g) * a for a in self.polynomials()])
 
     def __eq__(self, other):
         if not isinstance(other, VectorField):

@@ -19,7 +19,8 @@ from logvf.linalg import echelon, nullspace, remainder
 from logvf.orderings import LOCAL
 from logvf.poly import Polynomial, poly_parse
 from logvf.report import analyze, parse_div
-from logvf.standard_bases import membership, standard_basis, syzygies
+from logvf.standard_bases import (MembershipCertificate, membership,
+                                  standard_basis, syzygies)
 from logvf.vfield import VectorField, vf_to_str
 from test_liealg import BP_CURVES, GENERATED, PLANE_CURVES, brieskorn_pham
 
@@ -85,6 +86,27 @@ def test_cusp_is_free_by_determinant():
     q = cert.quotients[0]
     assert q.total_degree() == 0
     assert q.constant_term() == check.unit_value_at_0
+
+
+def test_saito_series_quotient_is_certified(monkeypatch):
+    # f = x + x*y: d_y(f) = x = f / (1 + y) is a member with a series
+    # quotient only, so its certificate runs at a precision; refused for x
+    # alone, the check must fail rather than accept the field
+    f = poly_parse("x + x*y", XY)
+    fields = [VectorField([poly_parse("2*x", XY), Polynomial.zero(XY)]),
+              VectorField.partial(XY, 1)]
+    check = saito_free_check(fields, f)
+    assert check.free and check.determinant == poly_parse("2*x", XY)
+    assert check.unit_value_at_0 == 2
+    verify = MembershipCertificate.verify
+    x = poly_parse("x", XY)
+
+    def refuse_x(self, element, inputs):
+        return element != x and verify(self, element, inputs)
+
+    monkeypatch.setattr(MembershipCertificate, "verify", refuse_x)
+    with pytest.raises(CertificateFailure):
+        saito_free_check(fields, f)
 
 
 def test_saito_wrong_count():

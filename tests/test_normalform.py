@@ -15,7 +15,8 @@ from logvf.errors import (CertificateFailure, LogvfError,
                           TruncationTooSmall, VanishesAtOrigin,
                           VariableMismatch)
 from logvf.poly import (Jet, Polynomial, WeightSystem, as_poly, graded_parts,
-                        multihomog_decompose_poly, poly_parse, sum_of_products)
+                        multihomog_decompose_poly, poly_parse, sum_of_products,
+                        unit_inverse)
 from logvf.vfield import (VectorField, field_graded_parts, lie_bracket,
                           multihomog_decompose, vf_to_str)
 from logvf.derlog import derlog_generators, minimalize
@@ -31,10 +32,10 @@ from logvf.normalform import (CoordChange, constant_field_split,
 from logvf import normalform
 from logvf.normalform import (_check_multihomog, _chop_field,
                               _diagonalizing_prep,
-                              _exact_quotient, _kill_diagonal_part,
+                              _exact_quotient, _jet_root, _kill_diagonal_part,
                               _pd_normalize,
                               _semisimple_diagonal, _series_quotient,
-                              _solve_field_equation, _unit_inverse, _wdeg)
+                              _solve_field_equation, _wdeg)
 from logvf.orderings import GLOBAL, LOCAL
 from logvf.report import analyze, parse_div
 from logvf.standard_bases import membership, standard_basis
@@ -761,7 +762,7 @@ def _reference_resonance_unit(sigma, frep, order):
         q = homological_solve(sigma, am, 0)
         factor = Polynomial.const(varnames, 1) + as_poly(q)
         u = chop(u * factor, order)
-        shift = chop(as_poly(sigma.apply(factor)) * _unit_inverse(factor, order),
+        shift = chop(as_poly(sigma.apply(factor)) * unit_inverse(factor, order),
                      order)
         a = chop(a + shift, order)
     return u, a
@@ -1271,22 +1272,15 @@ def test_pd_normalize_matches_the_reference_on_every_corpus_candidate(
 
 
 def _reference_transport(rhs, H, order):
-    """_transport by the jet-product loop: each increment -DH.term is
-    summed from jet products whose orders are set so that every product
-    lands below `order`."""
+    """_transport by whole products: each increment -DH.term is the sum of
+    the full Polynomial products d * t, cut below `order`."""
     n = len(H)
     dH = [[h.diff(j) for j in range(n)] for h in H]
-    zero = Jet(Polynomial.zero(H[0].vars), order)
+    zero = Polynomial.zero(H[0].vars)
     out, term = list(rhs), list(rhs)
     while any(not t.is_zero() for t in term):
-        nxt = []
-        for row in dH:
-            acc = zero
-            for d, t in zip(row, term):
-                if not (d.is_zero() or t.is_zero()):
-                    acc = acc - Jet(d, order - t.low_degree()) * Jet(t, order)
-            nxt.append(acc.poly)
-        term = nxt
+        term = [-chop(sum((d * t for d, t in zip(row, term)), zero), order)
+                for row in dH]
         out = [a + b for a, b in zip(out, term)]
     return VectorField(out)
 
@@ -1823,6 +1817,24 @@ def test_factor_structure_nontrivial_units_satisfy_their_identities(f):
             prod = prod * as_poly(fc.units[t][i]) ** fc.multiplicities[i]
         # the units multiply back to the normalized residual
         assert chop(prod, d) == normalized
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_jet_root_is_a_kth_root_below_its_order(data):
+    # g = 1 + (terms in m): r has constant term 1, and r^k, formed from
+    # whole Polynomial products each cut below order, is g below order
+    n = data.draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 0 < sum(e) <= 4)
+    g = Polynomial.const(V3[:n], 1) + Polynomial(
+        data.draw(st.dictionaries(exps, SMALL, max_size=4)), V3[:n])
+    k, order = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    r = _jet_root(g, k, order)
+    assert r.constant_term() == 1 and r.total_degree() < order
+    power = Polynomial.const(g.vars, 1)
+    for _ in range(k):
+        power = chop(power * r, order)
+    assert power == chop(g, order)
 
 
 def test_factor_structure_rejects_non_divisor():

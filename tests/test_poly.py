@@ -32,6 +32,7 @@ from logvf.poly import (
     remultiplies,
     split,
     sum_of_products,
+    unit_inverse,
 )
 
 XY = ("x", "y")
@@ -175,37 +176,27 @@ class TestJet:
         assert j.poly == P("1 + x + x^2")
         assert j.order == 3
 
-    def test_jet_product_order_gain_in_m(self):
-        # two jets vanishing to order 2, both known mod m^5: product known mod m^7
-        a = P("x^2").truncate(5)
-        b = P("y^2").truncate(5)
-        assert (a * b).order == 7
-
-    def test_jet_product_retruncates(self):
-        a = P("1 + x^2").truncate(3)
-        b = P("1 + x^2").truncate(3)
-        c = a * b
-        assert c.order == 3
-        assert c.poly == P("1 + 2*x^2")
-
     def test_inverse_geometric(self):
-        u = P("1 - x").truncate(5)
-        inv = u.inverse()
-        assert inv.poly == P("1 + x + x^2 + x^3 + x^4")
-        assert (u * inv).truncate(5).poly == P("1")
+        u = P("1 - x")
+        inv = unit_inverse(u, 5)
+        assert inv == P("1 + x + x^2 + x^3 + x^4")
+        assert cut(u * inv, 5) == P("1")
 
     def test_inverse_with_constant(self):
-        u = P("2 + x").truncate(4)
-        assert (u * u.inverse()).truncate(4).poly == P("1")
+        u = P("2 + x")
+        assert cut(u * unit_inverse(u, 4), 4) == P("1")
 
     def test_inverse_requires_unit(self):
         with pytest.raises(PreconditionViolated):
-            P("x").truncate(4).inverse()
+            unit_inverse(P("x"), 4)
 
-    def test_mixed_orders_take_min(self):
-        a = P("1 + x").truncate(5)
-        b = P("1 + y").truncate(3)
-        assert (a + b).order == 3
+    def test_a_jet_has_no_arithmetic(self):
+        a, b = P("1 + x").truncate(5), P("1 + y").truncate(3)
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+                   lambda: -a, lambda: a * 2, lambda: 2 * a, lambda: a ** 2):
+            with pytest.raises(TypeError):
+                op()
+        assert not hasattr(a, "inverse")
 
 
 class TestWeights:
@@ -289,15 +280,6 @@ class TestConstructor:
 
 
 class TestTruncatedProducts:
-    @PROPERTY
-    @given(LOW_DEGREE_POLYS, LOW_DEGREE_POLYS, st.integers(0, 7),
-           st.integers(0, 7))
-    def test_jet_product_equals_truncated_full_product(self, a, b, oa, ob):
-        ja, jb = Jet(a, oa), Jet(b, ob)
-        prod = ja * jb
-        assert prod.order == min(oa + jb.low_degree(), ob + ja.low_degree())
-        assert prod == Jet(ja.poly * jb.poly, prod.order)
-
     @PROPERTY
     @given(polys(high=3), st.lists(polys(high=2, max_terms=3), min_size=2,
                                    max_size=2))
@@ -414,43 +396,57 @@ def test_derivation_refuses_empty_and_mismatched_actions():
 
 # -- the Newton inverse at doubling precision against full-order steps ---------
 
-def _reference_inverse(u):
-    """The inverse of a unit jet by Newton steps that all run at the full
-    order."""
-    c = u.poly.constant_term()
-    r = Jet(Polynomial.const(u.vars, 1) * (Fraction(1) / c), u.order)
+def _reference_inverse(u, order):
+    """The inverse of a unit below `order` by Newton steps that all run at
+    the full order: whole Polynomial products, each cut below `order`."""
+    r = Polynomial.const(u.vars, Fraction(1) / u.constant_term())
     steps, good = 0, 1
-    while good < u.order:
+    while good < order:
         good *= 2
         steps += 1
-    me = Jet(u.poly, u.order)
     for _ in range(max(steps, 1)):
-        r = Jet((r * (2 - me * r)).poly, u.order)
+        r = cut(r * (2 - cut(u * r, order)), order)
     return r
 
 
 @st.composite
-def units(draw):
+def units(draw, low=0):
+    """A unit polynomial and an order from `low` to 12."""
     varnames = ("x", "y", "z")[:draw(st.integers(1, 3))]
     n = len(varnames)
     exps = st.tuples(*[st.integers(0, 3)] * n).filter(
         lambda e: 0 < sum(e) <= 3)
     terms = draw(st.dictionaries(exps, COEFFS, max_size=3))
     terms[(0,) * n] = draw(COEFFS.filter(bool))
-    return Jet(Polynomial(terms, varnames), draw(st.integers(0, 12)))
+    return Polynomial(terms, varnames), draw(st.integers(low, 12))
 
 
 @settings(max_examples=40)
 @given(units())
-def test_inverse_at_doubling_precision_matches_full_order_steps(u):
-    if u.order == 0:
+def test_inverse_at_doubling_precision_matches_full_order_steps(unit):
+    u, order = unit
+    if order == 0:
         # modulo m^0 the constant term is gone too: no unit to invert
         with pytest.raises(PreconditionViolated):
-            u.inverse()
+            unit_inverse(u, order)
         return
-    inv = u.inverse()
-    assert inv == _reference_inverse(u)
-    assert inv.order == u.order
+    assert unit_inverse(u, order) == _reference_inverse(u, order)
+
+
+@PROPERTY
+@given(units(low=1))
+def test_unit_inverse_inverts_below_its_order(unit):
+    u, order = unit
+    inv = unit_inverse(u, order)
+    assert cut(u * inv, order) == 1
+    assert inv.total_degree() < order
+
+
+@PROPERTY
+@given(polys(low=1), st.integers(1, 8))
+def test_unit_inverse_refuses_a_zero_constant_term(p, order):
+    with pytest.raises(PreconditionViolated):
+        unit_inverse(p, order)
 
 
 # -- the term-map primitives: cut, split, exponents and linear forms -----------

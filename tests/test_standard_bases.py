@@ -12,7 +12,7 @@ import logvf.derlog as derlog
 import logvf.standard_bases as sbm
 from logvf.errors import CertificateFailure, PrecisionRequired, PreconditionViolated
 from logvf.orderings import GLOBAL, LOCAL, OrderingSpec, elimination_key
-from logvf.poly import Jet, Polynomial, poly_parse, sum_of_products
+from logvf.poly import Jet, Polynomial, cut, poly_parse, sum_of_products
 from logvf.report import analyze, parse_div
 from logvf.standard_bases import (MembershipCertificate, default_precision,
                                   ideal_dimension, membership,
@@ -588,8 +588,15 @@ def _reference_membership(element, basis, precision=None):
     if precision is None:
         raise PrecisionRequired(
             "local membership has a power series quotient; pass a precision")
-    uinv = Jet(unit_poly, precision).inverse()
-    return MembershipCertificate(True, tuple(Jet(q, precision) * uinv
+    # the geometric series of the unit u = c * (1 - t), t in m: the powers
+    # t^j of degree >= precision add nothing below it
+    c = unit_poly.constant_term()
+    t = 1 - unit_poly * (1 / c)
+    uinv, power = Polynomial.zero(varnames), Polynomial.const(varnames, 1)
+    for _ in range(precision):
+        uinv, power = uinv + power, cut(power * t, precision)
+    uinv = uinv * (1 / c)
+    return MembershipCertificate(True, tuple(Jet(q * uinv, precision)
                                              for q in qpolys),
                                  precision, nf_vec, unit_poly)
 
@@ -644,10 +651,12 @@ def _reference_dimension(gens, ordering=None):
 # -- the integer core against the reference -------------------------------------
 
 def _terms(p):
-    """Terms in stored order, with a jet's order: equal values and equal
-    term order, so printed and iterated results agree too."""
+    """A polynomial's terms in stored order: equal values and equal term
+    order, so printed and iterated results agree too.  A jet, with its
+    order, as a value: its stored order follows the way its unit inverse
+    was formed, which the reference does by its own series."""
     if isinstance(p, Jet):
-        return ("jet", p.order, list(p.poly.terms.items()))
+        return ("jet", p.order, sorted(p.poly.terms.items()))
     return list(p.terms.items())
 
 
