@@ -18,6 +18,10 @@ solving (I + DH).delta' = delta o (x + H), and no step is inverted.  The
 composite is made once at the end, so `make` certifies its round trip, and
 the returned field is certified by transport: delta'(images_i) equals
 delta_i o images below the change's order, for the input field delta.
+`make` solves the inverse degree by degree through the change's image
+table (`PowerTable.inverse`), which keeps the monomials it forms, so the
+round trip, the transport certificate, apply and push_field compose
+through monomials already formed.
 
 The driver `formal_structure` iterates three steps until the space of
 diagonal symmetries of the equation stops growing: normalize one candidate
@@ -122,9 +126,10 @@ class CoordChange:
     images[i] expresses the old coordinate x_i in the new coordinates, so
     substituting the images into the old equation gives the new one.
     inverse_images[i] expresses the new x_i in the old coordinates.  Both
-    directions compose to the identity below degree `order`.  `make` finds
-    the inverse by Newton's method and checks the round trip (jet images
-    must be known below `order`, else `PrecisionRequired`); `reorder`
+    directions compose to the identity below degree `order`.  `make` solves
+    psi o phi = x degree by degree through the images' power table and
+    checks the round trip (jet images must be known below `order`, else
+    `PrecisionRequired`, and Laurent images are refused); `reorder`
     checks it at its lower order; `then` composes two checked changes
     without a check of its own, which algebra makes unnecessary.  A field
     moved by a change is certified apart from it: `push_field` is exact
@@ -140,11 +145,13 @@ class CoordChange:
     `make`, `then` or `identity`), and so does psi: psi o phi = x forces
     psi(0) = 0 and, modulo m^2, an invertible linear part.
 
-    Power tables are cached per map, built on first use, so each power of
-    an image is formed once per map below `order`: apply, push_field and
-    the round-trip check compose through the image table, unapply and
-    `then` through the inverse one.  The tables live and die with the
-    change.
+    Power tables are cached per map, so each monomial in the images is
+    formed once per map below `order`: apply, push_field and the
+    round-trip check compose through the image table, unapply and `then`
+    through the inverse one, built on first use.  A change from `make`
+    holds the image table its inverse was solved through, which already
+    keeps every monomial of the inverse.  The tables live and die with
+    the change.
     """
 
     images: Tuple[Polynomial, ...]
@@ -182,6 +189,8 @@ class CoordChange:
                 raise PreconditionViolated("images over mixed variables")
             if p.constant_term() != 0:
                 raise PreconditionViolated("images must vanish at the origin")
+        # refuses Laurent images, before anything is formed
+        table = PowerTable(imgs, order)
         # L[j][i] = coefficient of x_i in images[j]
         L = [[imgs[j].coeff(tuple(1 if t == i else 0 for t in range(n)))
               for i in range(n)] for j in range(n)]
@@ -189,21 +198,10 @@ class CoordChange:
             Linv = inverse(L)
         except ValueError:
             raise PreconditionViolated("matrix is not invertible") from None
-        xs = [Polynomial.variable(varnames, i) for i in range(n)]
-        # the inverse of the linear part is right below degree 2
-        inv = linear_forms(Linv, varnames)
-        good = 2
-        while good < order:
-            # Newton step psi <- psi - Dpsi.(phi o psi - x): the residual lies
-            # in m^good and Dpsi is right below good - 1, so the new psi is
-            # right below 2*good - 1, and it is formed only below that
-            nxt = min(2 * good - 1, order)
-            table = PowerTable(inv, nxt)
-            res = [table.compose(cut(p, nxt)) - x for p, x in zip(imgs, xs)]
-            inv = [psi - sum_of_products(
-                ((psi.diff(k), res[k]) for k in range(n)), nxt) for psi in inv]
-            good = nxt
-        ch = cls(tuple(imgs), tuple(inv), order)
+        ch = cls(tuple(imgs), table.inverse(Linv), order)
+        # the inverse's monomials are kept in the table, for the round-trip
+        # check, apply and push_field
+        ch.__dict__["_image_powers"] = table
         ch._verify()
         return ch
 
@@ -517,8 +515,9 @@ def _tangent_steps(start: VectorField, prep: Optional[CoordChange],
     `_transport` moves the field from field o (x + H), composed through the
     same table.  No step is inverted.
 
-    After the loop the change is made once (`CoordChange.make`: one Newton
-    inversion and its round-trip check), and the returned field is
+    After the loop the change is made once (`CoordChange.make`: one
+    inversion, degree by degree through the image table, and its
+    round-trip check), and the returned field is
     certified as the transport of `start`: cur(images_i) = start_i o images
     below the change's order, which is `order`, or `order` - 1 when `start`
     has a constant part (the image's degree-`order` terms then reach degree

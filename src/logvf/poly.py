@@ -15,9 +15,10 @@ a unit, `derivation` for field actions and `PowerTable` for substitution.
 The exact operations, polynomial arithmetic, substitution and the field
 action, take polynomials only: `exact` refuses a jet operand.
 
-Substitution goes through a PowerTable, which keeps the powers of the images
-it has formed so that composing many functions through one map computes
-each power once.
+Substitution goes through a PowerTable, which keeps the image of each
+monomial it has formed, so that composing many functions through one map
+forms each monomial once, and which inverts its map below its order
+degree by degree, keeping the monomials of the inverse.
 
 Term maps are cut below an order by `cut`, grouped by a key of the
 exponent by `split`, walked degree by degree by `exponents` and built from
@@ -667,16 +668,21 @@ class Jet:
 
 
 class PowerTable:
-    """Powers of fixed substitution images, formed on demand and kept.
+    """Monomials in fixed substitution images, formed on demand and kept.
 
-    compose(p) replaces the i-th variable of p by images[i].  With an
-    `order`, the images are taken modulo m^order and every power and
-    product is formed only below that order, so compose returns p o images
-    modulo m^order; without one, the composite is exact.  Powers formed for
-    one call are reused by every later call on the same table.
+    compose(p) replaces the i-th variable of p by images[i].  The table
+    keeps the lifted image of each monomial x^e it is asked for, formed
+    once as images^(e - u_i) * images[i], i the last nonzero index of e,
+    so compose is one _lifted_combination of kept monomials, and every
+    later call on the same table reuses them.  With an `order`, the images
+    are taken modulo m^order and every monomial is formed only below that
+    order, so compose returns p o images modulo m^order; without one, the
+    composite is exact.  Truncation drops only terms of high degree when
+    the images have no negative exponents, so a table with an order
+    refuses Laurent images; an exact table takes them.
     """
 
-    __slots__ = ("order", "vars", "_powers")
+    __slots__ = ("order", "vars", "_images", "_monomials")
 
     def __init__(self, images: Sequence[Polynomial], order: Optional[int] = None):
         if not images or len(images) != len(images[0].vars):
@@ -687,15 +693,31 @@ class PowerTable:
         self.order = order
         one = Polynomial.const(self.vars, 1)
         if order is not None:
+            if any(e < 0 for im in images for exp in im.terms for e in exp):
+                raise PreconditionViolated(
+                    "cannot truncate a substitution of Laurent images")
             one, images = cut(one, order), [cut(im, order) for im in images]
-        # _powers[i][k] is images[i] ** k, lifted, filled on demand
-        self._powers = [[_lift(one.terms), _lift(im.terms)] for im in images]
+        self._images = [_lift(im.terms) for im in images]
+        # _monomials[e] is images^e, lifted, filled on demand
+        self._monomials = {(0,) * len(self.vars): _lift(one.terms)}
 
-    def _power(self, i: int, k: int) -> Lifted:
-        pows = self._powers[i]
-        while len(pows) <= k:
-            pows.append(_lifted_product(pows[-1], pows[1], self.order))
-        return pows[k]
+    def _monomial(self, e: Exponent) -> Lifted:
+        known, chain = self._monomials, []
+        while e not in known:
+            i = max(k for k, v in enumerate(e) if v)
+            chain.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        got = known[e]
+        for e, i in reversed(chain):
+            got = known[e] = _lifted_product(got, self._images[i], self.order)
+        return got
+
+    def _through(self, lifted: Lifted) -> Lifted:
+        # a lifted map composed with the images: one combination of monomials
+        ints, den = lifted
+        out = _lifted_combination((v, self._monomial(e))
+                                  for e, v in ints.items())
+        return out if den == 1 else _reduced(out[0], out[1] * den)
 
     def compose(self, p: Polynomial) -> Polynomial:
         """p o images, modulo m^order when the table has an order."""
@@ -703,26 +725,38 @@ class PowerTable:
             raise VariableMismatch(f"{p.vars} vs {self.vars}")
         if any(e < 0 for exp in p.terms for e in exp):
             raise PreconditionViolated("cannot substitute into Laurent terms")
-        out = self._combine(p.terms, len(self.vars))
-        return Polynomial._of(_unlift(out), self.vars)
+        return Polynomial._of(_unlift(self._through(_lift(p.terms))),
+                              self.vars)
 
-    def _combine(self, terms: Dict[Exponent, Fraction], k: int) -> Lifted:
-        # sum of c * prod_{i<k} images[i]^e_i over terms keyed by e[:k]:
-        # grouping on the last exponent multiplies each power of images[k-1]
-        # once by the combined rest instead of once per term
-        groups: Dict[int, Dict[Exponent, Fraction]] = {}
-        for exp, c in terms.items():
-            groups.setdefault(exp[k - 1], {})[exp[:k - 1]] = c
-        if k == 1:
-            return _lifted_combination((sub[()], self._power(0, e))
-                                       for e, sub in groups.items())
-        parts = []
-        for e, sub in groups.items():
-            part = self._combine(sub, k - 1)
-            if e:
-                part = _lifted_product(part, self._power(k - 1, e), self.order)
-            parts.append((1, part))
-        return _lifted_combination(parts)
+    def inverse(self, rows: Sequence[Sequence[Scalar]]
+                ) -> Tuple[Polynomial, ...]:
+        """The psi with psi o images = x modulo m^order, for images that
+        vanish at the origin with an invertible linear part L, given the
+        rows of L^-1; below the order it is unique.
+
+        It is solved degree by degree.  psi starts as the linear forms of
+        `rows`; while psi o images = x + r_k + (terms above degree k), r_k
+        of degree k, the piece -r_k o L^-1 of degree k cancels r_k and
+        changes no lower degree.  psi o images is kept and extended by each
+        piece o images, formed through this table, and L^-1 is applied
+        through one table of its linear forms.  Every monomial of psi is
+        then kept here, so composing psi through this table forms none."""
+        linear = PowerTable(linear_forms(rows, self.vars), self.order)
+        out = []
+        for form in linear._images:
+            parts = [(1, form)]
+            rest = self._through(form)
+            for k in range(2, self.order):
+                ints, den = rest
+                r = {e: v for e, v in ints.items() if sum(e) == k}
+                if r:
+                    piece = linear._through((r, den))
+                    parts.append((-1, piece))
+                    rest = _lifted_combination(
+                        [(1, rest), (-1, self._through(piece))])
+            out.append(Polynomial._of(_unlift(_lifted_combination(parts)),
+                                      self.vars))
+        return tuple(out)
 
 
 def as_poly(obj: Union[Polynomial, Jet]) -> Polynomial:

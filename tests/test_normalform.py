@@ -14,7 +14,9 @@ from logvf.errors import (CertificateFailure, LogvfError,
                           PreconditionViolated, ProductInput,
                           TruncationTooSmall, VanishesAtOrigin,
                           VariableMismatch)
-from logvf.poly import (Jet, Polynomial, WeightSystem, as_poly, graded_parts,
+from logvf import poly
+from logvf.poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly,
+                        cut, graded_parts, linear_forms,
                         multihomog_decompose_poly, poly_parse, sum_of_products,
                         unit_inverse)
 from logvf.vfield import (VectorField, field_graded_parts, lie_bracket,
@@ -235,6 +237,118 @@ def test_made_change_inverts_in_the_unchecked_direction(images, order):
     ch = CoordChange.make(images, order)
     for i, x in enumerate((X, Y)):
         assert ch.unapply(ch.images[i]) == x
+
+
+def _reference_newton_inverse(images, order):
+    """The inverse below `order` by Newton's method: from the inverse of
+    the linear part, each step psi <- psi - Dpsi.(phi o psi - x) takes an
+    inverse right below g to one right below 2g - 1, formed only below
+    that through a fresh power table of psi."""
+    imgs = [cut(p, order) for p in images]
+    varnames = imgs[0].vars
+    n = len(varnames)
+    units = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+    L = [[imgs[j].coeff(units[i]) for i in range(n)] for j in range(n)]
+    xs = [Polynomial.variable(varnames, i) for i in range(n)]
+    inv = linear_forms(inverse(L), varnames)
+    good = 2
+    while good < order:
+        nxt = min(2 * good - 1, order)
+        table = PowerTable(inv, nxt)
+        res = [table.compose(cut(p, nxt)) - x for p, x in zip(imgs, xs)]
+        inv = [psi - sum_of_products(
+            ((psi.diff(k), res[k]) for k in range(n)), nxt) for psi in inv]
+        good = nxt
+    return tuple(inv)
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+@st.composite
+def _non_diagonal_changes(draw):
+    # three variables, an invertible linear part with off-diagonal
+    # entries, plus terms of degree 2 and 3
+    rows = st.lists(SMALL, min_size=3, max_size=3)
+    M = draw(st.lists(rows, min_size=3, max_size=3).filter(
+        lambda m: _det3(m) != 0
+        and any(m[i][j] for i in range(3) for j in range(3) if i != j)))
+    exps = st.tuples(*[st.integers(0, 3)] * 3).filter(
+        lambda t: 2 <= sum(t) <= 3)
+    return [p + Polynomial(draw(st.dictionaries(exps, SMALL, max_size=2)), V3)
+            for p in linear_forms(M, V3)]
+
+
+@st.composite
+def _inverse_cases(draw):
+    order = draw(st.integers(2, 10))
+    kind = draw(st.sampled_from(["general", "non-diagonal", "jet"]))
+    if kind == "non-diagonal":
+        return draw(_non_diagonal_changes()), order
+    images = draw(_general_changes())
+    if kind == "jet":
+        images = [Jet(p, order + draw(st.integers(0, 3))) for p in images]
+    return images, order
+
+
+@settings(max_examples=60)
+@given(_inverse_cases())
+def test_degreewise_inverse_equals_the_newton_inverse(case):
+    images, order = case
+    assert CoordChange.make(images, order).inverse_images == \
+        _reference_newton_inverse(images, order)
+
+
+def test_make_hands_its_table_to_the_change(monkeypatch):
+    # the round-trip check composes the inverse through the images' table,
+    # where making the inverse kept every monomial it needs
+    tables = []
+
+    class Recorded(PowerTable):
+        def inverse(self, rows):
+            tables.append(self)
+            return super().inverse(rows)
+
+    monkeypatch.setattr(normalform, "PowerTable", Recorded)
+    ch = CoordChange.make([X + Y**2 - X * Y, Y + X**3 - Y**3], 9)
+    assert len(tables) == 1 and ch._image_powers is tables[0]
+    kept = set(tables[0]._monomials)
+    formed = []
+    real = poly._lifted_product
+    monkeypatch.setattr(poly, "_lifted_product",
+                        lambda *args: formed.append(args) or real(*args))
+    ch._verify()
+    assert not formed and set(tables[0]._monomials) == kept
+
+
+def test_a_dropped_inverse_piece_fails_the_round_trip(monkeypatch):
+    real = PowerTable.inverse
+
+    def dropped(self, rows):
+        psi = real(self, rows)
+        # the degree-2 piece of the first inverse image, -y^2
+        return (psi[0] - graded_parts(psi[0])[2],) + psi[1:]
+
+    monkeypatch.setattr(PowerTable, "inverse", dropped)
+    with pytest.raises(CertificateFailure,
+                       match="coordinate change does not invert"):
+        CoordChange.make([X + Y**2, Y + X**2], 6)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_make_refuses_laurent_images_before_forming_anything(monkeypatch,
+                                                             order):
+    images = [X + Polynomial.monomial(V2, (-1, 2)), Y]
+    formed = []
+    real = poly._lifted_product
+    monkeypatch.setattr(poly, "_lifted_product",
+                        lambda *args: formed.append(args) or real(*args))
+    with pytest.raises(PreconditionViolated):
+        CoordChange.make(images, order)
+    assert not formed
 
 
 def _scaled_sum(row):

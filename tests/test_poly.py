@@ -17,10 +17,16 @@ from logvf.errors import (
     UnknownVariable,
     VariableMismatch,
 )
+from logvf import poly
 from logvf.poly import (
     Jet,
     Polynomial,
+    PowerTable,
     WeightSystem,
+    _lift,
+    _lifted_combination,
+    _lifted_product,
+    _unlift,
     cut,
     derivation,
     exponents,
@@ -168,6 +174,17 @@ class TestCalculus:
     def test_shift_point(self):
         f = P("x^2 + y")
         assert f.shift([1, 0]) == P("x^2 + 2*x + 1 + y")
+
+    def test_truncated_tables_refuse_laurent_images(self):
+        # x^3 * y^-1 has total degree 2 < 3, so cutting the composite of
+        # x*y at 3 by degree is unsound; an exact table takes the images
+        laurent = [P("x^3"), Polynomial.monomial(XY, (0, -1))]
+        with pytest.raises(PreconditionViolated):
+            PowerTable(laurent, 3)
+        assert P("x*y").substitute(laurent) == \
+            Polynomial.monomial(XY, (3, -1))
+        assert PowerTable(laurent).compose(P("x*y")) == \
+            Polynomial.monomial(XY, (3, -1))
 
 
 class TestJet:
@@ -392,6 +409,90 @@ def test_derivation_refuses_empty_and_mismatched_actions():
         derivation([(1, [x, y], [x]), (1, [x, y], [x, y])])
     with pytest.raises(VariableMismatch):
         derivation([(1, [x, y], [P("z", ("x", "z"))])])
+
+
+# -- composition through cached monomials against per-variable powers ---------
+
+def _reference_compose(images, p, order=None):
+    """The term map of p o images by per-variable powers: images[i]^k is
+    formed by repeated products and kept per variable, and the terms are
+    grouped on their last exponent, recursively, so that each power of the
+    last image multiplies the combined rest once.  Cut below `order` when
+    given, as PowerTable cuts."""
+    one = Polynomial.const(p.vars, 1)
+    if order is not None:
+        one, images = cut(one, order), [cut(im, order) for im in images]
+    powers = [[_lift(one.terms), _lift(im.terms)] for im in images]
+
+    def power(i, k):
+        pows = powers[i]
+        while len(pows) <= k:
+            pows.append(_lifted_product(pows[-1], pows[1], order))
+        return pows[k]
+
+    def combine(terms, k):
+        groups = {}
+        for exp, c in terms.items():
+            groups.setdefault(exp[k - 1], {})[exp[:k - 1]] = c
+        if k == 1:
+            return _lifted_combination((sub[()], power(0, e))
+                                       for e, sub in groups.items())
+        parts = []
+        for e, sub in groups.items():
+            part = combine(sub, k - 1)
+            if e:
+                part = _lifted_product(part, power(k - 1, e), order)
+            parts.append((1, part))
+        return _lifted_combination(parts)
+
+    return _unlift(combine(p.terms, len(p.vars)))
+
+
+@st.composite
+def compositions(draw):
+    """Images in 1 to 4 variables, with or without constant terms, an
+    order (None or 1 to 8) and a function: zero, a constant or drawn."""
+    varnames = ("x", "y", "z", "w")[:draw(st.integers(1, 4))]
+    low = draw(st.integers(0, 1))
+    images = [draw(polys(varnames, low=low, high=2, max_terms=3))
+              for _ in varnames]
+    order = draw(st.none() | st.integers(1, 8))
+    p = draw(st.sampled_from(["zero", "constant", "drawn"]).flatmap(
+        lambda kind: st.just(Polynomial.zero(varnames)) if kind == "zero"
+        else COEFFS.map(lambda c: Polynomial.const(varnames, c))
+        if kind == "constant"
+        else polys(varnames, high=3, max_terms=4)))
+    return images, order, p
+
+
+@settings(max_examples=150)
+@given(compositions())
+def test_compose_through_cached_monomials_equals_per_variable_powers(case):
+    images, order, p = case
+    assert PowerTable(images, order).compose(p).terms == \
+        _reference_compose(images, p, order)
+
+
+def test_two_compositions_form_each_monomial_once(monkeypatch):
+    formed = []
+
+    def counted(a, b, order=None):
+        formed.append(1)
+        return _lifted_product(a, b, order)
+
+    table = PowerTable([P("x + y^2"), P("y - x^2")], 7)
+    first, second = P("x^2*y + x*y - 3*y^3"), P("x^2*y^2 + x*y + x^3")
+    monkeypatch.setattr(poly, "_lifted_product", counted)
+    table.compose(first)
+    table.compose(second)
+    # x^0 is the only monomial the table starts with; every other one kept
+    # was formed by one product
+    assert len(formed) == len(table._monomials) - 1
+    # a second pass over both forms none
+    count = len(formed)
+    table.compose(first)
+    table.compose(second)
+    assert len(formed) == count
 
 
 # -- the Newton inverse at doubling precision against full-order steps ---------
