@@ -27,7 +27,7 @@ from .errors import (CertificateFailure, HasConstantPart, NotFree,
                      VariableMismatch)
 from .poly import Polynomial, as_poly
 from .vfield import VectorField
-from .linalg import nullspace
+from .linalg import nullspace, trace
 from .derlog import Germ, as_germ, saito_free_check
 
 
@@ -122,13 +122,10 @@ def trace_formula_check(delta: VectorField, k: int) -> bool:
         raise PreconditionViolated("jet order k must be at least 1")
     if any(v != 0 for v in delta.constant_part()):
         raise HasConstantPart("the trace identity needs delta in m*Der")
-    A = delta.linear_part()
-    n = len(delta.vars)
-    trace = sum((A[i][i] for i in range(n)), Fraction(0))
     top = CechClass.top(delta.vars)
-    expected = top.scale(-trace)
+    expected = top.scale(-trace(delta.linear_part()))
     full = d1_apply([delta], top)[0]
-    jet = d1_apply([delta.truncate(k + 1).as_polynomial_field()], top)[0]
+    jet = d1_apply([delta.cut(k + 1)], top)[0]
     return full == expected and jet == expected
 
 

@@ -47,11 +47,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .derlog import LogDerModule, is_product, minimalize
 from .errors import (CertificateFailure, NonRationalEigenvalues, ProductInput,
-                     PrecisionRequired, PreconditionViolated)
+                     PreconditionViolated)
 from .linalg import (charpoly, echelon, identity, inverse, is_zero_matrix,
                      mat_add, mat_mul, mat_pow, mat_sub, rank, remainder)
 from .orderings import LOCAL
-from .poly import Exponent, Jet, Polynomial, cut, exponents
+from .poly import Exponent, Polynomial, cut, exponents
 from .standard_bases import membership, standard_basis, syzygies
 from .vfield import VectorField
 
@@ -291,23 +291,14 @@ class _QuotientCoordinates:
         return {self.index[comp, exp]: c
                 for comp, terms in enumerate(vec) for exp, c in terms.items()}
 
-    def coords_of_vector(self, h: Sequence) -> List[Fraction]:
-        """Class coordinates of (h_1, .., h_s); jets must carry order >= d."""
-        w = remainder(self._row([_low_terms(q, self.d) for q in h]),
+    def coords_of_vector(self, h: Sequence[Polynomial]) -> List[Fraction]:
+        """Class coordinates of the polynomial vector (h_1, .., h_s)."""
+        w = remainder(self._row([cut(q, self.d).terms for q in h]),
                       self.reduced, self.pivots)
         if any(piv in w for piv in self.pivots):
             raise CertificateFailure("pivot elimination failed")
         zero = Fraction(0)
         return [w.get(i, zero) for i in self.free_cols]
-
-
-def _low_terms(q, d: int) -> Dict[Exponent, Fraction]:
-    """The terms of q of total degree < d; a jet known to lower order is
-    refused."""
-    if isinstance(q, Jet) and q.order < d:
-        raise PrecisionRequired(
-            "coefficient known to lower order than the truncation")
-    return cut(q, d).terms
 
 
 def _add_shifted(acc: Dict[Exponent, Fraction], terms: Dict[Exponent, Fraction],
@@ -381,7 +372,7 @@ def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
     for p, q in itertools.combinations(range(s), 2):
         c = mod.fields[p].bracket(mod.fields[q])
         h = _express_in_generators(tuple(c.coeffs), sb, d)
-        gen_brackets[p, q] = [_low_terms(x, d) for x in h]
+        gen_brackets[p, q] = [cut(x, d).terms for x in h]
 
     dim = len(reps)
     labels = [coords.monos[col] for col in coords.free_cols]  # (p, e)
@@ -417,7 +408,7 @@ def truncated_lie_algebra(module: LogDerModule, truncation: int = 1
 
 def _express_in_generators(vec, sb, d: int):
     """Quotients of a module element over the basis inputs, exact mod m^d."""
-    cert = membership(vec, sb, precision=max(d, 1))
+    cert = membership(vec, sb, precision=d)
     if not cert.member:
         raise CertificateFailure("bracket is not in the module span")
     return cert.quotients

@@ -41,9 +41,10 @@ through the power table of the returned change.  The internals work on
 polynomials, and jets are only their results: every product kept below
 an order is formed below it by `sum_of_products` (a power as repeated
 products), every inverse by `unit_inverse` and every field action by
-`VectorField.apply` with that order.  The public entries cut a jet input
-once, on entry, which changes no answer below the jet's order (see the
-vfield module docstring).
+`VectorField.apply` with that order.  Every public entry takes
+polynomials and polynomial fields, and refuses a jet on entry
+(poly.exact): a jet is known only below its order, and each entry would
+have to answer for terms above it.
 
 Each object is also computed once.  A round of `formal_structure` reads
 the weights W once and each generator once (`_Reading`): its components
@@ -66,13 +67,12 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from .errors import (CertificateFailure, NotAtOrigin, NotFree,
-                     PrecisionRequired, PreconditionViolated, ProductInput,
-                     TruncationTooSmall, VanishesAtOrigin)
+                     PreconditionViolated, ProductInput, TruncationTooSmall,
+                     VanishesAtOrigin)
 from .poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly, cut,
                    exact, exponents, linear_forms, remultiplies, split,
                    sum_of_products, unit_inverse)
-from .vfield import (VectorField, lie_bracket, multihomog_decompose,
-                     split_field, vf_to_str)
+from .vfield import VectorField, lie_bracket, split_field, vf_to_str
 from .linalg import identity as mat_identity
 from .linalg import (inverse, is_zero_matrix, mat_pow, nullspace, solve,
                      transpose)
@@ -83,8 +83,6 @@ from .standard_bases import StandardBasis, membership, standard_basis
 from .derlog import Germ, as_germ, diagonal_symmetry_space
 from .liealg import SNDecomposition, sn_decompose
 
-Coeff = Union[Polynomial, Jet]
-
 ROUND_CAP = 10
 
 
@@ -93,16 +91,6 @@ def default_truncation(f: Polynomial) -> int:
 
 
 # -- small exact linear algebra helpers ----------------------------------------
-
-
-def _chop_field(v: VectorField, order: int) -> VectorField:
-    return VectorField([cut(c, order) for c in v.coeffs])
-
-
-def _require_order(coeffs: Sequence[Coeff], order: int):
-    """Refuse jet inputs known only below a lower order than `order`."""
-    if any(isinstance(c, Jet) and c.order < order for c in coeffs):
-        raise PrecisionRequired("jet input known to lower order than requested")
 
 
 def _in_row_span(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
@@ -128,8 +116,8 @@ class CoordChange:
     inverse_images[i] expresses the new x_i in the old coordinates.  Both
     directions compose to the identity below degree `order`.  `make` solves
     psi o phi = x degree by degree through the images' power table and
-    checks the round trip (jet images must be known below `order`, else
-    `PrecisionRequired`, and Laurent images are refused); `reorder`
+    checks the round trip (images must be polynomials, one per variable,
+    and Laurent images are refused); `reorder`
     checks it at its lower order; `then` composes two checked changes
     without a check of its own, which algebra makes unnecessary.  A field
     moved by a change is certified apart from it: `push_field` is exact
@@ -175,15 +163,17 @@ class CoordChange:
         return PowerTable(self.inverse_images, self.order)
 
     @classmethod
-    def make(cls, images: Sequence[Coeff], order: int) -> "CoordChange":
+    def make(cls, images: Sequence[Polynomial], order: int) -> "CoordChange":
+        """The change with these images, cut below `order`, and its inverse
+        there, certified by the round trip.  The images are polynomials
+        (poly.exact refuses a jet), one per variable."""
         if order < 1:
             raise PreconditionViolated("order must be at least 1")
-        _require_order(images, order)
-        imgs = [cut(p, order) for p in images]
+        imgs = [cut(exact(p), order) for p in images]
+        if not imgs or len(imgs) != len(imgs[0].vars):
+            raise PreconditionViolated("need one image per variable")
         varnames = imgs[0].vars
         n = len(varnames)
-        if len(imgs) != n:
-            raise PreconditionViolated("need one image per variable")
         for p in imgs:
             if p.vars != varnames:
                 raise PreconditionViolated("images over mixed variables")
@@ -290,8 +280,8 @@ class DiagonalSymmetrySpace:
         return len(self.basis)
 
 
-def diagonal_symmetries(f: Coeff) -> DiagonalSymmetrySpace:
-    p = as_poly(f)
+def diagonal_symmetries(f: Polynomial) -> DiagonalSymmetrySpace:
+    p = exact(f)
     if p.is_zero():
         raise PreconditionViolated("zero polynomial has no symmetry space")
     rows = diagonal_symmetry_space(p)
@@ -304,14 +294,14 @@ def diagonal_symmetries(f: Coeff) -> DiagonalSymmetrySpace:
 
 
 def _require_linear(delta: VectorField):
-    for c in delta.coeffs:
-        for e in as_poly(c).terms:
+    for c in delta.polynomials():
+        for e in c.terms:
             if sum(e) != 1:
                 raise PreconditionViolated("field must be linear")
 
 
-def _check_multihomog(obj, W: WeightSystem, key):
-    keys = list(multihomog_decompose(obj, W))
+def _check_multihomog(delta: VectorField, W: WeightSystem, key):
+    keys = list(split_field(delta, W.field_term_degree))
     if len(keys) > 1:
         raise PreconditionViolated("input is not multihomogeneous")
     if keys and keys[0] != tuple(key):
@@ -350,17 +340,16 @@ def _off_resonance(start: Dict, residual: Callable[[Dict], Dict],
         r = residual(sol)
 
 
-def homological_solve(delta: VectorField, p: Coeff, lam) -> Coeff:
-    """A function q with delta(q) - lam*q + p supported on weight lam.
+def homological_solve(delta: VectorField, p: Polynomial, lam) -> Polynomial:
+    """A polynomial q with delta(q) - lam*q + p supported on weight lam.
 
-    delta must be linear; the weights are read off its diagonal entries and
-    the off-diagonal part is eliminated by `_off_resonance`.  A jet field
-    acts as its polynomial field.
+    delta must be a linear polynomial field and p a polynomial (a jet of
+    either is refused); the weights are read off delta's diagonal entries
+    and the off-diagonal part is eliminated by `_off_resonance`.
     """
+    pp = exact(p)
     _require_linear(delta)
-    delta = delta.as_polynomial_field()
     lam = Fraction(lam)
-    pp = as_poly(p)
     A = delta.linear_part()
     w = [A[i][i] for i in range(len(A))]
 
@@ -377,10 +366,7 @@ def homological_solve(delta: VectorField, p: Coeff, lam) -> Coeff:
             "resonance elimination does not terminate for these weights")
     if any(_wdeg(w, e) != lam for e in residual(q)):
         raise CertificateFailure("solver left terms off the target weight")
-    qp = Polynomial(q, pp.vars)
-    if isinstance(p, Jet):
-        return Jet(qp, p.order)
-    return qp
+    return Polynomial(q, pp.vars)
 
 
 def _solve_field_equation(delta0: VectorField, target: VectorField,
@@ -561,10 +547,10 @@ def pd_normalize(delta: VectorField, weights: WeightSystem,
     preparation and tangent-to-identity steps, one per degree below `order`,
     applied forward only (`_tangent_steps`).  It is inverted and its round
     trip checked once, as a whole, and the field is certified as the
-    transport of the input under it.  Jet coefficients must be known below
-    `order`, else `PrecisionRequired`.
+    transport of the input under it.  The field must be a polynomial
+    field (a jet field is refused); the normalized field is returned as a
+    jet field of `order`.
     """
-    _require_order(delta.coeffs, order)
     total, field, _ = _pd_normalize(delta, weights, order)
     return total, field.truncate(order)
 
@@ -580,10 +566,10 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int,
     has it (`formal_structure` read it to pick delta); else it is formed
     here."""
     varnames = delta.vars
+    start = delta.cut(order)
     if not delta.vanishes_at_origin():
         raise PreconditionViolated("field must vanish at the origin")
     _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
-    start = _chop_field(delta, order)
     cur, prep = start, None
     if dec is None:
         dec = sn_decompose(start.linear_part())
@@ -612,7 +598,7 @@ def _pd_normalize(delta: VectorField, weights: WeightSystem, order: int,
                 raise CertificateFailure("normalized field is not homogeneous")
     S_field = VectorField.diagonal(w, varnames)
     N_field = cur - S_field
-    if not _chop_field(lie_bracket(S_field, N_field), order).is_zero():
+    if not lie_bracket(S_field, N_field).cut(order).is_zero():
         raise CertificateFailure("parts of the normal form do not commute")
     return total, cur, w
 
@@ -711,7 +697,7 @@ def _resonant_unit(delta: VectorField, frep: Polynomial, w: Sequence[Fraction],
     return u, a
 
 
-def unit_adjust(f: Coeff, delta: VectorField, weights: WeightSystem,
+def unit_adjust(f: Polynomial, delta: VectorField, weights: WeightSystem,
                 order: int) -> Tuple[Jet, Jet]:
     """A unit u with u(0)=1 making the cofactor of delta on u*f resonant.
 
@@ -720,15 +706,15 @@ def unit_adjust(f: Coeff, delta: VectorField, weights: WeightSystem,
     part.  When f is multihomogeneous, u comes out multihomogeneous of
     degree zero for `weights`.  The loop is `_resonant_unit`, which
     `factor_structure` shares; here it is followed by the checks of both
-    claims on u*f.  Jet inputs must be known below `order`, else
-    `PrecisionRequired`; a jet field then acts as its polynomial field.
+    claims on u*f.  f must be a polynomial and delta a polynomial field (a
+    jet of either is refused); u and u*f are returned as jets of `order`.
     """
-    _require_order([f, *delta.coeffs], order)
+    frep = cut(exact(f), order)
+    delta.polynomials()  # refuses a jet field before anything is formed
     w = _semisimple_diagonal(delta)
     if w is None:
         raise PreconditionViolated("semisimple part must be diagonal")
-    u, fprime = _unit_adjust(cut(f, order), delta.as_polynomial_field(), w,
-                             weights, order)
+    u, fprime = _unit_adjust(frep, delta, w, weights, order)
     return Jet(u, order), Jet(fprime, order)
 
 
@@ -756,19 +742,17 @@ def straighten_unit_field(delta: VectorField, order: int) -> CoordChange:
     """Coordinates in which a field with delta(0) != 0 becomes a partial.
 
     The target direction is the first index whose coefficient has a nonzero
-    constant term.
+    constant term.  The field must be a polynomial field (a jet field is
+    refused).
     """
+    inner = order + 1
+    start = delta.cut(inner)
     const = delta.constant_part()
     if all(c == 0 for c in const):
         raise VanishesAtOrigin("field has no constant part to straighten")
-    for c in delta.coeffs:
-        if isinstance(c, Jet) and c.order < order + 2:
-            raise PrecisionRequired("need two orders of margin on jet input")
     t = next(i for i, c in enumerate(const) if c != 0)
     varnames = delta.vars
     n = len(varnames)
-    inner = order + 1
-    start = _chop_field(delta, inner)
     cur, prep = start, None
     if list(const) != [Fraction(1 if i == t else 0) for i in range(n)]:
         B = mat_identity(n)
@@ -791,8 +775,7 @@ def straighten_unit_field(delta: VectorField, order: int) -> CoordChange:
 
     change, cur = _tangent_steps(start, prep, cur, inner, range(1, order),
                                  shifts)
-    if not _chop_field(cur - VectorField.partial(varnames, t),
-                       order).is_zero():
+    if not (cur - VectorField.partial(varnames, t)).cut(order).is_zero():
         raise CertificateFailure("field did not straighten to a partial")
     return change
 
@@ -997,7 +980,7 @@ def formal_structure(f: Union[Germ, Polynomial],
     k = len(module.fields)
     d_work = d + max(f.low_degree(), 2)
     fcur = cut(f, d_work)
-    gens = [_chop_field(g, d_work) for g in module.fields]
+    gens = [g.cut(d_work) for g in module.fields]
     unit_rep = Polynomial.const(varnames, 1)
     change = CoordChange.identity(varnames, d_work)
     stabilized = False
@@ -1022,7 +1005,7 @@ def formal_structure(f: Union[Germ, Polynomial],
         gens = [ch1.push_field(g) for g in gens]
         unit_rep = ch1.apply(unit_rep)
         for sf in sig_old:
-            if not _chop_field(ch1.push_field(sf) - sf, d).is_zero():
+            if not (ch1.push_field(sf) - sf).cut(d).is_zero():
                 raise CertificateFailure(
                     "diagonal symmetry moved under a weighted change")
         change = change.then(ch1)
@@ -1051,7 +1034,7 @@ def formal_structure(f: Union[Germ, Polynomial],
     pool = []
     for rd in readings:
         for key in sorted(rd.parts):
-            comp = _chop_field(rd.parts[key], d)
+            comp = rd.parts[key].cut(d)
             if comp.is_zero():
                 continue
             if key == zkey:
@@ -1075,7 +1058,7 @@ def formal_structure(f: Union[Germ, Polynomial],
     if len(kept) != k - s:
         raise CertificateFailure("could not complete a generating system")
     for g in gens:
-        if not _local_member(_chop_field(g, d), basis, d):
+        if not _local_member(g.cut(d), basis, d):
             raise CertificateFailure("completed system fails to generate")
     eigentable = []
     for i in range(s):

@@ -5,15 +5,16 @@ per variable) to nonzero Fractions.  All arithmetic is exact.  Exponents are
 normally nonnegative; negative entries are permitted so the same carrier can
 hold Laurent terms for the local-cohomology module, which filters them itself.
 
-A Jet is a value: a polynomial known only modulo m^order (m the maximal
+A Jet is a result: a polynomial known only modulo m^order (m the maximal
 ideal at the origin), whose stored terms all have total degree < order.
 Membership quotients, units and the results that print with
-` mod m^order` are jets.  A jet has no arithmetic.  Truncated arithmetic
+` mod m^order` are jets.  A jet has no arithmetic, and no library entry
+takes one: every entry takes polynomials, and `exact` refuses a jet
+operand, once, on entry.  A jet is read by `as_poly` and `cut` (and, for
+fields, by `as_polynomial_field` and `vf_to_str`).  Truncated arithmetic
 takes polynomials and an explicit order, and forms no term at or above it:
 `sum_of_products` for sums of products, `unit_inverse` for the inverse of
 a unit, `derivation` for field actions and `PowerTable` for substitution.
-The exact operations, polynomial arithmetic, substitution and the field
-action, take polynomials only: `exact` refuses a jet operand.
 
 Substitution goes through a PowerTable, which keeps the image of each
 monomial it has formed, so that composing many functions through one map
@@ -782,18 +783,14 @@ def cut(p: Union[Polynomial, Jet], order: int) -> Polynomial:
                            if sum(e) < order}, base.vars)
 
 
-def split(p: Union[Polynomial, Jet], key: Callable[[Exponent], Hashable]
-          ) -> Dict[Hashable, Union[Polynomial, Jet]]:
-    """The terms of p grouped by key(exponent), one polynomial per key;
-    the groups of a jet are jets of its order."""
-    base = as_poly(p)
+def split(p: Polynomial, key: Callable[[Exponent], Hashable]
+          ) -> Dict[Hashable, Polynomial]:
+    """The terms of the polynomial p grouped by key(exponent), one
+    polynomial per key."""
     groups: Dict[Hashable, TermMap] = {}
-    for e, c in base.terms.items():
+    for e, c in exact(p).terms.items():
         groups.setdefault(key(e), {})[e] = c
-    parts = {k: Polynomial._of(t, base.vars) for k, t in groups.items()}
-    if isinstance(p, Jet):
-        return {k: Jet(q, p.order) for k, q in parts.items()}
-    return parts
+    return {k: Polynomial._of(t, p.vars) for k, t in groups.items()}
 
 
 def exponents(n: int, d: int) -> Iterator[Exponent]:
@@ -841,12 +838,3 @@ class WeightSystem:
         """Multidegree of the vector-field term x^exp d_i."""
         return tuple(sum(w * e for w, e in zip(row, exp)) - row[i] for row in self.rows)
 
-
-def multihomog_decompose_poly(p: Union[Polynomial, Jet], W: WeightSystem):
-    """Split into W-multihomogeneous components, keyed by the degree tuple."""
-    return split(p, W.monomial_degree)
-
-
-def graded_parts(p: Union[Polynomial, Jet]) -> Dict[int, Polynomial]:
-    """Split by ordinary total degree, into polynomials."""
-    return split(as_poly(p), sum)

@@ -1,25 +1,27 @@
 """Polynomial vector fields delta = sum a_i d/dx_i and their Lie structure.
 
-Coefficients are Polynomials or Jets (all of one kind, same variables; jets
-share one truncation order).  The bracket follows [d,e](x_j) =
-d(e(x_j)) - e(d(x_j)); for linear fields written x.A.d this gives
-[x.A.d, x.B.d] = x.[A,B].d with [A,B] = AB - BA.
+Coefficients are all Polynomials or all Jets of one truncation order, over
+the same variables; a field of mixed kinds or of mixed orders is refused.
+Jet fields are results only, and every operation takes polynomial fields.
+The bracket follows [d,e](x_j) = d(e(x_j)) - e(d(x_j)); for linear fields
+written x.A.d this gives [x.A.d, x.B.d] = x.[A,B].d with [A,B] = AB - BA.
 
 The field action is one exact integer map, poly.derivation, on
 polynomials only: delta(p) and each bracket component are one sum of
 products on integer numerators, and `polynomials` refuses a jet field
-(poly.exact).  Field arithmetic (sums, negation, scaling, g*delta) reads
-`polynomials` too, since a jet has no arithmetic.  Jet fields are values,
-such as the nilpotent complements of a formal structure, and print with a
-trailing ` mod m^k`.  A caller that wants delta(p) only below an order k
-passes k to `apply`, which forms the products only below it.  For a jet
-field J of order k, the action below k of its polynomial field (its
-stored terms) is that of every field with this jet: p has no negative
-exponents, so a coefficient term of degree >= k adds only terms of degree
->= k to delta(p).
+(poly.exact).  Field arithmetic (sums, negation, scaling, g*delta), `cut`
+and `split_field` read `polynomials` too, since a jet has no arithmetic.
+Jet fields are results, such as the nilpotent complements of a formal
+structure, and print with a trailing ` mod m^k`.  A caller that wants
+delta(p) only below an order k passes k to `apply`, which forms the
+products only below it.  For a jet field J of order k, the action below k
+of its polynomial field (its stored terms) is that of every field with
+this jet: p has no negative exponents, so a coefficient term of degree
+>= k adds only terms of degree >= k to delta(p).
 
 `split_field` groups the terms of a field by a key of (exponent, index),
-as poly.split does for functions.
+as poly.split does for functions, and `VectorField.cut` keeps its terms
+below an order, as poly.cut does.
 """
 
 from __future__ import annotations
@@ -28,19 +30,18 @@ from fractions import Fraction
 from typing import (Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
                     Union)
 
-from .errors import HasConstantPart, VariableMismatch
+from .errors import HasConstantPart, PreconditionViolated, VariableMismatch
 from .poly import (
     Exponent,
     Jet,
     Polynomial,
     TermMap,
-    WeightSystem,
     as_poly,
+    cut,
     derivation,
     exact,
     linear_forms,
     poly_to_str,
-    split,
 )
 
 Coeff = Union[Polynomial, Jet]
@@ -59,11 +60,15 @@ class VectorField:
         if len(coeffs) != len(vars0):
             raise VariableMismatch(
                 f"{len(coeffs)} coefficients for {len(vars0)} variables")
-        orders = {c.order for c in coeffs if isinstance(c, Jet)}
+        orders = {c.order if isinstance(c, Jet) else None for c in coeffs}
         if len(orders) > 1:
-            # one order per field: settle on the smallest
-            d = min(orders)
-            coeffs = tuple(c.truncate(d) if isinstance(c, Jet) else c for c in coeffs)
+            if None in orders:
+                # a polynomial field takes no jet coefficient
+                for c in coeffs:
+                    exact(c)
+            raise PreconditionViolated(
+                f"a jet field has one order, not a jet modulo m^{max(orders)}"
+                f" beside one modulo m^{min(orders)}")
         for c in coeffs:
             if c.vars != vars0:
                 raise VariableMismatch(f"{c.vars} vs {vars0}")
@@ -102,10 +107,8 @@ class VectorField:
     @property
     def order(self):
         """Common jet order of the coefficients, or None for polynomials."""
-        for c in self.coeffs:
-            if isinstance(c, Jet):
-                return c.order
-        return None
+        c = self.coeffs[0]
+        return c.order if isinstance(c, Jet) else None
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -133,6 +136,10 @@ class VectorField:
 
     def truncate(self, order: int) -> "VectorField":
         return VectorField([c.truncate(order) for c in self.coeffs])
+
+    def cut(self, order: int) -> "VectorField":
+        """The polynomial field of the coefficient terms below `order`."""
+        return VectorField([cut(c, order) for c in self.polynomials()])
 
     def as_polynomial_field(self) -> "VectorField":
         """Drop jet wrappers, keeping the stored terms."""
@@ -245,33 +252,13 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
 
 def split_field(v: VectorField, key: Callable[[Exponent, int], Hashable]
                 ) -> Dict[Hashable, VectorField]:
-    """The terms c x^e d_i of v grouped by key(e, i), one field per key; the
-    groups of a jet field are jet fields of its order."""
+    """The terms c x^e d_i of the polynomial field v grouped by key(e, i),
+    one field per key."""
     n = len(v.vars)
-    order = v.order
     groups: Dict[Hashable, List[TermMap]] = {}
-    for i, c in enumerate(v.coeffs):
-        for e, coef in as_poly(c).terms.items():
+    for i, c in enumerate(v.polynomials()):
+        for e, coef in c.terms.items():
             groups.setdefault(key(e, i), [{} for _ in range(n)])[i][e] = coef
-    parts = {}
-    for k, maps in groups.items():
-        coeffs = [Polynomial._of(m, v.vars) for m in maps]
-        parts[k] = VectorField(coeffs if order is None
-                               else [Jet(p, order) for p in coeffs])
-    return parts
+    return {k: VectorField([Polynomial._of(m, v.vars) for m in maps])
+            for k, maps in groups.items()}
 
-
-def multihomog_decompose(obj, W: WeightSystem):
-    """W-multihomogeneous components of a Polynomial, Jet, or VectorField,
-    keyed by the degree tuple.  A field term x^alpha d_i has multidegree
-    <w^k, alpha> - w^k_i in each row k."""
-    if isinstance(obj, VectorField):
-        return split_field(obj, W.field_term_degree)
-    return split(obj, W.monomial_degree)
-
-
-def field_graded_parts(v: VectorField) -> Dict[int, VectorField]:
-    """Split by field degree, into polynomial fields: the degree-k part
-    has coefficient terms of total degree k+1 (so the linear part has
-    degree 0)."""
-    return split_field(v.as_polynomial_field(), lambda e, i: sum(e) - 1)

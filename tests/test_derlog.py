@@ -15,7 +15,9 @@ from logvf.derlog import _canonical_order, _sort_key
 from logvf.errors import (CertificateFailure, NotAtOrigin, NotFree,
                           NotLogarithmic, PrecisionRequired,
                           PreconditionViolated, WrongCount)
+from logvf.liealg import truncated_lie_algebra
 from logvf.linalg import echelon, nullspace, remainder
+from logvf.normalform import constant_field_split
 from logvf.orderings import LOCAL
 from logvf.poly import Polynomial, poly_parse
 from logvf.report import analyze, parse_div
@@ -352,12 +354,25 @@ def test_reduced_plane_curve_has_two_minimal_generators(germ):
 @given(brieskorn_pham(BP_CURVES), st.sampled_from((-2, -1, 1, 3)),
        st.sampled_from((-3, 2, 5)))
 def test_minimal_count_is_invariant_under_linear_change(germ, a, b):
+    # the minimal count, freeness and dim D_1 do not change under a linear
+    # change of coordinates or under multiplying f by a unit, and adding an
+    # unused variable only splits off a smooth factor
     varnames, text = germ
     f = poly_parse(text, varnames)
     x, y = (poly_parse(v, varnames) for v in varnames)
     moved = f.substitute([x + y * a, y + x * b])  # det 1 - a*b != 0
     assert len(_assert_both_paths_agree(moved).fields) == \
         len(_assert_both_paths_agree(f).fields) == 2
+    answers = set()
+    for g in (f, moved, _unit_multiple(f)):
+        module = minimalize(derlog_generators(g))
+        answers.add((saito_free_check(module.fields, g).free,
+                     truncated_lie_algebra(module, 1).dimension))
+    assert len(answers) == 1
+    with_z = Polynomial({e + (0,): c for e, c in f.terms.items()}, XYZ)
+    reduced, dropped, _ = constant_field_split(
+        with_z, derlog_generators(with_z).fields)
+    assert (reduced, dropped) == (f, 2)
 
 
 def test_minimalize_makes_one_syzygy_call_and_no_standard_basis(monkeypatch):

@@ -17,7 +17,7 @@ from logvf.errors import (CertificateFailure, NonRationalEigenvalues,
                           ProductInput, PreconditionViolated)
 from logvf.liealg import (LieAlgebraPresentation, SNDecomposition,
                           _QuotientCoordinates, _check_sn,
-                          _express_in_generators, _low_terms, _poly_eval,
+                          _express_in_generators, _poly_eval,
                           _rational_roots, ad_matrix, center_dimension,
                           is_solvable, nilpotency_check, sn_decompose,
                           truncated_lie_algebra)
@@ -25,7 +25,7 @@ from logvf.linalg import (charpoly, identity, inverse, is_zero_matrix, mat_add,
                           mat_mul, mat_pow, mat_scale, mat_sub, nullspace,
                           rank, rref, transpose)
 from logvf.orderings import LOCAL
-from logvf.poly import Polynomial, poly_parse
+from logvf.poly import Polynomial, cut, poly_parse
 from logvf.standard_bases import standard_basis, syzygies
 from test_standard_bases import _reference_syzygies
 
@@ -537,7 +537,7 @@ class _DenseQuotientCoordinates:
     def coords_of_vector(self, h):
         w = [Fraction(0)] * len(self.monos)
         for comp, q in enumerate(h):
-            for exp, c in _low_terms(q, self.d).items():
+            for exp, c in cut(q, self.d).terms.items():
                 w[self.index[(comp, exp)]] += c
         for row, piv in zip(self.red, self.pivots):
             c = w[piv]

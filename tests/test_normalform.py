@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 
 from logvf.errors import (CertificateFailure, LogvfError,
                           NonRationalEigenvalues,
-                          NotAtOrigin, NotFree, PrecisionRequired,
+                          NotAtOrigin, NotFree,
                           PreconditionViolated, ProductInput,
                           TruncationTooSmall, VanishesAtOrigin,
                           VariableMismatch)
 from logvf import poly
 from logvf.poly import (Jet, Polynomial, PowerTable, WeightSystem, as_poly,
-                        cut, graded_parts, linear_forms,
-                        multihomog_decompose_poly, poly_parse, sum_of_products,
+                        cut, linear_forms, poly_parse, split, sum_of_products,
                         unit_inverse)
-from logvf.vfield import (VectorField, field_graded_parts, lie_bracket,
-                          multihomog_decompose, vf_to_str)
+from logvf.vfield import VectorField, lie_bracket, split_field, vf_to_str
 from logvf.derlog import derlog_generators, minimalize
 from logvf.linalg import identity as mat_identity
 from logvf.linalg import inverse, solve
@@ -32,8 +30,7 @@ from logvf.normalform import (CoordChange, constant_field_split,
                               straighten_unit_field, unit_adjust,
                               verify_cor16)
 from logvf import normalform
-from logvf.normalform import (_check_multihomog, _chop_field,
-                              _diagonalizing_prep,
+from logvf.normalform import (_check_multihomog, _diagonalizing_prep,
                               _exact_quotient, _jet_root, _kill_diagonal_part,
                               _pd_normalize,
                               _semisimple_diagonal, _series_quotient,
@@ -84,11 +81,17 @@ def test_coordchange_requires_vanishing_at_origin():
 
 def test_coordchange_refuses_jet_images_below_its_order():
     # Jet(x + y^2, 2) is x known below degree 2; a change valid below 5
-    # cannot be made from it
-    with pytest.raises(PrecisionRequired):
-        CoordChange.make([Jet(X + Y**2, 2), Y], 5)
-    ch = CoordChange.make([Jet(X + Y**2, 5), Y], 5)
-    assert ch == CoordChange.make([X + Y**2, Y], 5)
+    # cannot be made from it, and a jet known below 5 or above is refused
+    # alike, since the images are polynomials
+    for known in (2, 5, 7):
+        with pytest.raises(PreconditionViolated, match="not a jet modulo m\\^"):
+            CoordChange.make([Jet(X + Y**2, known), Y], 5)
+
+
+def test_coordchange_refuses_an_empty_image_list():
+    with pytest.raises(PreconditionViolated,
+                       match="need one image per variable"):
+        CoordChange.make([], 3)
 
 
 def test_coordchange_composition_matches_substitution():
@@ -285,13 +288,9 @@ def _non_diagonal_changes(draw):
 @st.composite
 def _inverse_cases(draw):
     order = draw(st.integers(2, 10))
-    kind = draw(st.sampled_from(["general", "non-diagonal", "jet"]))
-    if kind == "non-diagonal":
+    if draw(st.booleans()):
         return draw(_non_diagonal_changes()), order
-    images = draw(_general_changes())
-    if kind == "jet":
-        images = [Jet(p, order + draw(st.integers(0, 3))) for p in images]
-    return images, order
+    return draw(_general_changes()), order
 
 
 @settings(max_examples=60)
@@ -330,7 +329,7 @@ def test_a_dropped_inverse_piece_fails_the_round_trip(monkeypatch):
     def dropped(self, rows):
         psi = real(self, rows)
         # the degree-2 piece of the first inverse image, -y^2
-        return (psi[0] - graded_parts(psi[0])[2],) + psi[1:]
+        return (psi[0] - split(psi[0], sum)[2],) + psi[1:]
 
     monkeypatch.setattr(PowerTable, "inverse", dropped)
     with pytest.raises(CertificateFailure,
@@ -457,7 +456,7 @@ def _reference_homological_solve(delta, p, lam, weights=None,
     w = [A[i][i] for i in range(n)]
     if weights is not None:
         _check_multihomog(delta, weights, key=(Fraction(0),) * weights.s)
-        _check_multihomog(p, weights, key=multidegree)
+        assert set(split(p, weights.monomial_degree)) <= {tuple(multidegree)}
     off = {e: c for e, c in as_poly(p).terms.items() if _wdeg(w, e) != lam}
     q = {}
     if off:
@@ -557,9 +556,6 @@ def test_homological_solve_matches_the_reference_loop(case, data):
     lam = data.draw(st.sampled_from([Fraction(0), w[0], w[-1], Fraction(1)]))
     assert homological_solve(delta0, p, lam) == \
         _reference_homological_solve(delta0, p, lam)
-    jet = homological_solve(delta0, Jet(p, 5), lam)
-    assert jet.order == 5 and as_poly(jet) == as_poly(
-        homological_solve(delta0, p, lam))
 
 
 @settings(max_examples=60)
@@ -585,7 +581,7 @@ def test_one_solve_per_degree_is_the_sum_of_the_component_solves(case, data):
     # solve of a whole degree part is the sum of its components' solves
     delta0, w, W = case
     am = data.draw(_polys(delta0.vars, [data.draw(st.integers(1, 3))]))
-    parts = sorted(multihomog_decompose_poly(am, W).items())
+    parts = sorted(split(am, W.monomial_degree).items())
     total = sum((_reference_homological_solve(delta0, comp, 0, W, key)
                  for key, comp in parts), Polynomial.zero(delta0.vars))
     assert homological_solve(delta0, am, 0) == total
@@ -598,7 +594,7 @@ def test_one_solve_per_degree_on_a_three_component_degree_part():
     delta0 = VectorField([x, y + x, z * 2])
     W = WeightSystem.make([(1, 1, 0)])
     am = x * y + y * z + z**2
-    parts = sorted(multihomog_decompose_poly(am, W).items())
+    parts = sorted(split(am, W.monomial_degree).items())
     assert len(parts) == 3
     q = homological_solve(delta0, am, 0)
     assert q == sum((_reference_homological_solve(delta0, comp, 0, W, key)
@@ -720,11 +716,12 @@ def test_pd_normalize_homogeneous_input_is_fixed():
 
 
 def test_pd_normalize_refuses_jet_coefficients_below_its_order():
+    # and at or above it: the field must be a polynomial field
     W0 = WeightSystem.make([])
-    with pytest.raises(PrecisionRequired):
-        pd_normalize(VectorField([Jet(X + X**2, 2), Jet(Y * 2, 2)]), W0, 6)
-    known = pd_normalize(VectorField([Jet(X + X**2, 6), Jet(Y * 2, 6)]), W0, 6)
-    assert known == pd_normalize(VectorField([X + X**2, Y * 2]), W0, 6)
+    for known in (2, 6, 8):
+        with pytest.raises(PreconditionViolated, match="not a jet modulo m\\^"):
+            pd_normalize(VectorField([Jet(X + X**2, known),
+                                      Jet(Y * 2, known)]), W0, 6)
 
 
 def test_pd_normalize_keeps_resonant_terms():
@@ -813,12 +810,12 @@ def test_unit_adjust_refuses_jet_inputs_below_its_order():
     x = Polynomial.variable(V1, 0)
     W0 = WeightSystem.make([])
     f = x + x**2 + x**3
-    with pytest.raises(PrecisionRequired):
-        unit_adjust(Jet(f, 2), VectorField([x]), W0, 6)
-    with pytest.raises(PrecisionRequired):
-        unit_adjust(f, VectorField([Jet(x, 3)]), W0, 6)
-    u, fp = unit_adjust(Jet(f, 6), VectorField([Jet(x, 6)]), W0, 6)
-    assert (u, fp) == unit_adjust(f, VectorField([x]), W0, 6)
+    # and at or above it: f is a polynomial and the field a polynomial field
+    for known in (2, 6, 8):
+        with pytest.raises(PreconditionViolated, match="not a jet modulo m\\^"):
+            unit_adjust(Jet(f, known), VectorField([x]), W0, 6)
+        with pytest.raises(PreconditionViolated, match="not a jet modulo m\\^"):
+            unit_adjust(f, VectorField([Jet(x, known)]), W0, 6)
 
 
 def test_unit_adjust_refuses_a_linear_part_off_weight_zero():
@@ -870,7 +867,7 @@ def _reference_resonance_unit(sigma, frep, order):
 
     u = Polynomial.const(varnames, 1)
     for m in range(1, order):
-        am = graded_parts(a).get(m)
+        am = split(a, sum).get(m)
         if am is None or all(wdeg(e) == 0 for e in am.terms):
             continue
         q = homological_solve(sigma, am, 0)
@@ -943,7 +940,7 @@ def _reference_series_quotient(g, f, order):
         return [(e,) + rest for e in range(deg, -1, -1)
                 for rest in monomials(n - 1, deg - e)]
 
-    fparts, gparts = graded_parts(fp), graded_parts(gp)
+    fparts, gparts = split(fp, sum), split(gp, sum)
     akeep = {}
     for m in range(avail):
         target = gparts.get(m + o, Polynomial.zero(varnames))
@@ -1253,17 +1250,17 @@ def _reference_pd_normalize(delta, weights, order):
     its inverse, pushes the field through it and is composed onto the total
     with then, and the total's round trip is checked at the end."""
     varnames = delta.vars
-    cur = _chop_field(delta.as_polynomial_field(), order)
+    cur = delta.cut(order)
     total = CoordChange.identity(varnames, order)
     w = _semisimple_diagonal(cur)
     if w is None:
         total = _diagonalizing_prep(sn_decompose(cur.linear_part()), weights,
                                     varnames, order)
-        cur = _chop_field(total.push_field(cur), order)
+        cur = total.push_field(cur).cut(order)
         w = _semisimple_diagonal(cur)
     delta0 = VectorField.from_matrix(cur.linear_part(), varnames)
     for m in range(2, order):
-        part = field_graded_parts(cur).get(m - 1)
+        part = split_field(cur, lambda e, i: sum(e) - 1).get(m - 1)
         if part is None:
             continue
         off = VectorField([Polynomial(
@@ -1273,7 +1270,7 @@ def _reference_pd_normalize(delta, weights, order):
             continue
         H = _solve_field_equation(delta0, off, w)
         step = _reference_tangent(H.coeffs, order)
-        cur = _chop_field(step.push_field(cur), order)
+        cur = step.push_field(cur).cut(order)
         total = total.then(step)
     total._verify()
     return total, cur.truncate(order), w
@@ -1286,17 +1283,18 @@ def _reference_straighten(delta, order):
     varnames = delta.vars
     n = len(varnames)
     inner = order + 1
-    cur = _chop_field(delta.as_polynomial_field(), inner)
+    cur = delta.cut(inner)
     total = CoordChange.identity(varnames, inner)
     if list(const) != [Fraction(1 if i == t else 0) for i in range(n)]:
         B = mat_identity(n)
         for i in range(n):
             B[i][t] = Fraction(const[i])
         total = CoordChange.linear(B, varnames, inner)
-        cur = _chop_field(total.push_field(cur), inner)
+        cur = total.push_field(cur).cut(inner)
     target = VectorField.partial(varnames, t)
     for m in range(1, inner):
-        part = field_graded_parts(cur - target).get(m - 1)
+        part = split_field(cur - target, lambda e, i: sum(e) - 1).get(
+            m - 1)
         if part is None or part.is_zero():
             continue
         shifts = [Polynomial({tuple(ei + 1 if i == t else ei
@@ -1304,9 +1302,9 @@ def _reference_straighten(delta, order):
                               for e, c in p.terms.items()}, varnames)
                   for p in part.coeffs]
         step = _reference_tangent(shifts, inner)
-        cur = _chop_field(step.push_field(cur), inner)
+        cur = step.push_field(cur).cut(inner)
         total = total.then(step)
-    assert _chop_field(cur - target, order).is_zero()
+    assert (cur - target).cut(order).is_zero()
     return total.reorder(order)
 
 
@@ -1445,59 +1443,6 @@ def test_straighten_matches_the_step_by_step_reference(case):
     assert change.images == ref.images
     assert change.inverse_images == ref.inverse_images
     assert change.order == ref.order
-
-
-# the public entries take jet fields and cut them once, on entry: a jet
-# known below the order they need gives the answer of its polynomial field
-
-@settings(max_examples=15)
-@given(_fields_to_normalize(), st.integers(0, 2))
-def test_pd_normalize_answers_a_jet_as_its_cut(case, extra):
-    delta, order = case
-    jet = delta.truncate(order + extra)
-    W0 = WeightSystem.make([])
-    answer = _outcome(pd_normalize, jet, W0, order)
-    assert answer == _outcome(pd_normalize, jet.as_polynomial_field(), W0,
-                              order)
-    if not isinstance(answer[0], type):
-        assert answer[1].order == order
-
-
-@settings(max_examples=15)
-@given(_fields_to_straighten(), st.integers(2, 4))
-def test_straighten_answers_a_jet_as_its_cut(case, extra):
-    delta, order = case
-    jet = delta.truncate(order + extra)
-    assert _outcome(straighten_unit_field, jet, order) == \
-        _outcome(straighten_unit_field, jet.as_polynomial_field(), order)
-
-
-@settings(max_examples=30)
-@given(_linear_parts(), st.data())
-def test_homological_solve_answers_a_jet_as_its_cut(case, data):
-    # jet orders below the degrees of p included: the linear field is
-    # known exactly from order 2 on
-    delta0, w, _ = case
-    p = data.draw(_polys(delta0.vars, range(1, 5)))
-    lam = data.draw(st.sampled_from([Fraction(0), w[0], w[-1], Fraction(1)]))
-    jet = delta0.truncate(data.draw(st.integers(2, 6)))
-    assert jet.as_polynomial_field() == delta0
-    assert _outcome(homological_solve, jet, p, lam) == \
-        _outcome(homological_solve, delta0, p, lam)
-
-
-@pytest.mark.parametrize("order, extra", [(4, 0), (5, 1), (6, 3)])
-def test_unit_adjust_answers_a_jet_as_its_cut(order, extra):
-    # delta = E + f0 * x d_x is logarithmic for f = (1 + x + y^2) * f0,
-    # with E the Euler field of f0 = x^2 + y^3
-    f0 = X**2 + Y**3
-    f = (1 + X + Y**2) * f0
-    delta = VectorField([X * Fraction(1, 2) + f0 * X, Y * Fraction(1, 3)])
-    jet = delta.truncate(order + extra)
-    W0 = WeightSystem.make([])
-    u, fp = unit_adjust(Jet(f, order + extra), jet, W0, order)
-    assert (u, fp) == unit_adjust(f, jet.as_polynomial_field(), W0, order)
-    assert u.order == fp.order == order
 
 
 def _count_changes(monkeypatch):
@@ -1822,7 +1767,8 @@ def test_formal_structure_reads_each_kept_multidegree_once(monkeypatch):
         assert splits and len(splits) == len(reads), name
         W = WeightSystem.make(fs.weights)
         for j, nu in enumerate(fs.nus):
-            assert list(multihomog_decompose(nu, W)) == \
+            assert list(split_field(nu.as_polynomial_field(),
+                                   W.field_term_degree)) == \
                 [tuple(row[j] for row in fs.eigentable)], name
         kept += fs.r
     # the corpus germs that answer keep 11 fields between them

@@ -30,9 +30,7 @@ from logvf.poly import (
     cut,
     derivation,
     exponents,
-    graded_parts,
     linear_forms,
-    multihomog_decompose_poly,
     poly_parse,
     poly_to_str,
     remultiplies,
@@ -225,13 +223,13 @@ class TestWeights:
     def test_multihomog_poly_components_sum(self):
         W = WeightSystem.make([[1, 1], [1, -1]])
         f = P("x^2 + x*y + y^3")
-        comps = multihomog_decompose_poly(f, W)
+        comps = split(f, W.monomial_degree)
         assert sum(comps.values(), Polynomial.zero(XY)) == f
         assert comps[(Fraction(2), Fraction(0))] == P("x*y")
 
     def test_graded_parts(self):
         f = P("x + x*y + y^3")
-        parts = graded_parts(f)
+        parts = split(f, sum)
         assert parts[1] == P("x")
         assert parts[2] == P("x*y")
         assert parts[3] == P("y^3")
@@ -567,26 +565,16 @@ KEYS = [sum, lambda e: e[0], lambda e: e[0] - 2 * e[1], lambda e: e[1] % 2]
 
 
 @PROPERTY
-@given(polys(high=6), st.sampled_from(KEYS), st.none() | st.integers(0, 8))
-def test_split_partitions_the_terms_by_key(p, key, order):
-    src = p if order is None else Jet(p, order)
-    parts = split(src, key)
+@given(polys(high=6), st.sampled_from(KEYS))
+def test_split_partitions_the_terms_by_key(p, key):
+    parts = split(p, key)
     seen = {}
     for k, part in parts.items():
-        assert isinstance(part, Polynomial if order is None else Jet)
-        if order is not None:
-            assert part.order == order
-            part = part.poly
+        assert type(part) is Polynomial
         assert part.terms and all(key(e) == k for e in part.terms)
         assert not set(seen) & set(part.terms)
         seen.update(part.terms)
-    assert seen == (p if order is None else Jet(p, order).poly).terms
-
-
-def test_graded_parts_of_a_jet_are_polynomials():
-    parts = graded_parts(P("x + x*y + y^3").truncate(3))
-    assert parts == {1: P("x"), 2: P("x*y")}
-    assert all(type(q) is Polynomial for q in parts.values())
+    assert seen == p.terms
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from logvf.cech import CechClass, d1_apply, d1_kernel_search
 from logvf.errors import HasConstantPart, PreconditionViolated
-from logvf.normalform import CoordChange
-from logvf.poly import Jet, Polynomial, WeightSystem, as_poly, cut, poly_parse
+from logvf.normalform import (CoordChange, diagonal_symmetries,
+                              homological_solve, pd_normalize,
+                              straighten_unit_field, unit_adjust)
+from logvf.poly import (Jet, Polynomial, WeightSystem, as_poly, cut,
+                        poly_parse, split)
 from logvf.standard_bases import membership, standard_basis, syzygies
 from logvf.vfield import (
     VectorField,
-    field_graded_parts,
     lie_bracket,
-    multihomog_decompose,
     split_field,
     vf_to_str,
 )
@@ -98,7 +99,7 @@ class TestStructure:
 class TestGrading:
     def test_field_graded_parts(self):
         d = VF("x + x*y", "y^3")
-        parts = field_graded_parts(d)
+        parts = split_field(d, lambda e, i: sum(e) - 1)
         assert parts[0] == VF("x", "0")
         assert parts[1] == VF("x*y", "0")
         assert parts[2] == VF("0", "y^3")
@@ -107,19 +108,15 @@ class TestGrading:
         # y^2 dx has w-degree 2*2-3 = 1 for w = (3,2)
         W = WeightSystem.make([[3, 2]])
         d = VF("3*y^2", "-2*x")
-        comps = multihomog_decompose(d, W)
+        comps = split_field(d, W.field_term_degree)
         assert set(comps) == {(Fraction(1),)}
 
     def test_multihomog_field_zero_component(self):
         W = WeightSystem.make([[3, 2]])
         d = VF("1/2*x + y^2", "1/3*y")
-        comps = multihomog_decompose(d, W)
+        comps = split_field(d, W.field_term_degree)
         assert comps[(Fraction(0),)] == VF("1/2*x", "1/3*y")
         assert comps[(Fraction(1),)] == VF("y^2", "0")
-
-    def test_field_graded_parts_of_a_jet_field_are_polynomial(self):
-        d = VF("x + x*y", "y^3").truncate(3)
-        assert field_graded_parts(d) == {0: VF("x", "0"), 1: VF("x*y", "0")}
 
 
 # -- the terms of delta(x^e) against the action on a Laurent monomial -----------
@@ -258,6 +255,7 @@ def test_the_cut_field_acts_as_the_jet_field_below_its_order(data):
     p = data.draw(_functions(varnames, None))
     reference = _reference_apply(jet, p)
     assert reference.order == k
+    assert field.cut(k) == jet.as_polynomial_field()
     assert cut(reference, k) == jet.as_polynomial_field().apply(p, k) == \
         cut(field.apply(p), k)
 
@@ -270,7 +268,29 @@ def _refusals():
     change = CoordChange.identity(XY, 4)
     basis = standard_basis([x, y])
     top = CechClass.top(XY)
+    W0 = WeightSystem.make([])
+    euler = VF("1/2*x", "1/3*y")
     return [
+        ("CoordChange.make", lambda: CoordChange.make([jet_x, y], 3)),
+        ("pd_normalize", lambda: pd_normalize(euler.truncate(4), W0, 4)),
+        ("unit_adjust, jet f",
+         lambda: unit_adjust(Jet(P("x^2 + y^3"), 6), euler, W0, 6)),
+        ("unit_adjust, jet field",
+         lambda: unit_adjust(P("x^2 + y^3"), euler.truncate(6), W0, 6)),
+        ("homological_solve, jet p",
+         lambda: homological_solve(euler, Jet(P("x*y + y^2"), 4), 0)),
+        ("homological_solve, jet field",
+         lambda: homological_solve(euler.truncate(4), P("x*y + y^2"), 0)),
+        ("straighten_unit_field",
+         lambda: straighten_unit_field(VF("1 + x", "y").truncate(6), 3)),
+        ("diagonal_symmetries",
+         lambda: diagonal_symmetries(Jet(P("x^2 + y^3"), 3))),
+        ("split", lambda: split(jet_x, sum)),
+        ("split_field", lambda: split_field(jet_field, lambda e, i: i)),
+        ("cut a jet field", lambda: jet_field.cut(2)),
+        ("mixed-kind VectorField", lambda: VectorField([jet_x, y])),
+        ("VectorField of mixed jet orders",
+         lambda: VectorField([jet_x, Jet(y, 4)])),
         ("apply a jet field", lambda: jet_field.apply(x)),
         ("apply to a jet", lambda: poly_field.apply(jet_x)),
         ("bracket with a jet field", lambda: poly_field.bracket(jet_field)),
@@ -313,23 +333,20 @@ FIELD_KEYS = [lambda e, i: sum(e), lambda e, i: i,
 
 
 @settings(max_examples=60)
-@given(fields_and_exponents(), st.sampled_from(FIELD_KEYS),
-       st.none() | st.integers(0, 5))
-def test_split_field_partitions_the_terms_by_key(case, key, order):
+@given(fields_and_exponents(), st.sampled_from(FIELD_KEYS))
+def test_split_field_partitions_the_terms_by_key(case, key):
     delta, _ = case
-    src = delta if order is None else delta.truncate(order)
-    parts = split_field(src, key)
+    parts = split_field(delta, key)
     seen = set()
     for k, part in parts.items():
-        assert part.order == order and not part.is_zero()
+        assert part.order is None and not part.is_zero()
         for i, c in enumerate(part.coeffs):
-            for e in as_poly(c).terms:
+            for e in c.terms:
                 assert key(e, i) == k and (i, e) not in seen
                 seen.add((i, e))
-    assert seen == {(i, e) for i, c in enumerate(src.coeffs)
-                    for e in as_poly(c).terms}
-    assert sum((p.as_polynomial_field() for p in parts.values()),
-               VectorField.zero(delta.vars)) == src.as_polynomial_field()
+    assert seen == {(i, e) for i, c in enumerate(delta.coeffs)
+                    for e in c.terms}
+    assert sum(parts.values(), VectorField.zero(delta.vars)) == delta
 
 
 def _reference_from_matrix(A, varnames):
