@@ -24,6 +24,28 @@ degree by degree, keeping the monomials of the inverse.
 Term maps are cut below an order by `cut`, grouped by a key of the
 exponent by `split`, walked degree by degree by `exponents` and built from
 the rows of a matrix by `linear_forms`, and nowhere else.
+
+A polynomial has two forms, each made once, when first read, and kept:
+its `terms`, a map to Fractions, and its lifted form (`lifted`), integer
+numerators over one common denominator, on which products and sums cost
+integer operations per term pair.  Every kernel (`sum_of_products`,
+`unit_inverse`, `derivation`, `remultiplies`, `PowerTable`, products,
+sums, scaling, `diff` and `split`) reads lifted forms and returns a
+polynomial that holds only its lifted form, and `cut` keeps the form it
+is given, so a chain of kernels makes no Fraction; one is made per term
+when something reads `terms`, such as printing.  Neither form is ever
+changed in place.
+
+Every lifted form is canonical: no zero numerator, a positive
+denominator, and no common factor of the denominator and all the
+numerators.  _lift puts the numerators of a map of reduced Fractions over
+den, the lcm of their denominators; for each prime p of den some term's
+denominator holds p's full power in den, so that term's numerator is
+prime to p, and gcd(den, numerators) = 1.  Every other lifted map made
+here passes through _reduced, which drops zero numerators and divides out
+that gcd, and the zero map is ({}, 1) either way.  Equal lifted forms are
+therefore equal rational maps, and equal rational maps have equal lifted
+forms: `==`, `hash` and `remultiplies` compare lifted forms as they are.
 """
 
 from __future__ import annotations
@@ -56,13 +78,7 @@ def _canon_key(item):
     return (sum(exp), exp)
 
 
-# A lifted term map holds integer numerators over one common denominator:
-# products and sums of lifted maps cost integer operations per term pair,
-# and a Fraction is made once per output term when the map is unlifted.
-# Every lifted map made here is canonical: no zero numerators, a positive
-# denominator, and no common factor of the denominator and the numerators.
-# Two lifted maps are then equal exactly when their rational maps are, so
-# remultiplies compares them as they are, without unlifting.
+# integer numerators over one positive denominator (see the module docstring)
 Lifted = Tuple[Dict[Exponent, int], int]
 
 
@@ -131,9 +147,9 @@ def sum_of_products(pairs: Iterable[Tuple["Polynomial", "Polynomial"]],
                     order: Optional[int] = None) -> "Polynomial":
     """The sum of q * p over the (q, p) pairs, formed in one integer map:
     each product is taken on lifted numerators and the sum over one common
-    denominator, so a Fraction is made once per output term.  With `order`,
-    only terms of total degree below `order` are formed.  The pairs must be
-    nonempty and share one variable tuple."""
+    denominator.  With `order`, only terms of total degree below `order`
+    are formed.  The pairs must be nonempty and share one variable
+    tuple."""
     pairs = list(pairs)
     if not pairs:
         raise PreconditionViolated("a sum of products needs at least one pair")
@@ -142,9 +158,8 @@ def sum_of_products(pairs: Iterable[Tuple["Polynomial", "Polynomial"]],
         if q.vars != varnames or p.vars != varnames:
             raise VariableMismatch(f"{q.vars} and {p.vars} vs {varnames}")
     total = _lifted_combination(
-        (1, _lifted_product(_lift(q.terms), _lift(p.terms), order))
-        for q, p in pairs)
-    return Polynomial._of(_unlift(total), varnames)
+        (1, _lifted_product(q.lifted(), p.lifted(), order)) for q, p in pairs)
+    return Polynomial._of_lifted(total, varnames)
 
 
 def unit_inverse(p: "Polynomial", order: int) -> "Polynomial":
@@ -158,7 +173,7 @@ def unit_inverse(p: "Polynomial", order: int) -> "Polynomial":
     if c == 0 or order < 1:
         raise PreconditionViolated(f"not a unit modulo m^{order}")
     zero = (0,) * len(p.vars)
-    me = _lift(p.terms)
+    me = p.lifted()
     two = ({zero: 2}, 1)
     r = _lift({zero: 1 / c})
     good = 1
@@ -167,7 +182,7 @@ def unit_inverse(p: "Polynomial", order: int) -> "Polynomial":
         factor = _lifted_combination(
             [(1, two), (-1, _lifted_product(me, r, good))])
         r = _lifted_product(r, factor, good)
-    return Polynomial._of(_unlift(r), p.vars)
+    return Polynomial._of_lifted(r, p.vars)
 
 
 def derivation(actions: Sequence[Tuple[Scalar, Sequence["Polynomial"],
@@ -178,26 +193,22 @@ def derivation(actions: Sequence[Tuple[Scalar, Sequence["Polynomial"],
     Each action (c, coeffs, targets) is c times the derivation
     sum_i coeffs[i] d/dx_i applied to every target; output j is the sum of
     the actions on their j-th targets, so every action needs as many
-    targets.  Each polynomial is lifted once, each d/dx_i is taken on the
-    integer numerators (times the exponent, over the same denominator),
-    and each output is one _lifted_combination of _lifted_products,
-    unlifted once.  With `order`, only terms of total degree below `order`
-    are formed.  Every coefficient and target must share one variable
-    tuple, and each coeffs has one entry per variable."""
+    targets.  Each d/dx_i is taken on the lifted numerators (times the
+    exponent, over the same denominator), and each output is one
+    _lifted_combination of _lifted_products.  With `order`, only terms of
+    total degree below `order` are formed.  Every coefficient and target
+    must share one variable tuple, and each coeffs has one entry per
+    variable."""
     if not actions:
         raise PreconditionViolated("a derivation needs at least one action")
     varnames = actions[0][1][0].vars
     n = len(varnames)
     width = len(actions[0][2])
-    lifted: Dict[int, Lifted] = {}
 
     def lift(p: "Polynomial") -> Lifted:
         if p.vars != varnames:
             raise VariableMismatch(f"{p.vars} vs {varnames}")
-        key = id(p)
-        if key not in lifted:
-            lifted[key] = _lift(p.terms)
-        return lifted[key]
+        return p.lifted()
 
     def diff(p: Lifted, i: int) -> Lifted:
         ints, den = p
@@ -224,8 +235,8 @@ def derivation(actions: Sequence[Tuple[Scalar, Sequence["Polynomial"],
                 dt = diff(targets[j], i)
                 if dt[0]:
                     parts.append((c, _lifted_product(a, dt, order)))
-        out.append(Polynomial._of(_unlift(_lifted_combination(parts)),
-                                  varnames))
+        out.append(Polynomial._of_lifted(_lifted_combination(parts),
+                                         varnames))
     return tuple(out)
 
 
@@ -239,17 +250,10 @@ def remultiplies(rows: Sequence[Sequence["Polynomial"]],
     input and target one per component; on any other shape the identity
     does not hold as stated, and the answer is False.
 
-    Each input component, row entry and target is lifted once, and the
-    sums are formed with _lifted_product and _lifted_combination and
-    compared on integer numerators, with no Fraction made.  The comparison
-    keeps its exact strength because every lifted map here is canonical.
-    _lift puts the numerators over den, the lcm of the reduced
-    denominators; for each prime p of den some term's denominator holds
-    p's full power in den, so that term's numerator is prime to p, and
-    gcd(den, numerators) = 1.  _lifted_product and _lifted_combination
-    drop zero numerators and divide out that gcd, and the zero map is
-    ({}, 1) either way.  Equal lifted maps are therefore equal rational
-    maps, and equal rational maps have equal lifted maps."""
+    The sums are formed with _lifted_product and _lifted_combination on
+    lifted forms and compared as they are, with no Fraction made: every
+    lifted form is canonical (see the module docstring), so the comparison
+    keeps its exact strength."""
     ranks = {len(seq) for seq in (*inputs, *targets)}
     if (len(ranks) > 1 or len(rows) != len(targets)
             or any(len(row) != len(inputs) for row in rows)):
@@ -257,23 +261,26 @@ def remultiplies(rows: Sequence[Sequence["Polynomial"]],
     names = {p.vars for seq in (*rows, *inputs, *targets) for p in seq}
     if len(names) > 1:
         raise VariableMismatch(f"mixed variable tuples {sorted(names)}")
-    columns = [[_lift(g[c].terms) for g in inputs]
+    columns = [[g[c].lifted() for g in inputs]
                for c in range(max(ranks, default=0))]
     for row, target in zip(rows, targets):
-        lifted = [_lift(q.terms) for q in row]
+        lifted = [q.lifted() for q in row]
         for column, t in zip(columns, target):
             total = _lifted_combination(
                 (1, _lifted_product(q, g, order))
                 for q, g in zip(lifted, column) if q[0] and g[0])
-            if total != _lift((t if order is None else cut(t, order)).terms):
+            if total != (t if order is None else cut(t, order)).lifted():
                 return False
     return True
 
 
 class Polynomial:
-    """Immutable sparse polynomial over Q, tied to a fixed variable tuple."""
+    """Immutable sparse polynomial over Q, tied to a fixed variable tuple.
 
-    __slots__ = ("terms", "vars")
+    It holds its term map, its lifted form or both, each made on first
+    read and kept (see the module docstring)."""
+
+    __slots__ = ("_terms", "_lifted", "vars")
 
     def __init__(self, terms: TermMap, varnames: Sequence[str]):
         self.vars: Tuple[str, ...] = tuple(varnames)
@@ -286,15 +293,44 @@ class Polynomial:
                 c = Fraction(c)
             if c:
                 clean[tuple(exp)] = c
-        self.terms = clean
+        self._terms: Optional[TermMap] = clean
+        self._lifted: Optional[Lifted] = None
 
     @classmethod
     def _of(cls, terms: TermMap, varnames: Tuple[str, ...]) -> "Polynomial":
         # trusted constructor: Fraction coefficients, no zeros, right length
         p = cls.__new__(cls)
         p.vars = varnames
-        p.terms = terms
+        p._terms = terms
+        p._lifted = None
         return p
+
+    @classmethod
+    def _of_lifted(cls, lifted: Lifted, varnames: Tuple[str, ...]
+                   ) -> "Polynomial":
+        # trusted constructor: a canonical lifted map, right length
+        p = cls.__new__(cls)
+        p.vars = varnames
+        p._terms = None
+        p._lifted = lifted
+        return p
+
+    @property
+    def terms(self) -> TermMap:
+        """The term map, exponent to nonzero Fraction; read-only."""
+        if self._terms is None:
+            self._terms = _unlift(self._lifted)
+        return self._terms
+
+    def lifted(self) -> Lifted:
+        """The canonical lifted form; read-only."""
+        if self._lifted is None:
+            self._lifted = _lift(self._terms)
+        return self._lifted
+
+    def _support(self):
+        # the exponents, read from whichever form is stored
+        return self._terms if self._terms is not None else self._lifted[0]
 
     # -- constructors -------------------------------------------------------
 
@@ -322,21 +358,22 @@ class Polynomial:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._support()
 
     def total_degree(self) -> int:
         """Max total degree of any term; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self._support()), default=-1)
 
     def low_degree(self) -> int:
         """Order of vanishing at 0; -1 for the zero polynomial."""
-        return min((sum(e) for e in self.terms), default=-1)
+        return min(map(sum, self._support()), default=-1)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.coeff((0,) * len(self.vars))
 
     def coeff(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        ints, den = self.lifted()
+        return Fraction(ints.get(tuple(exp), 0), den)
 
     def items_sorted(self):
         """Terms in canonical (graded-lex descending) order."""
@@ -349,40 +386,40 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(self.vars, other)
-        self._check_vars(exact(other))
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return Polynomial._of(out, self.vars)
+        return self._combined(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Polynomial._of({e: -c for e, c in self.terms.items()}, self.vars)
-
-    def __sub__(self, other):
+    def _combined(self, other, sign: int) -> "Polynomial":
+        # self + sign * other, one integer map over the common denominator
         if isinstance(other, (int, Fraction)):
             other = Polynomial.const(self.vars, other)
-        return self + (-exact(other))
+        self._check_vars(exact(other))
+        return Polynomial._of_lifted(_lifted_combination(
+            [(1, self.lifted()), (sign, other.lifted())]), self.vars)
+
+    def __neg__(self):
+        ints, den = self.lifted()
+        return Polynomial._of_lifted(({e: -v for e, v in ints.items()}, den),
+                                     self.vars)
+
+    def __sub__(self, other):
+        return self._combined(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Polynomial.zero(self.vars)
-            return Polynomial({e: k * c for e, k in self.terms.items()}, self.vars)
+            ints, den = self.lifted()
+            # an int and a Fraction both carry numerator and denominator
+            num = other.numerator
+            return Polynomial._of_lifted(_reduced(
+                {e: v * num for e, v in ints.items()},
+                den * other.denominator), self.vars)
         self._check_vars(exact(other))
-        product = _lifted_product(_lift(self.terms), _lift(other.terms))
-        return Polynomial._of(_unlift(product), self.vars)
+        product = _lifted_product(self.lifted(), other.lifted())
+        return Polynomial._of_lifted(product, self.vars)
 
     __rmul__ = __mul__
 
@@ -403,10 +440,13 @@ class Polynomial:
             other = Polynomial.const(self.vars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        # canonical lifted forms are equal exactly when the polynomials are
+        # (see the module docstring)
+        return self.vars == other.vars and self.lifted() == other.lifted()
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        ints, den = self.lifted()
+        return hash((self.vars, frozenset(ints.items()), den))
 
     # -- calculus ------------------------------------------------------------
 
@@ -415,20 +455,11 @@ class Polynomial:
         uniform over negative exponents)."""
         if not 0 <= i < len(self.vars):
             raise IndexOutOfRange(f"variable index {i} for {len(self.vars)} variables")
-        out: TermMap = {}
-        for exp, c in self.terms.items():
-            k = exp[i]
-            if k == 0:
-                continue
-            new = list(exp)
-            new[i] = k - 1
-            key = tuple(new)
-            s = out.get(key, Fraction(0)) + c * k
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return Polynomial._of(out, self.vars)
+        ints, den = self.lifted()
+        # e -> e - u_i is one to one, so no two terms meet
+        return Polynomial._of_lifted(_reduced(
+            {e[:i] + (e[i] - 1,) + e[i + 1:]: v * e[i]
+             for e, v in ints.items() if e[i]}, den), self.vars)
 
     def truncate(self, order: int) -> "Jet":
         return Jet(self, order)
@@ -694,13 +725,14 @@ class PowerTable:
         self.order = order
         one = Polynomial.const(self.vars, 1)
         if order is not None:
-            if any(e < 0 for im in images for exp in im.terms for e in exp):
+            if any(e < 0 for im in images for exp in im._support()
+                   for e in exp):
                 raise PreconditionViolated(
                     "cannot truncate a substitution of Laurent images")
             one, images = cut(one, order), [cut(im, order) for im in images]
-        self._images = [_lift(im.terms) for im in images]
+        self._images = [im.lifted() for im in images]
         # _monomials[e] is images^e, lifted, filled on demand
-        self._monomials = {(0,) * len(self.vars): _lift(one.terms)}
+        self._monomials = {(0,) * len(self.vars): one.lifted()}
 
     def _monomial(self, e: Exponent) -> Lifted:
         known, chain = self._monomials, []
@@ -722,12 +754,12 @@ class PowerTable:
 
     def compose(self, p: Polynomial) -> Polynomial:
         """p o images, modulo m^order when the table has an order."""
-        if p.terms and p.vars != self.vars:
+        support = p._support()
+        if support and p.vars != self.vars:
             raise VariableMismatch(f"{p.vars} vs {self.vars}")
-        if any(e < 0 for exp in p.terms for e in exp):
+        if any(e < 0 for exp in support for e in exp):
             raise PreconditionViolated("cannot substitute into Laurent terms")
-        return Polynomial._of(_unlift(self._through(_lift(p.terms))),
-                              self.vars)
+        return Polynomial._of_lifted(self._through(p.lifted()), self.vars)
 
     def inverse(self, rows: Sequence[Sequence[Scalar]]
                 ) -> Tuple[Polynomial, ...]:
@@ -755,8 +787,8 @@ class PowerTable:
                     parts.append((-1, piece))
                     rest = _lifted_combination(
                         [(1, rest), (-1, self._through(piece))])
-            out.append(Polynomial._of(_unlift(_lifted_combination(parts)),
-                                      self.vars))
+            out.append(Polynomial._of_lifted(_lifted_combination(parts),
+                                             self.vars))
         return tuple(out)
 
 
@@ -777,20 +809,28 @@ def exact(obj: Union[Polynomial, Jet]) -> Polynomial:
 
 
 def cut(p: Union[Polynomial, Jet], order: int) -> Polynomial:
-    """The terms of p of total degree below `order`, as a polynomial."""
+    """The terms of p of total degree below `order`, as a polynomial, read
+    from p's lifted form when it holds one and else from its term map, so
+    that cutting makes no form that p lacks."""
     base = as_poly(p)
-    return Polynomial._of({e: c for e, c in base.terms.items()
-                           if sum(e) < order}, base.vars)
+    if base._lifted is None:
+        return Polynomial._of({e: c for e, c in base._terms.items()
+                               if sum(e) < order}, base.vars)
+    ints, den = base._lifted
+    return Polynomial._of_lifted(_reduced(
+        {e: v for e, v in ints.items() if sum(e) < order}, den), base.vars)
 
 
 def split(p: Polynomial, key: Callable[[Exponent], Hashable]
           ) -> Dict[Hashable, Polynomial]:
     """The terms of the polynomial p grouped by key(exponent), one
     polynomial per key."""
-    groups: Dict[Hashable, TermMap] = {}
-    for e, c in exact(p).terms.items():
-        groups.setdefault(key(e), {})[e] = c
-    return {k: Polynomial._of(t, p.vars) for k, t in groups.items()}
+    ints, den = exact(p).lifted()
+    groups: Dict[Hashable, Dict[Exponent, int]] = {}
+    for e, v in ints.items():
+        groups.setdefault(key(e), {})[e] = v
+    return {k: Polynomial._of_lifted(_reduced(t, den), p.vars)
+            for k, t in groups.items()}
 
 
 def exponents(n: int, d: int) -> Iterator[Exponent]:

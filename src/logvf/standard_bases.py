@@ -68,11 +68,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateFailure, PrecisionRequired, PreconditionViolated
 from .orderings import GLOBAL, Exponent, ModMono, OrderingSpec, elimination_key
-from .poly import (Jet, Polynomial, as_poly, exact, remultiplies,
+from .poly import (Jet, Polynomial, _reduced, as_poly, exact, remultiplies,
                    sum_of_products, unit_inverse)
 
 Vec = Dict[ModMono, int]
-RatVec = Dict[ModMono, Fraction]
 
 
 # -- flat vector arithmetic ---------------------------------------------------
@@ -100,15 +99,6 @@ def _vec_deg(a: Vec) -> int:
 
 def _divides(small: Exponent, big: Exponent) -> bool:
     return all(map(le, small, big))
-
-
-def _cleared(vec: RatVec, den: int) -> Vec:
-    """den * vec as integers; den must clear every denominator."""
-    return {m: c.numerator * (den // c.denominator) for m, c in vec.items()}
-
-
-def _denominator(*vecs: RatVec) -> int:
-    return lcm(*(c.denominator for vec in vecs for c in vec.values()))
 
 
 class _Keys(dict):
@@ -338,32 +328,43 @@ def _prune(basis: List[_Elem]) -> List[_Elem]:
 
 # -- public layer -------------------------------------------------------------
 
-def _to_vec(element, varnames, rank: int) -> RatVec:
+def _cleared_vec(element, varnames, rank: int) -> Tuple[Vec, int]:
+    """(den * element, den) for a vector of rank polynomials, den the least
+    common denominator of its entries, read off their lifted forms."""
     if isinstance(element, (Polynomial, Jet)):
         element = (element,)
     if len(element) != rank:
         raise PreconditionViolated(
             f"expected a vector of {rank} entries, got {len(element)}")
-    vec: RatVec = {}
-    for comp, p in enumerate(map(exact, element)):
+    lifted = []
+    for p in map(exact, element):
         if p.vars != varnames:
             raise PreconditionViolated("mixed variable tuples in one family")
-        for exp, c in p.terms.items():
+        lifted.append(p.lifted())
+    den = lcm(*(d for _, d in lifted))
+    vec: Vec = {}
+    for comp, (ints, d) in enumerate(lifted):
+        scale = den // d
+        for exp, v in ints.items():
             if any(e < 0 for e in exp):
                 raise PreconditionViolated("negative exponents have no term order")
-            vec[(comp, exp)] = c
-    return vec
+            vec[(comp, exp)] = v * scale
+    return vec, den
 
 
 def _rational(vec: Vec, scale, varnames, rank: int) -> Tuple[Polynomial, ...]:
     """The integer vector divided by the nonzero rational scale, as rank
-    polynomials: the one place where the loop's integers become rationals."""
+    polynomials in lifted form: the one place where the loop's integers
+    leave it."""
     scale = Fraction(scale)
     num, den = scale.numerator, scale.denominator
-    buckets: List[Dict[Exponent, Fraction]] = [dict() for _ in range(rank)]
+    if num < 0:
+        num, den = -num, -den
+    buckets: List[Dict[Exponent, int]] = [dict() for _ in range(rank)]
     for (comp, exp), v in vec.items():
-        buckets[comp][exp] = Fraction(v * den, num)
-    return tuple(Polynomial._of(b, varnames) for b in buckets)
+        buckets[comp][exp] = v * den
+    return tuple(Polynomial._of_lifted(_reduced(b, num), varnames)
+                 for b in buckets)
 
 
 def _family_shape(gens) -> Tuple[Tuple[str, ...], int]:
@@ -379,12 +380,8 @@ def _read_family(gens):
     """(varnames, rank, inputs, cleared): the shape, the members as tuples
     of polynomials, and (den * member, den) with den clearing it."""
     varnames, rank = _family_shape(gens)
-    cleared = []
-    for g in gens:
-        vec = _to_vec(g, varnames, rank)
-        den = _denominator(vec)
-        cleared.append((_cleared(vec, den), den))
-    # every member has passed _to_vec, so none is a jet
+    cleared = [_cleared_vec(g, varnames, rank) for g in gens]
+    # every member has passed _cleared_vec, so none is a jet
     inputs = tuple((g,) if isinstance(g, Polynomial) else tuple(g) for g in gens)
     return varnames, rank, inputs, cleared
 
@@ -499,7 +496,7 @@ def membership(element, basis: StandardBasis,
     """
     varnames, rank = basis.varnames, basis.rank
     k = len(basis.inputs)
-    vec = _to_vec(element, varnames, rank)
+    vec, den = _cleared_vec(element, varnames, rank)
     if not vec:
         zero = Polynomial.zero(varnames)
         return MembershipCertificate(True, tuple(zero for _ in range(k)), None,
@@ -507,9 +504,7 @@ def membership(element, basis: StandardBasis,
                                      Polynomial.const(varnames, Fraction(1)))
     local = basis.ordering.is_local
     belems = basis._elems
-    den = _denominator(vec)
-    nf, unit, rep, lam = _weak_nf(_cleared(vec, den), belems, basis._keyf,
-                                  local)
+    nf, unit, rep, lam = _weak_nf(vec, belems, basis._keyf, local)
     # the reduction started from den * element, so the rational one from
     # element holds nf / (lam * den) and the unit / lam
     unit_poly = _rational(unit, lam, varnames, 1)[0]

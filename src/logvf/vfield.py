@@ -20,8 +20,13 @@ this jet: p has no negative exponents, so a coefficient term of degree
 >= k adds only terms of degree >= k to delta(p).
 
 `split_field` groups the terms of a field by a key of (exponent, index),
-as poly.split does for functions, and `VectorField.cut` keeps its terms
-below an order, as poly.cut does.
+splitting each coefficient with poly.split on its lifted numerators, so
+that, like the field action, it returns polynomials that hold only their
+lifted form (see poly), and `VectorField.cut` keeps its terms below an
+order, as poly.cut does.  The structure queries read a jet field's stored
+terms only where its order makes them the field's: `constant_part` and
+`vanishes_at_origin` need order >= 1, `linear_part` order >= 2, and
+`low_field_degree` a stored term; otherwise they refuse.
 """
 
 from __future__ import annotations
@@ -35,13 +40,13 @@ from .poly import (
     Exponent,
     Jet,
     Polynomial,
-    TermMap,
     as_poly,
     cut,
     derivation,
     exact,
     linear_forms,
     poly_to_str,
+    split,
 )
 
 Coeff = Union[Polynomial, Jet]
@@ -113,7 +118,15 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
+    def _known_to(self, degree: int, what: str) -> None:
+        # a jet field knows only its terms below its order
+        if self.order is not None and self.order <= degree:
+            raise PreconditionViolated(
+                f"the {what} of a jet field modulo m^{self.order} is not known")
+
     def constant_part(self) -> Tuple[Fraction, ...]:
+        """The constant terms; a jet field must have order >= 1."""
+        self._known_to(0, "constant part")
         return tuple(c.constant_term() for c in self.coeffs)
 
     def vanishes_at_origin(self) -> bool:
@@ -122,9 +135,11 @@ class VectorField:
     def linear_part(self) -> List[List[Fraction]]:
         """Matrix A with A[i][j] = coefficient of x_i in delta(x_j).
 
-        Raises HasConstantPart if some coefficient has a constant term.
+        Raises HasConstantPart if some coefficient has a constant term; a
+        jet field must have order >= 2.
         """
         n = len(self.vars)
+        self._known_to(1, "linear part")
         if not self.vanishes_at_origin():
             raise HasConstantPart(f"constant part {self.constant_part()}")
         A = [[Fraction(0)] * n for _ in range(n)]
@@ -153,9 +168,17 @@ class VectorField:
         return max((as_poly(c).total_degree() for c in self.coeffs), default=-1)
 
     def low_field_degree(self) -> int:
-        """Least total degree over all coefficient terms; large if zero."""
+        """Least total degree over all coefficient terms; large for the
+        zero polynomial field.  A jet field with no term below its order
+        has no known low degree."""
         degs = [as_poly(c).low_degree() for c in self.coeffs if not c.is_zero()]
-        return min(degs) if degs else 10 ** 9
+        if degs:
+            return min(degs)
+        if self.order is not None:
+            raise PreconditionViolated(
+                f"the low degree of a jet field modulo m^{self.order} with "
+                "no term below it is not known")
+        return 10 ** 9
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -253,12 +276,12 @@ def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
 def split_field(v: VectorField, key: Callable[[Exponent, int], Hashable]
                 ) -> Dict[Hashable, VectorField]:
     """The terms c x^e d_i of the polynomial field v grouped by key(e, i),
-    one field per key."""
-    n = len(v.vars)
-    groups: Dict[Hashable, List[TermMap]] = {}
+    one field per key: each coefficient is split by poly.split on its
+    lifted numerators."""
+    zero = Polynomial.zero(v.vars)
+    groups: Dict[Hashable, List[Polynomial]] = {}
     for i, c in enumerate(v.polynomials()):
-        for e, coef in c.terms.items():
-            groups.setdefault(key(e, i), [{} for _ in range(n)])[i][e] = coef
-    return {k: VectorField([Polynomial._of(m, v.vars) for m in maps])
-            for k, maps in groups.items()}
+        for k, part in split(c, lambda e, i=i: key(e, i)).items():
+            groups.setdefault(k, [zero] * len(v.vars))[i] = part
+    return {k: VectorField(parts) for k, parts in groups.items()}
 

@@ -5,7 +5,7 @@ computation (termwise power rule, direct expansion) and frozen here.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -593,3 +593,142 @@ def test_linear_forms_are_the_sums_of_scaled_variables(rows):
     forms = linear_forms(rows, names)
     assert forms == [sum((x * c for x, c in zip(xs, row)),
                          Polynomial.zero(names)) for row in rows]
+
+
+# -- the two forms of a polynomial: Fraction term map and lifted map ----------
+
+KINDS = ("terms", "lifted")
+
+
+@st.composite
+def two_form_cases(draw):
+    """Two term maps in 1 to 4 variables, each zero, a nonzero constant or
+    drawn, with a scalar, an order (None or 0 to 6) and a variable index."""
+    varnames = ("x", "y", "z", "w")[:draw(st.integers(1, 4))]
+    n = len(varnames)
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 3)
+
+    def term_map():
+        kind = draw(st.sampled_from(["zero", "constant", "drawn"]))
+        if kind == "zero":
+            return {}
+        if kind == "constant":
+            return {(0,) * n: draw(FINE_COEFFS.filter(bool))}
+        return draw(st.dictionaries(exps, FINE_COEFFS, max_size=4))
+
+    return (varnames, term_map(), term_map(), draw(FINE_COEFFS),
+            draw(st.none() | st.integers(0, 6)), draw(st.integers(0, n - 1)))
+
+
+def _in_form(terms, varnames, kind):
+    """A fresh polynomial that holds only the named form of terms."""
+    p = Polynomial(terms, varnames)
+    if kind == "terms":
+        return p
+    return Polynomial._of_lifted(p.lifted(), varnames)
+
+
+def _canonical(p):
+    ints, den = p.lifted()
+    return den > 0 and 0 not in ints.values() and gcd(den, *ints.values()) == 1
+
+
+def _value(out):
+    """What the answers for each operand kind must agree on; every
+    polynomial met must be canonical."""
+    if isinstance(out, Polynomial):
+        assert _canonical(out), out.lifted()
+        return (out.vars, out.lifted(), out.terms, str(out))
+    if isinstance(out, dict):
+        return [(k, _value(v)) for k, v in out.items()]
+    if isinstance(out, (tuple, list)):
+        return [_value(v) for v in out]
+    return out
+
+
+def _operations(c, order, i):
+    """Each operation on two operands a and b, by name."""
+    keep = 3 if order is None else order
+    high = 4 if order is None else max(order, 2)
+
+    def inverse(a, b):
+        # images (j + 1) x_j + (the terms of a of degree >= 2), with the
+        # rows of the inverse of their linear part
+        n = len(a.vars)
+        rest = a - cut(a, 2)
+        images = [Polynomial.variable(a.vars, j) * (j + 1) + rest
+                  for j in range(n)]
+        rows = [[Fraction(int(j == k), j + 1) for k in range(n)]
+                for j in range(n)]
+        return PowerTable(images, high).inverse(rows)
+
+    def images(a, b):
+        return [b if j % 2 == 0 else a for j in range(len(a.vars))]
+
+    return {
+        "+": lambda a, b: (a + b, a + c, c + a),
+        "-": lambda a, b: (a - b, a - c, c - a),
+        "*": lambda a, b: a * b,
+        "neg": lambda a, b: -a,
+        "scalar *": lambda a, b: (a * c, c * a, a * 3, a * 0),
+        "diff": lambda a, b: a.diff(i),
+        "cut": lambda a, b: cut(a, keep),
+        "split": lambda a, b: split(a, lambda e: sum(e) % 2),
+        "==": lambda a, b: (a == b, a == a, a == c, b == 0),
+        "hash": lambda a, b: (hash(a), hash(b)),
+        "structure": lambda a, b: (
+            a.is_zero(), a.constant_term(), a.coeff((1,) + (0,) * (len(a.vars) - 1)),
+            a.total_degree(), a.low_degree()),
+        "str": lambda a, b: (str(a), repr(b)),
+        "sum_of_products": lambda a, b: sum_of_products([(a, b), (b, b)],
+                                                        order),
+        "unit_inverse": lambda a, b: (unit_inverse(a, high)
+                                      if a.constant_term() else None),
+        "derivation": lambda a, b: derivation(
+            [(c, images(a, b), [b, a]), (1, images(b, a), [a, a])], order),
+        "remultiplies": lambda a, b: (
+            remultiplies([(a,)], [(b,)], [(a * b,)], order),
+            remultiplies([(a, b)], [(b,), (a,)], [(a * b,)], order),
+            remultiplies([(a,)], [(b,)], [(a + b,)], order)),
+        "compose": lambda a, b: PowerTable(images(a, b), order).compose(a),
+        "inverse": inverse,
+    }
+
+
+@settings(max_examples=80)
+@given(two_form_cases())
+def test_the_two_forms_agree_on_every_operation(case):
+    varnames, ta, tb, c, order, i = case
+    for name, op in _operations(c, order, i).items():
+        answers = [_value(op(_in_form(ta, varnames, ka),
+                             _in_form(tb, varnames, kb)))
+                   for ka in KINDS for kb in KINDS]
+        assert all(x == answers[0] for x in answers), name
+
+
+def test_a_chain_of_kernels_makes_no_fraction(monkeypatch):
+    unlifted = []
+    real = poly._unlift
+
+    def counted(lifted):
+        unlifted.append(lifted)
+        return real(lifted)
+
+    def lifted_only(text):
+        p = P(text)
+        return Polynomial._of_lifted(p.lifted(), p.vars)
+
+    f, g = lifted_only("x^2 + 1/3*x*y - y^3"), lifted_only("2/5*x - y^2 + 7")
+    images = [lifted_only("x + 1/2*y^2"), lifted_only("y - 3/4*x*y")]
+    monkeypatch.setattr(poly, "_unlift", counted)
+    h = PowerTable(images, 6).compose(f)
+    h = sum_of_products([(h, g), (g, g)], 6)
+    h = cut(h, 5)
+    parts = split(h, sum)
+    h = parts[1] + parts[2] - g
+    d0, d1 = derivation([(1, [h, g], [h, f])], 6)
+    assert unlifted == []
+    terms = d0.terms
+    assert len(unlifted) == 1
+    assert d0.terms is terms
+    assert len(unlifted) == 1

@@ -2,6 +2,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ import logvf.derlog as derlog
 import logvf.standard_bases as sbm
 from logvf.errors import CertificateFailure, PrecisionRequired, PreconditionViolated
 from logvf.orderings import GLOBAL, LOCAL, OrderingSpec, elimination_key
-from logvf.poly import Jet, Polynomial, cut, poly_parse, sum_of_products
+from logvf.poly import (Jet, Polynomial, cut, exact, poly_parse,
+                        sum_of_products)
 from logvf.report import analyze, parse_div
 from logvf.standard_bases import (MembershipCertificate, default_precision,
                                   ideal_dimension, membership,
@@ -518,6 +520,23 @@ def _reference_buchberger(inputs, keyf, local, rank):
     return basis
 
 
+def _ref_to_vec(element, varnames, rank):
+    """The rational vector {(component, exponent): coefficient} of a
+    polynomial or of a vector of rank polynomials over varnames."""
+    if isinstance(element, (Polynomial, Jet)):
+        element = (element,)
+    if len(element) != rank:
+        raise PreconditionViolated(
+            f"expected a vector of {rank} entries, got {len(element)}")
+    vec = {}
+    for comp, q in enumerate(map(exact, element)):
+        if q.vars != varnames:
+            raise PreconditionViolated("mixed variable tuples in one family")
+        for exp, c in q.terms.items():
+            vec[(comp, exp)] = c
+    return vec
+
+
 def _ref_from_vec(vec, varnames, rank):
     buckets = [dict() for _ in range(rank)]
     for (comp, exp), c in vec.items():
@@ -538,14 +557,14 @@ class _RefBasis:
     rank: int
 
     def leading_monomials(self):
-        return [max(sbm._to_vec(g, self.varnames, self.rank),
+        return [max(_ref_to_vec(g, self.varnames, self.rank),
                     key=self.ordering.module_key) for g in self.generators]
 
 
 def _reference_standard_basis(gens, ordering=None):
     varnames, rank = sbm._family_shape(gens)
     order = ordering or GLOBAL
-    vecs = [sbm._to_vec(g, varnames, rank) for g in gens]
+    vecs = [_ref_to_vec(g, varnames, rank) for g in gens]
     keyf = order.module_key
     basis = sbm._prune(_reference_buchberger(vecs, keyf, order.is_local, rank))
     basis.sort(key=lambda e: e.key)
@@ -559,7 +578,7 @@ def _reference_standard_basis(gens, ordering=None):
 def _reference_membership(element, basis, precision=None):
     varnames, rank = basis.varnames, basis.rank
     k = len(basis.inputs)
-    vec = sbm._to_vec(element, varnames, rank)
+    vec = _ref_to_vec(element, varnames, rank)
     if not vec:
         zero = Polynomial.zero(varnames)
         return MembershipCertificate(True, tuple(zero for _ in range(k)), None,
@@ -567,8 +586,8 @@ def _reference_membership(element, basis, precision=None):
                                      Polynomial.const(varnames, 1))
     keyf = basis.ordering.module_key
     local = basis.ordering.is_local
-    belems = [_RefElem(sbm._to_vec(g, varnames, rank), keyf,
-                       sbm._to_vec(lift, varnames, k))
+    belems = [_RefElem(_ref_to_vec(g, varnames, rank), keyf,
+                       _ref_to_vec(lift, varnames, k))
               for g, lift in zip(basis.generators, basis.lifts)]
     nf, unit, rep = _reference_weak_nf(vec, belems, keyf, local)
     unit_poly = Polynomial(unit, varnames)
@@ -621,7 +640,7 @@ def _reference_syzygies(gens, ordering=None):
     zero = (0,) * len(varnames)
     wide = []
     for i, g in enumerate(gens):
-        w = sbm._to_vec(g, varnames, rank)
+        w = _ref_to_vec(g, varnames, rank)
         w[(rank + i, zero)] = Fraction(1)
         wide.append(w)
     keyf = _elimination_key(order, rank)
@@ -778,10 +797,10 @@ def _reference_reducers(sb):
     keyf = sbm._Keys(sb.ordering.module_key).__getitem__
     out = []
     for g, lift in zip(sb.generators, sb.lifts):
-        gvec, lvec = sbm._to_vec(g, varnames, rank), sbm._to_vec(lift, varnames, k)
-        den = sbm._denominator(gvec, lvec)
-        out.append(sbm._Elem(sbm._cleared(gvec, den), keyf,
-                             sbm._cleared(lvec, den)))
+        gvec, lvec = _ref_to_vec(g, varnames, rank), _ref_to_vec(lift, varnames, k)
+        den = lcm(*(c.denominator for vec in (gvec, lvec) for c in vec.values()))
+        out.append(sbm._Elem({m: int(c * den) for m, c in gvec.items()}, keyf,
+                             {m: int(c * den) for m, c in lvec.items()}))
     return out
 
 
@@ -803,7 +822,7 @@ def test_kept_elements_are_the_rational_generators_and_lifts(family, order):
         for name in sbm._Elem.__slots__:
             assert getattr(e, name) == getattr(ref, name), name
     assert sb.leading_monomials() == [
-        max(sbm._to_vec(g, sb.varnames, rank), key=order.module_key)
+        max(_ref_to_vec(g, sb.varnames, rank), key=order.module_key)
         for g in sb.generators]
 
 
@@ -833,27 +852,27 @@ def test_memberships_make_no_key_memo_and_clear_no_generator(monkeypatch):
     gens = [(p("x + x^2"), p("y")), (p("y^2"), p("x*y"))]
     sb = standard_basis(gens, LOCAL)
     memos, cleared = [], []
-    real_cleared = sbm._cleared
+    real_cleared = sbm._cleared_vec
 
     class CountedKeys(sbm._Keys):
         def __init__(self, key):
             memos.append(key)
             super().__init__(key)
 
-    def counted_cleared(vec, den):
-        cleared.append(vec)
-        return real_cleared(vec, den)
+    def counted_cleared(element, varnames, rank):
+        cleared.append(element)
+        return real_cleared(element, varnames, rank)
 
     monkeypatch.setattr(sbm, "_Keys", CountedKeys)
-    monkeypatch.setattr(sbm, "_cleared", counted_cleared)
+    monkeypatch.setattr(sbm, "_cleared_vec", counted_cleared)
     probes = [(p("x + x^2"), p("y")),
               (p("(1 + x)*(x + x^2) + y^2"), p("(1 + x)*y + x*y")),
               (p("x"), p("0")), (p("0"), p("0"))]
     for probe in probes:
         membership(probe, sb, precision=6)
-    # only the nonzero elements themselves are cleared, once each
+    # only the elements themselves are cleared, once each
     assert memos == []
-    assert cleared == [sbm._to_vec(q, XY, 2) for q in probes[:3]]
+    assert cleared == probes
 
 
 @given(st.lists(st.tuples(st.integers(0, 3),

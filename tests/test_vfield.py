@@ -95,6 +95,30 @@ class TestStructure:
         assert str(d.as_polynomial_field()) == "(x*y + x)*d_x + -2*y*d_y"
         assert vf_to_str(VectorField.zero(XY).truncate(4)) == "0 mod m^4"
 
+    def test_a_jet_field_below_order_2_has_no_known_linear_part(self):
+        # x + y^2 and 2y known modulo m^1: both linear terms are unknown
+        low = VectorField([Jet(P("x + y^2"), 1), Jet(P("2*y"), 1)])
+        with pytest.raises(PreconditionViolated, match="modulo m\\^1"):
+            low.linear_part()
+        known = VectorField([Jet(P("x + y^2"), 2), Jet(P("2*y"), 2)])
+        assert known.linear_part() == [[1, 0], [0, 2]]
+
+    def test_a_jet_field_of_order_0_has_no_known_constant_part(self):
+        low = VectorField([Jet(P("1 + x"), 0), Jet(P("y"), 0)])
+        for query in (low.constant_part, low.vanishes_at_origin):
+            with pytest.raises(PreconditionViolated, match="modulo m\\^0"):
+                query()
+        known = VectorField([Jet(P("1 + x"), 1), Jet(P("y"), 1)])
+        assert known.constant_part() == (1, 0)
+        assert not known.vanishes_at_origin()
+
+    def test_a_jet_field_with_no_stored_term_has_no_known_low_degree(self):
+        low = VectorField([Jet(P("x + y^2"), 1), Jet(P("2*y"), 1)])
+        with pytest.raises(PreconditionViolated, match="modulo m\\^1"):
+            low.low_field_degree()
+        assert VF("x + y^2", "2*y").truncate(3).low_field_degree() == 1
+        assert VectorField.zero(XY).low_field_degree() == 10 ** 9
+
 
 class TestGrading:
     def test_field_graded_parts(self):
